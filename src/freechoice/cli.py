@@ -158,6 +158,26 @@ def _write_manifest(command: str, parameters: Dict[str, object], seed: Optional[
     return path
 
 
+def _experiment_parameters(args: argparse.Namespace, output: str, **extra) -> Dict[str, object]:
+    # Manifest parameters shared by the simulate and power commands.
+    shifting = args.model == "dissonance-shift"
+    return {
+        "design": args.design,
+        "model": args.model,
+        "n": args.n,
+        "subjects": args.subjects,
+        "pair": list(args.pair) if args.pair else None,
+        "object_pair": list(args.object_pair) if args.object_pair else None,
+        "p": args.p,
+        "P": args.P,
+        "shift": args.shift if shifting else None,
+        "threshold": args.threshold if shifting else None,
+        "threads": args.threads,
+        "output": output,
+        **extra,
+    }
+
+
 def _summary_dict(summary: SpreadSummary) -> Dict[str, object]:
     return {"count": summary.count, "mean": summary.mean, "sd": summary.sd, "se": summary.se}
 
@@ -289,22 +309,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     manifest = _write_manifest(
         "simulate",
-        {
-            "design": design.kind,
-            "model": model.kind,
-            "n": design.n,
-            "subjects": design.subjects,
-            "pair": list(args.pair) if args.pair else None,
-            "object_pair": list(args.object_pair) if args.object_pair else None,
-            "p": args.p,
-            "P": args.P,
-            "shift": args.shift if args.model == "dissonance-shift" else None,
-            "threshold": args.threshold if args.model == "dissonance-shift" else None,
-            "truth_mode": args.truth_mode,
-            "format": args.format,
-            "threads": args.threads,
-            "output": output,
-        },
+        _experiment_parameters(args, output, truth_mode=args.truth_mode, format=args.format),
         args.seed,
         [output, summary_path],
     )
@@ -331,22 +336,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
         handle.write("\n")
     manifest = _write_manifest(
         "power",
-        {
-            "design": design.kind,
-            "model": model.kind,
-            "n": design.n,
-            "subjects": design.subjects,
-            "pair": list(args.pair) if args.pair else None,
-            "object_pair": list(args.object_pair) if args.object_pair else None,
-            "p": args.p,
-            "P": args.P,
-            "shift": args.shift if args.model == "dissonance-shift" else None,
-            "threshold": args.threshold if args.model == "dissonance-shift" else None,
-            "replications": args.replications,
-            "alpha": args.alpha,
-            "threads": args.threads,
-            "output": output,
-        },
+        _experiment_parameters(args, output, replications=args.replications, alpha=args.alpha),
         args.seed,
         [output],
     )

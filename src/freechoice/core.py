@@ -10,6 +10,7 @@ ranking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Hashable, Iterable, Tuple
 
 __all__ = [
@@ -185,6 +186,7 @@ def reverse_positions(s: SimplifiedState, n: int) -> SimplifiedState:
     return SimplifiedState(n + 1 - s.a, n + 1 - s.b)
 
 
+@lru_cache(maxsize=64)
 def all_position_pairs(n: int) -> Tuple[PositionPair, ...]:
     """All C(n, 2) position pairs (i, j) with i < j, in lexicographic order."""
     if n < 2:

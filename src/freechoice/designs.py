@@ -37,7 +37,7 @@ from .core import (
     all_position_pairs,
     spread,
 )
-from .noise import SwapNoise, sample_choice, sample_noisy_ranking
+from .noise import SwapNoise, _check_weight, sample_choice, sample_noisy_ranking
 
 __all__ = [
     "DESIGN_KINDS",
@@ -75,8 +75,8 @@ class DesignConfig:
     ``pair`` fixes the compared positions for classic/e0; ``object_pair``
     fixes the compared objects for e1; e2 and e3 take neither. An e3
     subject count must be a multiple of C(n, 2) so that every block covers
-    each pair exactly once, and an e0 subject count must be even so the
-    arms split equally.
+    each pair exactly once, and an e0 subject count must be even and at
+    least 4 so the arms split equally with 2 subjects or more each.
     """
 
     kind: str
@@ -114,8 +114,8 @@ class DesignConfig:
         else:
             if self.pair is not None or self.object_pair is not None:
                 raise ValueError(f"design {self.kind!r} assigns pairs itself; none may be fixed")
-        if self.kind == "e0" and self.subjects % 2:
-            raise ValueError("design 'e0' splits subjects into two equal arms; need an even count")
+        if self.kind == "e0" and (self.subjects % 2 or self.subjects < 4):
+            raise ValueError("design 'e0' needs an even subject count of at least 4 (2 per arm)")
         if self.kind == "e3" and self.subjects % pair_count(self.n):
             raise ValueError(
                 f"design 'e3' covers all {pair_count(self.n)} pairs exactly once per block; "
@@ -141,10 +141,6 @@ class _StageHooks:
     def finalize_ranking(self, ranking: Ranking, choice: Choice) -> Ranking:
         return ranking
 
-    def _check_p(self):
-        if not 0 <= self.p < 1:
-            raise ValueError(f"model noise weight must lie in [0, 1), got {self.p}")
-
 
 @dataclass(frozen=True)
 class NullModel(_StageHooks):
@@ -155,7 +151,7 @@ class NullModel(_StageHooks):
     kind: ClassVar[str] = "null"
 
     def __post_init__(self):
-        self._check_p()
+        _check_weight(self.p, "model noise weight")
 
 
 @dataclass(frozen=True)
@@ -173,7 +169,7 @@ class TwoParamModel(_StageHooks):
     kind: ClassVar[str] = "two-param"
 
     def __post_init__(self):
-        self._check_p()
+        _check_weight(self.p, "model noise weight")
         if not self.p <= self.P < 1:
             raise ValueError(f"need p <= P < 1, got p={self.p}, P={self.P}")
 
@@ -200,7 +196,7 @@ class MemoryModel(_StageHooks):
     kind: ClassVar[str] = "memory"
 
     def __post_init__(self):
-        self._check_p()
+        _check_weight(self.p, "model noise weight")
 
     def finalize_ranking(self, ranking: Ranking, choice: Choice) -> Ranking:
         pos_chosen = ranking.position_of(choice.chosen)
@@ -233,7 +229,7 @@ class DissonanceShiftModel(_StageHooks):
     kind: ClassVar[str] = "dissonance-shift"
 
     def __post_init__(self):
-        self._check_p()
+        _check_weight(self.p, "model noise weight")
         if not isinstance(self.shift, int) or self.shift < 0:
             raise ValueError(f"shift must be a nonnegative integer, got {self.shift!r}")
         if not isinstance(self.threshold, int) or self.threshold < 1:
@@ -358,22 +354,31 @@ def run_subject(
     )
 
 
-def _as_seed_sequence(master_seed: Seed) -> np.random.SeedSequence:
-    if isinstance(master_seed, np.random.SeedSequence):
-        return master_seed
-    return np.random.SeedSequence(master_seed)
+# The random-stream layout: the spawn key of each stream under its root seed.
+# Changing an entry changes the output bytes of every seeded command.
+_STREAM_KEYS = {"e3-assignment": 0, "subject": 1, "replication": 2, "report": 3, "bootstrap": 4}
 
 
-def _subject_stream(root: np.random.SeedSequence, subject: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=root.entropy, spawn_key=root.spawn_key + (1, subject))
-    return np.random.Generator(np.random.PCG64(seq))
+def _as_seed_sequence(seed: Seed) -> np.random.SeedSequence:
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(seed)
+
+
+def _stream_seed(root: np.random.SeedSequence, stream: str, *index: int) -> np.random.SeedSequence:
+    """Seed of one named stream under ``root``, e.g. ``("subject", 7)``."""
+    key = root.spawn_key + (_STREAM_KEYS[stream],) + index
+    return np.random.SeedSequence(entropy=root.entropy, spawn_key=key)
+
+
+def _stream_rng(root: np.random.SeedSequence, stream: str, *index: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_stream_seed(root, stream, *index)))
 
 
 def _e3_assignment(design: DesignConfig, root: np.random.SeedSequence) -> List[PositionPair]:
     """Pair per subject: a fresh random cover of all pairs for every block."""
     pairs = all_position_pairs(design.n)
-    seq = np.random.SeedSequence(entropy=root.entropy, spawn_key=root.spawn_key + (0,))
-    rng = np.random.Generator(np.random.PCG64(seq))
+    rng = _stream_rng(root, "e3-assignment")
     assignment: List[PositionPair] = []
     for _ in range(design.subjects // len(pairs)):
         for index in rng.permutation(len(pairs)):
@@ -391,7 +396,7 @@ def _run_block(
 ) -> List[TrialRecord]:
     records = []
     for subject in subjects:
-        rng = _subject_stream(root, subject)
+        rng = _stream_rng(root, "subject", subject)
         truth = None
         if random_truth:
             order = rng.permutation(design.n) + 1
@@ -416,7 +421,8 @@ def iter_experiment(
     not depend on ``threads``. ``truth_mode="random"`` draws a fresh true
     ranking per subject from the subject's stream (the model must not pin
     one). Records are produced lazily in blocks, so million-subject runs
-    can be consumed without holding them all.
+    can be consumed without holding them all; the arguments are checked
+    at call time, before the first record is asked for.
     """
     if truth_mode not in TRUTH_MODES:
         raise ValueError(f"unknown truth mode {truth_mode!r}; expected one of {TRUTH_MODES}")
@@ -425,7 +431,16 @@ def iter_experiment(
     random_truth = truth_mode == "random"
     if random_truth and model.truth is not None:
         raise ValueError("truth_mode='random' conflicts with a model that pins its true ranking")
-    root = _as_seed_sequence(master_seed)
+    return _iter_blocks(design, model, _as_seed_sequence(master_seed), random_truth, threads)
+
+
+def _iter_blocks(
+    design: DesignConfig,
+    model: SubjectModel,
+    root: np.random.SeedSequence,
+    random_truth: bool,
+    threads: int,
+) -> Iterator[TrialRecord]:
     assignment = _e3_assignment(design, root) if design.kind == "e3" else None
     blocks = [
         range(start, min(start + _CHUNK, design.subjects))

@@ -35,6 +35,7 @@ from . import core
 from .core import PositionPair, Ranking, SimplifiedState, all_position_pairs
 from .noise import (
     Weight,
+    _check_weight,
     as_exact_weight,
     build_M,
     mix_apply,
@@ -79,11 +80,12 @@ def round_half_away(value: Weight, decimals: int = 3) -> str:
     return f"{sign}{whole}.{frac:0{decimals}d}"
 
 
-def _validate_weight(p: Weight, name: str = "p", allow_one: bool = False) -> None:
-    top_ok = p <= 1 if allow_one else p < 1
-    if not (0 <= p and top_ok):
-        bound = "[0, 1]" if allow_one else "[0, 1)"
-        raise ValueError(f"{name} must lie in {bound}, got {p}")
+def _checked_weight(p: Weight, exact: bool, name: str = "p", allow_one: bool = False) -> Weight:
+    # The weight in the backend's number type, after its range check.
+    if exact:
+        p = as_exact_weight(p)
+    _check_weight(p, name, allow_one)
+    return p
 
 
 def _as_pair(n: int, pair) -> PositionPair:
@@ -137,7 +139,7 @@ def _applied_base(n: int, p: Weight, which: str, exact: bool) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _design_kernel(n: int, first: Weight, choice: Weight, other: Weight, exact: bool):
-    """Vectors w1, w2 with per-pair expected spread w1[s0] - delta * w2[s0].
+    """Vectors w1, w2 from which :func:`_pair_value` reads each pair's expected spread.
 
     ``first``, ``choice`` and ``other`` are the noise weights of the first
     ranking, the choice stage, and the ranking the spread compares against.
@@ -168,6 +170,14 @@ def _pair_row(n: int, pair: PositionPair) -> int:
     return state_index(n)[SimplifiedState(pair.i, pair.j)]
 
 
+def _pair_value(kernel, n: int, pair: PositionPair, exact: bool) -> Weight:
+    # Expected spread at one comparison pair from the kernel vectors (w1, w2).
+    w1, w2 = kernel
+    k = _pair_row(n, pair)
+    value = w1[k] - pair.delta * w2[k]
+    return value if exact else float(value)
+
+
 def expected_spread_positions(
     n: int,
     p: Weight,
@@ -186,17 +196,12 @@ def expected_spread_positions(
     pair = _as_pair(n, pair)
     if method not in ("factored", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
-    if exact:
-        p = as_exact_weight(p)
-    _validate_weight(p)
+    p = _checked_weight(p, exact)
     if method == "enumerate":
         if exact:
             raise ValueError("the enumeration path supports the float backend only")
         return _enumerate_value(n, float(p), pair)
-    w1, w2 = _design_kernel(n, p, p, p, exact)
-    k = _pair_row(n, pair)
-    value = w1[k] - pair.delta * w2[k]
-    return value if exact else float(value)
+    return _pair_value(_design_kernel(n, p, p, p, exact), n, pair, exact)
 
 
 def _enumerate_value(n: int, p: float, pair: PositionPair) -> float:
@@ -281,16 +286,9 @@ def expected_spread_table(n: int, p: Weight, *, exact: bool = False) -> Expected
     """Expected spread for all C(n, 2) comparison pairs under the null model."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    if exact:
-        p = as_exact_weight(p)
-    _validate_weight(p)
-    w1, w2 = _design_kernel(n, p, p, p, exact)
-    index = state_index(n)
-    values: Dict[PositionPair, Weight] = {}
-    for pair in all_position_pairs(n):
-        k = index[SimplifiedState(pair.i, pair.j)]
-        value = w1[k] - pair.delta * w2[k]
-        values[pair] = value if exact else float(value)
+    p = _checked_weight(p, exact)
+    kernel = _design_kernel(n, p, p, p, exact)
+    values = {pair: _pair_value(kernel, n, pair, exact) for pair in all_position_pairs(n)}
     return ExpectedSpreadTable(n=n, p=p, values=values, exact=exact)
 
 
@@ -324,11 +322,8 @@ def expected_spread_two_param(
     """
     if design not in TWO_PARAM_DESIGNS:
         raise ValueError(f"unknown design {design!r}; expected one of {TWO_PARAM_DESIGNS}")
-    if exact:
-        p = as_exact_weight(p)
-        P = as_exact_weight(P)
-    _validate_weight(p, "p")
-    _validate_weight(P, "P", allow_one=True)
+    p = _checked_weight(p, exact)
+    P = _checked_weight(P, exact, "P", allow_one=True)
     if p > P:
         raise ValueError(f"the pre-choice weight P must be at least p, got p={p} > P={P}")
 
@@ -346,24 +341,16 @@ def expected_spread_two_param(
             raise ValueError(f"design {design!r} needs a comparison position pair")
         pair = _as_pair(n, pair)
         other = p if design == "e0-experimental" else P
-        w1, w2 = _design_kernel(n, P, p, other, exact)
-        k = _pair_row(n, pair)
-        value = w1[k] - pair.delta * w2[k]
-        return value if exact else float(value)
+        return _pair_value(_design_kernel(n, P, p, other, exact), n, pair, exact)
 
     # e2 and e3 average the per-pair expectation over all C(n, 2) pairs.
     if pair is not None:
         raise ValueError(f"design {design!r} takes no fixed pair")
-    w1, w2 = _design_kernel(n, P, p, p, exact)
-    index = state_index(n)
-    pairs = all_position_pairs(n)
-    terms = [
-        w1[index[SimplifiedState(q.i, q.j)]] - q.delta * w2[index[SimplifiedState(q.i, q.j)]]
-        for q in pairs
-    ]
+    kernel = _design_kernel(n, P, p, p, exact)
+    terms = [_pair_value(kernel, n, q, exact) for q in all_position_pairs(n)]
     if exact:
         return sum(terms, Fraction(0)) / len(terms)
-    return math.fsum(float(t) for t in terms) / len(terms)
+    return math.fsum(terms) / len(terms)
 
 
 def expected_spread_conditional(
@@ -383,9 +370,7 @@ def expected_spread_conditional(
     if condition not in ("consistent", "reversal"):
         raise ValueError(f"condition must be 'consistent' or 'reversal', got {condition!r}")
     pair = _as_pair(n, pair)
-    if exact:
-        p = as_exact_weight(p)
-    _validate_weight(p)
+    p = _checked_weight(p, exact)
     cw1, cw2, g2 = _conditional_kernel(n, p, exact)
     k = _pair_row(n, pair)
     delta = pair.delta
@@ -439,7 +424,7 @@ def swap_process_distribution(n: int, p: float) -> Tuple[Tuple[tuple, ...], np.n
         raise ValueError("n must be at least 2")
     if n > 6:
         raise CapacityError("the full-permutation distribution supports n <= 6")
-    _validate_weight(float(p))
+    _check_weight(float(p), "p")
     perms, _, swaps = _perm_tables(n)
     m = len(perms)
     identity_index = 0  # itertools.permutations yields the identity first
@@ -468,7 +453,7 @@ def brute_force_expected_spread(n: int, p: float, pair) -> float:
     if n > 5:
         raise CapacityError("the full-permutation oracle supports n <= 5")
     pair = _as_pair(n, pair)
-    _validate_weight(float(p))
+    _check_weight(float(p), "p")
     perms, probs = swap_process_distribution(n, float(p))
     _, pos, _ = _perm_tables(n)
     parr = np.array(perms, dtype=np.int32)

@@ -17,8 +17,6 @@ arithmetic, which certifies identities such as row sums being exactly 1.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,7 +38,6 @@ __all__ = [
     "mix_apply",
     "sample_noisy_ranking",
     "sample_choice",
-    "write_matrix_csv",
     "as_exact_weight",
 ]
 
@@ -59,10 +56,17 @@ class SwapNoise:
     n: int
 
     def __post_init__(self):
-        if not 0 <= self.p <= 1:
-            raise ValueError(f"noise weight must lie in [0, 1], got {self.p}")
+        _check_weight(self.p, "noise weight", allow_one=True)
         if self.n < 2:
             raise ValueError("the swap process needs at least 2 objects")
+
+
+def _check_weight(p: Weight, name: str, allow_one: bool = False) -> None:
+    """Reject a noise weight outside [0, 1), or outside [0, 1] with ``allow_one``."""
+    top_ok = p <= 1 if allow_one else p < 1
+    if not (0 <= p and top_ok):
+        bound = "[0, 1]" if allow_one else "[0, 1)"
+        raise ValueError(f"{name} must lie in {bound}, got {p}")
 
 
 def as_exact_weight(p: Weight) -> Fraction:
@@ -97,13 +101,6 @@ def state_space(n: int) -> Tuple[SimplifiedState, ...]:
 def state_index(n: int) -> Dict[SimplifiedState, int]:
     """Mapping from each state to its row index in Q and M."""
     return {s: k for k, s in enumerate(state_space(n))}
-
-
-def _as_state(state) -> SimplifiedState:
-    if isinstance(state, SimplifiedState):
-        return state
-    a, b = state
-    return SimplifiedState(int(a), int(b))
 
 
 def _swapped(position: int, k: int) -> int:
@@ -244,13 +241,6 @@ def _mix_lu(n: int, p: Fraction) -> tuple:
     return tuple(map(tuple, _lu_factor(a)))
 
 
-def _check_weight(p: Weight, allow_one: bool = False) -> None:
-    top_ok = p <= 1 if allow_one else p < 1
-    if not (0 <= p and top_ok):
-        bound = "[0, 1]" if allow_one else "[0, 1)"
-        raise ValueError(f"noise weight must lie in {bound}, got {p}")
-
-
 def mix_apply(n: int, p: Weight, vectors: Sequence, exact: bool = False):
     """Return ``M @ vectors`` without forming M.
 
@@ -259,7 +249,7 @@ def mix_apply(n: int, p: Weight, vectors: Sequence, exact: bool = False):
     (I - pQ) X = (1 - p) V directly. p = 1 is accepted as the uniform limit,
     where every output entry is the mean of the corresponding input vector.
     """
-    _check_weight(p, allow_one=True)
+    _check_weight(p, "noise weight", allow_one=True)
     m = n * (n - 1)
     if exact:
         pf = as_exact_weight(p)
@@ -288,15 +278,6 @@ def mix_apply(n: int, p: Weight, vectors: Sequence, exact: bool = False):
     return np.linalg.solve(a, (1.0 - float(p)) * arr)
 
 
-@lru_cache(maxsize=16)
-def _mix_float(n: int, p: float) -> np.ndarray:
-    m = n * (n - 1)
-    a = np.eye(m) - p * _q_float(n)
-    entries = np.linalg.solve(a, (1.0 - p) * np.eye(m))
-    entries.setflags(write=False)
-    return entries
-
-
 def build_M(n: int, p: Weight, exact: bool = False) -> MixMatrixM:
     """Mixing matrix M = (1 - p)(I - pQ)^(-1) over simplified states.
 
@@ -306,11 +287,9 @@ def build_M(n: int, p: Weight, exact: bool = False) -> MixMatrixM:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    _check_weight(p)
-    if exact:
-        entries = mix_apply(n, p, np.eye(n * (n - 1), dtype=object), exact=True)
-    else:
-        entries = _mix_float(n, float(p)).copy()
+    _check_weight(p, "noise weight")
+    identity = np.eye(n * (n - 1), dtype=object if exact else float)
+    entries = mix_apply(n, p, identity, exact=exact)
     entries.setflags(write=False)
     return MixMatrixM(n=n, p=p, entries=entries, states=state_space(n), exact=exact)
 
@@ -357,27 +336,3 @@ def sample_choice(
     if pos_first < pos_second:
         return Choice(chosen=pair.first, rejected=pair.second)
     return Choice(chosen=pair.second, rejected=pair.first)
-
-
-def write_matrix_csv(matrix, destination) -> None:
-    """Dump Q or M as CSV rows (row state, column state, value).
-
-    Debugging aid, not a stability-guaranteed format. ``destination`` may be
-    a path or a writable text file.
-    """
-    if hasattr(destination, "write"):
-        _write_matrix(matrix, destination)
-        return
-    with open(destination, "w", newline="") as handle:
-        _write_matrix(matrix, handle)
-
-
-def _write_matrix(matrix, handle: io.TextIOBase) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(["row_a", "row_b", "col_a", "col_b", "value"])
-    states = matrix.states
-    for r, row_state in enumerate(states):
-        for c, col_state in enumerate(states):
-            value = matrix.entries[r, c]
-            text = str(value) if matrix.exact else repr(float(value))
-            writer.writerow([row_state.a, row_state.b, col_state.a, col_state.b, text])

@@ -20,7 +20,15 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .designs import DesignConfig, SubjectModel, iter_experiment
+from .designs import (
+    DesignConfig,
+    Seed,
+    SubjectModel,
+    _as_seed_sequence,
+    _stream_rng,
+    _stream_seed,
+    iter_experiment,
+)
 
 __all__ = [
     "DegenerateComparisonError",
@@ -32,8 +40,6 @@ __all__ = [
     "power_report",
     "summarize",
 ]
-
-Seed = Union[int, np.random.SeedSequence]
 
 _BOOTSTRAP_CELLS = 4_000_000
 
@@ -99,12 +105,6 @@ def compare(a: SpreadSummary, b: SpreadSummary) -> GroupComparison:
     return GroupComparison(difference=difference, se=se, z=difference / se)
 
 
-def _as_seed_sequence(seed: Seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 def bootstrap_se(
     spreads: Iterable[float], *, resamples: int = 1000, seed: Seed = 0
 ) -> float:
@@ -119,9 +119,7 @@ def bootstrap_se(
         raise ValueError("a bootstrap needs at least 2 observations")
     if resamples < 2:
         raise ValueError("need at least 2 resamples")
-    root = _as_seed_sequence(seed)
-    seq = np.random.SeedSequence(entropy=root.entropy, spawn_key=root.spawn_key + (4,))
-    rng = np.random.Generator(np.random.PCG64(seq))
+    rng = _stream_rng(_as_seed_sequence(seed), "bootstrap")
     means = np.empty(resamples)
     chunk = max(1, _BOOTSTRAP_CELLS // values.size)
     done = 0
@@ -148,18 +146,23 @@ def _replication_spreads(
     return [record.spread for record in iter_experiment(design, model, seed, threads=threads)]
 
 
+def _estimate(kind: str, spreads) -> Tuple[float, Optional[float]]:
+    # Mean spread (for e0 the experimental minus control difference) and its
+    # standard error; the se is None or 0 when the run has no scale.
+    if kind != "e0":
+        summary = summarize(spreads)
+        return summary.mean, summary.se
+    experimental, control = summarize(spreads[0]), summarize(spreads[1])
+    try:
+        comparison = compare(experimental, control)
+    except DegenerateComparisonError:
+        return experimental.mean - control.mean, None
+    return comparison.difference, comparison.se
+
+
 def _rejects(design, model, seed, critical, threads) -> bool:
-    spreads = _replication_spreads(design, model, seed, threads)
-    if design.kind == "e0":
-        try:
-            comparison = compare(summarize(spreads[0]), summarize(spreads[1]))
-        except DegenerateComparisonError:
-            return False
-        return comparison.z > critical
-    summary = summarize(spreads)
-    if not summary.se:
-        return False
-    return summary.mean / summary.se > critical
+    mean, se = _estimate(design.kind, _replication_spreads(design, model, seed, threads))
+    return bool(se) and mean / se > critical
 
 
 def power_estimate(
@@ -189,9 +192,7 @@ def power_estimate(
     root = _as_seed_sequence(seed)
     rejections = 0
     for replication in range(replications):
-        seq = np.random.SeedSequence(
-            entropy=root.entropy, spawn_key=root.spawn_key + (2, replication)
-        )
+        seq = _stream_seed(root, "replication", replication)
         if _rejects(config, model, seq, critical, threads):
             rejections += 1
     return rejections / replications
@@ -224,8 +225,7 @@ def power_report(
         seed=seed,
         threads=threads,
     )
-    root = _as_seed_sequence(seed)
-    report_seed = np.random.SeedSequence(entropy=root.entropy, spawn_key=root.spawn_key + (3,))
+    report_seed = _stream_seed(_as_seed_sequence(seed), "report")
     report: Dict[str, object] = {
         "design": config.kind,
         "model": model.kind,
@@ -236,20 +236,9 @@ def power_report(
         "rejection_rate": rate,
     }
     spreads = _replication_spreads(config, model, report_seed, threads)
-    if config.kind == "e0":
-        try:
-            comparison = compare(summarize(spreads[0]), summarize(spreads[1]))
-            report["mean"] = comparison.difference
-            report["se"] = comparison.se
-        except DegenerateComparisonError:
-            report["mean"] = summarize(spreads[0]).mean - summarize(spreads[1]).mean
-            report["se"] = None
-    else:
-        summary = summarize(spreads)
-        report["mean"] = summary.mean
-        report["se"] = summary.se
-        if config.kind == "e3":
-            report["se_bootstrap"] = bootstrap_se(
-                spreads, resamples=bootstrap_resamples, seed=report_seed
-            )
+    report["mean"], report["se"] = _estimate(config.kind, spreads)
+    if config.kind == "e3":
+        report["se_bootstrap"] = bootstrap_se(
+            spreads, resamples=bootstrap_resamples, seed=report_seed
+        )
     return report

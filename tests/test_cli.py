@@ -2,6 +2,7 @@
 
 import csv
 import filecmp
+import hashlib
 import json
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import freechoice.core as core
 from freechoice import __version__
 from freechoice.cli import main
 from freechoice.exact import expected_spread_positions, expected_spread_two_param, round_half_away
+from freechoice.stats import bootstrap_se
 
 
 def run_table(tmp_path, *extra):
@@ -224,6 +226,51 @@ class TestVerifyCommand:
         assert "FAIL" in out
 
 
+class TestStreamLayout:
+    """Seed -> bytes contract, with values recorded on version 0.1.0.
+
+    The spawn keys under a seed are 0 for the e3 assignment, 1 per subject,
+    2 per power replication, 3 for the report run and 4 for the bootstrap.
+    Integers and files are compared exactly; floats to 1e-12 relative,
+    because BLAS and SIMD kernels may move their last bits.
+    """
+
+    def test_simulate_e3(self, tmp_path):
+        out = tmp_path / "trials.csv"
+        assert main(["simulate", "--design", "e3", "--model", "null", "--n", "5",
+                     "--subjects", "30", "--p", "0.6", "--seed", "11",
+                     "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "0c56628bbc4636ec2dee23284863d09e724395c399dc59434252b4ad0dcaadeb"
+        )
+        summary = json.loads((tmp_path / "trials.csv.summary.json").read_text())
+        assert summary["spread"]["mean"] == pytest.approx(-0.1, rel=1e-12)
+        assert summary["se_bootstrap"] == pytest.approx(0.30796355555739313, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "design, extra, rejections, mean, se, se_bootstrap",
+        [
+            ("e3", [], 12, 0.4, 0.38661826678330435, 0.37514360280127756),
+            ("e0", ["--pair", "2,4"], 5, 0.8, 0.4055175020198813, None),
+        ],
+    )
+    def test_power(self, tmp_path, design, extra, rejections, mean, se, se_bootstrap):
+        out = tmp_path / "power.json"
+        assert main(["power", "--design", design, "--model", "two-param", "--n", "5",
+                     "--subjects", "20", "--p", "0.3", "--P", "0.8", "--replications", "40",
+                     "--seed", "5", "--output", str(out), *extra]) == 0
+        report = json.loads(out.read_text())
+        assert (report["n"], report["subjects"], report["replications"]) == (5, 20, 40)
+        assert report["rejection_rate"] == rejections / 40
+        assert report["mean"] == pytest.approx(mean, rel=1e-12)
+        assert report["se"] == pytest.approx(se, rel=1e-12)
+        assert report.get("se_bootstrap") == pytest.approx(se_bootstrap, rel=1e-12)
+
+    def test_bootstrap_se(self):
+        value = bootstrap_se([1, 5, 2, 8, 3, -1], resamples=50, seed=9)
+        assert value == pytest.approx(1.1507712094144664, rel=1e-12)
+
+
 class TestErrors:
     def test_usage_errors_exit_2(self, tmp_path, capsys):
         assert main(["table", "--n", "1", "--p", "0.5",
@@ -250,6 +297,15 @@ class TestErrors:
                      "--subjects", "10", "--p", "0.5", "--replications", "0",
                      "--output", str(tmp_path / "p.json")]) == 2
         capsys.readouterr()
+
+    def test_invalid_simulate_keeps_existing_output(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        out.write_bytes(b"precious\n")
+        assert main(["simulate", "--design", "classic", "--model", "null", "--n", "5",
+                     "--subjects", "4", "--pair", "1,5", "--p", "0.2", "--threads", "0",
+                     "--output", str(out)]) == 2
+        assert "threads" in capsys.readouterr().err
+        assert out.read_bytes() == b"precious\n"
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         missing = tmp_path / "no-such-dir" / "table.csv"

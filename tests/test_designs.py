@@ -39,8 +39,10 @@ class TestDesignConfig:
 
     def test_e0_needs_even_split(self):
         DesignConfig(kind="e0", n=12, subjects=106, pair=(7, 9))
-        with pytest.raises(ValueError):
-            DesignConfig(kind="e0", n=12, subjects=105, pair=(7, 9))
+        DesignConfig(kind="e0", n=12, subjects=4, pair=(7, 9))
+        for subjects in (105, 2):  # odd, or one subject per arm
+            with pytest.raises(ValueError):
+                DesignConfig(kind="e0", n=12, subjects=subjects, pair=(7, 9))
 
     def test_pair_kinds_enforced(self):
         with pytest.raises(ValueError):
@@ -239,6 +241,18 @@ class TestRunExperiment:
             run_experiment(cfg, NullModel(p=0.2), 0, truth_mode="sometimes")
         with pytest.raises(ValueError):
             run_experiment(cfg, NullModel(p=0.2), 0, threads=0)
+
+    def test_arguments_checked_at_call_time(self):
+        # no record is requested, so a lazy check would not raise
+        cfg = DesignConfig(kind="classic", n=5, subjects=2, pair=(1, 5))
+        pinned = NullModel(p=0.2, truth=Ranking.identity(5))
+        for model, kwargs in (
+            (NullModel(p=0.2), {"threads": 0}),
+            (NullModel(p=0.2), {"truth_mode": "sometimes"}),
+            (pinned, {"truth_mode": "random"}),
+        ):
+            with pytest.raises(ValueError):
+                iter_experiment(cfg, model, 0, **kwargs)
 
     def test_iter_streams_lazily(self):
         cfg = DesignConfig(kind="e2", n=5, subjects=5000)

@@ -1,6 +1,5 @@
 """Swap-process noise: state space, Q and M matrices, samplers."""
 
-import io
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +18,6 @@ from freechoice.noise import (
     state_index,
     state_space,
     uniform_limit_M,
-    write_matrix_csv,
 )
 
 
@@ -231,13 +229,3 @@ class TestSamplers:
         )
         sigma = np.sqrt(consistent * (1 - consistent) / samples)
         assert abs(wins / samples - consistent) < 4 * sigma
-
-
-class TestCsv:
-    def test_matrix_csv_shape(self):
-        buffer = io.StringIO()
-        write_matrix_csv(build_Q(3), buffer)
-        lines = buffer.getvalue().split("\n")
-        assert lines[0] == "row_a,row_b,col_a,col_b,value"
-        assert len(lines) == 1 + 36 + 1  # header + 6x6 entries + trailing newline
-        assert lines[-1] == ""
