@@ -39,7 +39,6 @@ from .exact import (
     RankingDistribution,
     brute_force_expected_spread,
     expected_spread_conditional,
-    expected_spread_objects_null,
     expected_spread_oracle,
     expected_spread_positions,
     expected_spread_table,
@@ -48,18 +47,15 @@ from .exact import (
     swap_process_distribution,
 )
 from .noise import (
-    MixMatrixM,
-    SwapMatrixQ,
-    SwapNoise,
     as_exact_weight,
     build_M,
     build_Q,
     mix_apply,
     sample_choice,
     sample_noisy_ranking,
+    stage_weights,
     state_index,
     state_space,
-    uniform_limit_M,
 )
 from .stats import (
     DegenerateComparisonError,
@@ -86,7 +82,6 @@ __all__ = [
     "ExpectedSpreadTable",
     "GroupComparison",
     "MemoryModel",
-    "MixMatrixM",
     "NullModel",
     "ObjectPair",
     "PositionPair",
@@ -95,8 +90,6 @@ __all__ = [
     "SimplifiedState",
     "SpreadSummary",
     "SubjectModel",
-    "SwapMatrixQ",
-    "SwapNoise",
     "TrialRecord",
     "TwoParamModel",
     "all_position_pairs",
@@ -107,7 +100,6 @@ __all__ = [
     "build_Q",
     "compare",
     "expected_spread_conditional",
-    "expected_spread_objects_null",
     "expected_spread_oracle",
     "expected_spread_positions",
     "expected_spread_table",
@@ -126,10 +118,10 @@ __all__ = [
     "sample_noisy_ranking",
     "spread",
     "spread_simplified",
+    "stage_weights",
     "state_index",
     "state_space",
     "summarize",
     "swap_process_distribution",
-    "uniform_limit_M",
     "__version__",
 ]

@@ -43,6 +43,9 @@ __all__ = ["main"]
 
 MODEL_KINDS = ("null", "two-param", "memory", "dissonance-shift")
 
+# The fields of one trial record, in the order ``simulate`` writes them.
+RECORD_FIELDS = ("subject", "arm", "i", "j", "consistent", "spread")
+
 
 def _parse_pair(text: str) -> Tuple[int, int]:
     parts = text.split(",")
@@ -241,32 +244,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         writer = None
         if args.format == "csv":
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["subject", "arm", "i", "j", "consistent", "spread"])
+            writer.writerow(RECORD_FIELDS)
         for record in records:
+            row = {field: getattr(record, field) for field in RECORD_FIELDS}
             if writer is not None:
-                writer.writerow(
-                    [
-                        record.subject,
-                        record.arm,
-                        record.i,
-                        record.j,
-                        "true" if record.consistent else "false",
-                        record.spread,
-                    ]
-                )
+                row["consistent"] = "true" if record.consistent else "false"
+                writer.writerow(row.values())
             else:
-                json.dump(
-                    {
-                        "subject": record.subject,
-                        "arm": record.arm,
-                        "i": record.i,
-                        "j": record.j,
-                        "consistent": record.consistent,
-                        "spread": record.spread,
-                    },
-                    handle,
-                    sort_keys=True,
-                )
+                json.dump(row, handle, sort_keys=True)
                 handle.write("\n")
             spreads.append(record.spread)
             if record.arm != "none":

@@ -15,9 +15,10 @@ stage order.
 * ``e3``: each block of C(n, 2) subjects covers every position pair exactly
   once, in an order drawn from the experiment-level stream.
 
-Subject models plug in through a small hook interface: per-stage noise
-weights, an optional post-choice modification of the true ranking, and an
-optional post-hoc edit of the final ranking.
+Subject models plug in through a small hook interface: the noise weight of
+each stage (one triple from :func:`noise.stage_weights`), an optional
+post-choice modification of the true ranking, and an optional post-hoc edit
+of the final ranking.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, List, Optional, Sequence, Union
+from typing import ClassVar, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .core import (
     all_position_pairs,
     spread,
 )
-from .noise import SwapNoise, _check_weight, sample_choice, sample_noisy_ranking
+from .noise import Weight, _check_weight, sample_choice, sample_noisy_ranking, stage_weights
 
 __all__ = [
     "DESIGN_KINDS",
@@ -75,7 +76,8 @@ class DesignConfig:
     ``pair`` fixes the compared positions for classic/e0; ``object_pair``
     fixes the compared objects for e1; e2 and e3 take neither. An e3
     subject count must be a multiple of C(n, 2) so that every block covers
-    each pair exactly once, and an e0 subject count must be even and at
+    each pair exactly once, and at least 2 so that the bootstrap standard
+    error has a spread to resample. An e0 subject count must be even and at
     least 4 so the arms split equally with 2 subjects or more each.
     """
 
@@ -121,19 +123,16 @@ class DesignConfig:
                 f"design 'e3' covers all {pair_count(self.n)} pairs exactly once per block; "
                 f"the subject count must be a multiple of that"
             )
+        if self.kind == "e3" and self.subjects < 2:
+            raise ValueError("design 'e3' needs at least 2 subjects for its bootstrap standard error")
 
 
 class _StageHooks:
     """Default subject behavior: every stage is fresh noise around the truth."""
 
-    def noise_first(self, n: int) -> SwapNoise:
-        return SwapNoise(p=self.p, n=n)
-
-    def noise_choice(self, n: int) -> SwapNoise:
-        return SwapNoise(p=self.p, n=n)
-
-    def noise_second(self, n: int, arm: str) -> SwapNoise:
-        return SwapNoise(p=self.p, n=n)
+    def stage_weights(self, arm: str) -> Tuple[Weight, Weight, Weight]:
+        """Noise weights of the first ranking, the choice and the final ranking."""
+        return stage_weights(self.p, self.p, arm)
 
     def adjusted_truth(self, truth: Ranking, choice: Choice, gap: int) -> Ranking:
         return truth
@@ -158,9 +157,8 @@ class NullModel(_StageHooks):
 class TwoParamModel(_StageHooks):
     """Deliberation model: pre-choice stages are noisier than post-choice ones.
 
-    A first ranking made quickly carries the larger weight P; the choice
-    and any ranking made after it carry the smaller weight p. A control
-    arm's second ranking happens before the choice, so it stays at P.
+    The larger weight P goes to the rankings made before the choice and the
+    smaller weight p to the rest, as :func:`noise.stage_weights` assigns them.
     """
 
     p: float
@@ -173,13 +171,8 @@ class TwoParamModel(_StageHooks):
         if not self.p <= self.P < 1:
             raise ValueError(f"need p <= P < 1, got p={self.p}, P={self.P}")
 
-    def noise_first(self, n: int) -> SwapNoise:
-        return SwapNoise(p=self.P, n=n)
-
-    def noise_second(self, n: int, arm: str) -> SwapNoise:
-        if arm == "control":
-            return SwapNoise(p=self.P, n=n)
-        return SwapNoise(p=self.p, n=n)
+    def stage_weights(self, arm: str) -> Tuple[Weight, Weight, Weight]:
+        return stage_weights(self.p, self.P, arm)
 
 
 @dataclass(frozen=True)
@@ -319,7 +312,8 @@ def run_subject(
     else:
         position_pair = design.pair
 
-    rank_first = sample_noisy_ranking(truth, model.noise_first(n), rng)
+    w_first, w_choice, w_final = model.stage_weights(arm)
+    rank_first = sample_noisy_ranking(truth, w_first, rng)
 
     if design.kind == "e1":
         tracked = design.object_pair
@@ -331,12 +325,12 @@ def run_subject(
         tracked = ObjectPair(rank_first.object_at(i), rank_first.object_at(j))
 
     if arm == "control":
-        rank_final = sample_noisy_ranking(truth, model.noise_second(n, arm), rng)
-        choice = sample_choice(truth, tracked, model.noise_choice(n), rng)
+        rank_final = sample_noisy_ranking(truth, w_final, rng)
+        choice = sample_choice(truth, tracked, w_choice, rng)
     else:
-        choice = sample_choice(truth, tracked, model.noise_choice(n), rng)
+        choice = sample_choice(truth, tracked, w_choice, rng)
         adjusted = model.adjusted_truth(truth, choice, j - i)
-        rank_final = sample_noisy_ranking(adjusted, model.noise_second(n, arm), rng)
+        rank_final = sample_noisy_ranking(adjusted, w_final, rng)
         rank_final = model.finalize_ranking(rank_final, choice)
 
     consistent = rank_first.position_of(choice.chosen) < rank_first.position_of(choice.rejected)

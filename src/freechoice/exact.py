@@ -11,7 +11,8 @@ to a handful of matrix-vector products.
 
 The same kernel generalizes to a two-weight subject model in which rankings
 made before the choice carry a larger noise weight P than the choice and
-everything after it.
+everything after it; :func:`noise.stage_weights` assigns the weights, as it
+does for the simulator.
 
 Two independent oracles guard the engine: a full-permutation enumeration of
 the swap process for n <= 5, and an exact enumeration of arbitrary ranking
@@ -39,6 +40,7 @@ from .noise import (
     as_exact_weight,
     build_M,
     mix_apply,
+    stage_weights,
     state_index,
     state_space,
 )
@@ -49,7 +51,6 @@ __all__ = [
     "RankingDistribution",
     "expected_spread_positions",
     "expected_spread_table",
-    "expected_spread_objects_null",
     "expected_spread_two_param",
     "expected_spread_conditional",
     "expected_spread_oracle",
@@ -138,16 +139,16 @@ def _applied_base(n: int, p: Weight, which: str, exact: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _design_kernel(n: int, first: Weight, choice: Weight, other: Weight, exact: bool):
+def _design_kernel(n: int, first: Weight, choice: Weight, final: Weight, exact: bool):
     """Vectors w1, w2 from which :func:`_pair_value` reads each pair's expected spread.
 
-    ``first``, ``choice`` and ``other`` are the noise weights of the first
+    ``first``, ``choice`` and ``final`` are the noise weights of the first
     ranking, the choice stage, and the ranking the spread compares against.
     """
     c_vec = _applied_base(n, choice, "cons", exact)
-    g_other = _applied_base(n, other, "gap", exact)
+    g_final = _applied_base(n, final, "gap", exact)
     bias = 2 * c_vec - 1
-    w1 = mix_apply(n, first, bias * g_other, exact=exact)
+    w1 = mix_apply(n, first, bias * g_final, exact=exact)
     w2 = mix_apply(n, first, bias, exact=exact)
     w1.setflags(write=False)
     w2.setflags(write=False)
@@ -208,7 +209,7 @@ def _enumerate_value(n: int, p: float, pair: PositionPair) -> float:
     # Plain triple sum over (s1, s2, s3). The state-level spread is read from
     # core.spread_simplified at call time so that verification can detect a
     # corrupted sign convention.
-    entries = build_M(n, p).entries
+    entries = build_M(n, p)
     states = state_space(n)
     row = entries[_pair_row(n, pair)]
     sp = np.empty((len(states), len(states)))
@@ -292,17 +293,6 @@ def expected_spread_table(n: int, p: Weight, *, exact: bool = False) -> Expected
     return ExpectedSpreadTable(n=n, p=p, values=values, exact=exact)
 
 
-def expected_spread_objects_null(n: int, p: Weight, true_positions, *, exact: bool = False):
-    """Expected spread when every subject compares the same two objects.
-
-    ``true_positions`` holds the objects' positions in the true ranking.
-    Under the null model the value is exactly zero for every state: the first
-    and final rankings are identically distributed, so the expected gap drift
-    vanishes no matter how biased the choice is.
-    """
-    return expected_spread_two_param(n, p, p, "e1-objects", pair=true_positions, exact=exact)
-
-
 def expected_spread_two_param(
     n: int,
     p: Weight,
@@ -314,11 +304,13 @@ def expected_spread_two_param(
 ):
     """Expected spread under the two-weight model for one design.
 
-    Rankings made before the choice stage carry noise weight ``P``; the
-    choice and all later rankings carry ``p``. ``design`` is one of
-    ``e0-experimental``, ``e0-control``, ``e2``, ``e3`` or ``e1-objects``;
-    the e0 variants need a position pair and e1 the objects' true positions.
-    ``P = 1`` is served by the uniform limit.
+    Each stage carries the weight :func:`noise.stage_weights` gives it: the
+    rankings made before the choice carry ``P``, the choice and later
+    rankings ``p``. ``design`` is one of ``e0-experimental``, ``e0-control``,
+    ``e2``, ``e3`` or ``e1-objects``; the e0 variants need a position pair
+    and e1 the objects' true positions. With ``P = p`` this is the null
+    model, where e1 gives exactly zero. ``P = 1`` is served by the uniform
+    limit.
     """
     if design not in TWO_PARAM_DESIGNS:
         raise ValueError(f"unknown design {design!r}; expected one of {TWO_PARAM_DESIGNS}")
@@ -326,27 +318,28 @@ def expected_spread_two_param(
     P = _checked_weight(P, exact, "P", allow_one=True)
     if p > P:
         raise ValueError(f"the pre-choice weight P must be at least p, got p={p} > P={P}")
-
-    if design == "e1-objects":
-        state = _as_state(n, pair)
-        k = state_index(n)[state]
-        c_vec = _applied_base(n, p, "cons", exact)
-        g_first = _applied_base(n, P, "gap", exact)
-        g_other = _applied_base(n, p, "gap", exact)
-        value = (2 * c_vec[k] - 1) * (g_other[k] - g_first[k])
-        return value if exact else float(value)
-
     if design in ("e0-experimental", "e0-control"):
         if pair is None:
             raise ValueError(f"design {design!r} needs a comparison position pair")
         pair = _as_pair(n, pair)
-        other = p if design == "e0-experimental" else P
-        return _pair_value(_design_kernel(n, P, p, other, exact), n, pair, exact)
-
-    # e2 and e3 average the per-pair expectation over all C(n, 2) pairs.
-    if pair is not None:
+    elif design in ("e2", "e3") and pair is not None:
         raise ValueError(f"design {design!r} takes no fixed pair")
-    kernel = _design_kernel(n, P, p, p, exact)
+    first, choice, final = stage_weights(
+        p, P, "control" if design == "e0-control" else "experimental"
+    )
+
+    if design == "e1-objects":
+        k = state_index(n)[_as_state(n, pair)]
+        c_vec = _applied_base(n, choice, "cons", exact)
+        g_first = _applied_base(n, first, "gap", exact)
+        g_final = _applied_base(n, final, "gap", exact)
+        value = (2 * c_vec[k] - 1) * (g_final[k] - g_first[k])
+        return value if exact else float(value)
+
+    kernel = _design_kernel(n, first, choice, final, exact)
+    if pair is not None:
+        return _pair_value(kernel, n, pair, exact)
+    # e2 and e3 average the per-pair expectation over all C(n, 2) pairs.
     terms = [_pair_value(kernel, n, q, exact) for q in all_position_pairs(n)]
     if exact:
         return sum(terms, Fraction(0)) / len(terms)

@@ -11,13 +11,16 @@ chain on the n(n - 1) states (a, b). Q holds its one-swap transition
 probabilities and M = (1 - p)(I - pQ)^(-1) the transition probabilities after
 a full geometric-length swap sequence.
 
+Every stage of a trial (first ranking, choice, final ranking) runs this one
+process; stages differ only in their weight, which :func:`stage_weights`
+assigns.
+
 Two numeric backends are provided: 64-bit floats (default) and exact rational
 arithmetic, which certifies identities such as row sums being exactly 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple, Union
@@ -27,14 +30,11 @@ import numpy as np
 from .core import Choice, ObjectPair, Ranking, SimplifiedState
 
 __all__ = [
-    "SwapNoise",
-    "SwapMatrixQ",
-    "MixMatrixM",
     "state_space",
     "state_index",
+    "stage_weights",
     "build_Q",
     "build_M",
-    "uniform_limit_M",
     "mix_apply",
     "sample_noisy_ranking",
     "sample_choice",
@@ -44,29 +44,27 @@ __all__ = [
 Weight = Union[float, int, Fraction]
 
 
-@dataclass(frozen=True)
-class SwapNoise:
-    """Parameters of the swap process: coin weight p and object count n.
-
-    Sampling requires p < 1; the p -> 1 limit is available only through
-    :func:`uniform_limit_M`.
-    """
-
-    p: float
-    n: int
-
-    def __post_init__(self):
-        _check_weight(self.p, "noise weight", allow_one=True)
-        if self.n < 2:
-            raise ValueError("the swap process needs at least 2 objects")
-
-
 def _check_weight(p: Weight, name: str, allow_one: bool = False) -> None:
     """Reject a noise weight outside [0, 1), or outside [0, 1] with ``allow_one``."""
     top_ok = p <= 1 if allow_one else p < 1
     if not (0 <= p and top_ok):
         bound = "[0, 1]" if allow_one else "[0, 1)"
         raise ValueError(f"{name} must lie in {bound}, got {p}")
+
+
+_ARMS = ("none", "experimental", "control")
+
+
+def stage_weights(p: Weight, P: Weight, arm: str) -> Tuple[Weight, Weight, Weight]:
+    """Noise weights of the first ranking, the choice and the final ranking.
+
+    The first ranking carries the pre-choice weight ``P`` and the choice
+    carries ``p``. The final ranking carries ``p``, except in the control
+    arm, where it is made before the choice and so carries ``P``.
+    """
+    if arm not in _ARMS:
+        raise ValueError(f"unknown arm {arm!r}; expected one of {_ARMS}")
+    return (P, p, P) if arm == "control" else (P, p, p)
 
 
 def as_exact_weight(p: Weight) -> Fraction:
@@ -112,35 +110,6 @@ def _swapped(position: int, k: int) -> int:
     return position
 
 
-@dataclass(frozen=True, eq=False)
-class SwapMatrixQ:
-    """One-swap transition matrix over simplified states.
-
-    Rows and columns are indexed by :func:`state_space`; entries are
-    multiples of 1/(n - 1) and every row sums to 1.
-    """
-
-    n: int
-    entries: np.ndarray
-    states: Tuple[SimplifiedState, ...]
-    exact: bool
-
-
-@dataclass(frozen=True, eq=False)
-class MixMatrixM:
-    """Transition matrix over simplified states for a full swap sequence.
-
-    M = (1 - p) * sum_k p^k Q^k, computed by a direct linear solve. Rows sum
-    to 1 and the matrix is symmetric and doubly stochastic.
-    """
-
-    n: int
-    p: Weight
-    entries: np.ndarray
-    states: Tuple[SimplifiedState, ...]
-    exact: bool
-
-
 @lru_cache(maxsize=None)
 def _q_rows(n: int) -> Tuple[Tuple[int, ...], ...]:
     # For each state index, the successor state index under each of the
@@ -182,16 +151,20 @@ def _q_fraction(n: int) -> Tuple[Tuple[Fraction, ...], ...]:
     return tuple(rows)
 
 
-def build_Q(n: int, exact: bool = False) -> SwapMatrixQ:
-    """Transition matrix of the tracked position pair under one random swap."""
+def build_Q(n: int, exact: bool = False) -> np.ndarray:
+    """Transition matrix of the tracked position pair under one random swap.
+
+    A read-only array whose rows and columns are indexed by
+    :func:`state_space`; entries are multiples of 1/(n - 1) and every row
+    sums to 1.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if exact:
-        entries = np.array(_q_fraction(n), dtype=object)
-    else:
-        entries = _q_float(n).copy()
+    if not exact:
+        return _q_float(n)
+    entries = np.array(_q_fraction(n), dtype=object)
     entries.setflags(write=False)
-    return SwapMatrixQ(n=n, entries=entries, states=state_space(n), exact=exact)
+    return entries
 
 
 def _lu_factor(a: list) -> list:
@@ -264,8 +237,7 @@ def mix_apply(n: int, p: Weight, vectors: Sequence, exact: bool = False):
             elif pf == 0:
                 solved = col
             else:
-                lu = [list(row) for row in _mix_lu(n, pf)]
-                solved = _lu_solve(lu, [(1 - pf) * v for v in col])
+                solved = _lu_solve(_mix_lu(n, pf), [(1 - pf) * v for v in col])
             out[:, c] = solved
         return out.reshape(arr.shape)
     arr = np.asarray(vectors, dtype=float)
@@ -278,46 +250,32 @@ def mix_apply(n: int, p: Weight, vectors: Sequence, exact: bool = False):
     return np.linalg.solve(a, (1.0 - float(p)) * arr)
 
 
-def build_M(n: int, p: Weight, exact: bool = False) -> MixMatrixM:
+def build_M(n: int, p: Weight, exact: bool = False) -> np.ndarray:
     """Mixing matrix M = (1 - p)(I - pQ)^(-1) over simplified states.
 
-    The exact backend solves one rational system per column; at n = 12 this
-    takes a few seconds, so prefer :func:`mix_apply` when only a few
-    matrix-vector products are needed.
+    A read-only array indexed like :func:`build_Q`. Rows sum to 1 and the
+    matrix is symmetric and doubly stochastic; p = 1 gives the uniform
+    limit, 1/(n(n - 1)) everywhere. The exact backend solves one rational
+    system per column; at n = 12 this takes a few seconds, so prefer
+    :func:`mix_apply` when only a few matrix-vector products are needed.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    _check_weight(p, "noise weight")
     identity = np.eye(n * (n - 1), dtype=object if exact else float)
     entries = mix_apply(n, p, identity, exact=exact)
     entries.setflags(write=False)
-    return MixMatrixM(n=n, p=p, entries=entries, states=state_space(n), exact=exact)
+    return entries
 
 
-def uniform_limit_M(n: int, exact: bool = False) -> MixMatrixM:
-    """The p -> 1 limit of M: every row is uniform over the n(n - 1) states."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    m = n * (n - 1)
-    if exact:
-        entries = np.full((m, m), Fraction(1, m), dtype=object)
-    else:
-        entries = np.full((m, m), 1.0 / m)
-    entries.setflags(write=False)
-    return MixMatrixM(n=n, p=1 if exact else 1.0, entries=entries, states=state_space(n), exact=exact)
-
-
-def sample_noisy_ranking(truth: Ranking, noise: SwapNoise, rng: np.random.Generator) -> Ranking:
+def sample_noisy_ranking(truth: Ranking, p: float, rng: np.random.Generator) -> Ranking:
     """One noisy ranking: a geometric number of uniform adjacent swaps.
 
     The swap count K satisfies P(K = k) = (1 - p) p^k; repeated and
-    cancelling swaps are allowed.
+    cancelling swaps are allowed. p = 1 would never stop swapping, so the
+    weight must lie in [0, 1).
     """
-    if noise.p >= 1:
-        raise ValueError("sampling requires p < 1; p = 1 never stops swapping")
-    if truth.n != noise.n:
-        raise ValueError(f"ranking has {truth.n} objects but noise expects {noise.n}")
-    k = int(rng.geometric(1.0 - noise.p)) - 1
+    _check_weight(p, "noise weight")
+    k = int(rng.geometric(1.0 - p)) - 1
     if k == 0:
         return truth
     entries = list(truth.entries)
@@ -326,11 +284,9 @@ def sample_noisy_ranking(truth: Ranking, noise: SwapNoise, rng: np.random.Genera
     return Ranking(entries, validate=False)
 
 
-def sample_choice(
-    truth: Ranking, pair: ObjectPair, noise: SwapNoise, rng: np.random.Generator
-) -> Choice:
-    """Choice stage: sample a noisy ranking, take the better-ranked object."""
-    noisy = sample_noisy_ranking(truth, noise, rng)
+def sample_choice(truth: Ranking, pair: ObjectPair, p: float, rng: np.random.Generator) -> Choice:
+    """Choice stage: sample a noisy ranking at weight p, take the better-ranked object."""
+    noisy = sample_noisy_ranking(truth, p, rng)
     pos_first = noisy.position_of(pair.first)
     pos_second = noisy.position_of(pair.second)
     if pos_first < pos_second:

@@ -127,9 +127,9 @@ def _stage_weight_triple_sum(n, first, choice, other, pair):
     """
     pair = PositionPair(*pair)
     states = state_space(n)
-    row = build_M(n, first).entries[states.index(SimplifiedState(pair.i, pair.j))]
-    choice_m = build_M(n, choice).entries
-    other_m = build_M(n, other).entries
+    row = build_M(n, first)[states.index(SimplifiedState(pair.i, pair.j))]
+    choice_m = build_M(n, choice)
+    other_m = build_M(n, other)
     sp = np.array(
         [[spread_simplified(pair, s2, s3) for s3 in states] for s2 in states],
         dtype=float,

@@ -4,13 +4,16 @@ import csv
 import filecmp
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import freechoice.core as core
+import freechoice
 from freechoice import __version__
 from freechoice.cli import main
 from freechoice.exact import expected_spread_positions, expected_spread_two_param, round_half_away
@@ -307,6 +310,15 @@ class TestErrors:
         assert "threads" in capsys.readouterr().err
         assert out.read_bytes() == b"precious\n"
 
+    def test_single_subject_e3_keeps_existing_output(self, tmp_path, capsys):
+        # one e3 subject leaves the bootstrap nothing to resample
+        out = tmp_path / "t.csv"
+        out.write_bytes(b"precious\n")
+        assert main(["simulate", "--design", "e3", "--model", "null", "--n", "2",
+                     "--subjects", "1", "--p", "0.2", "--output", str(out)]) == 2
+        assert "at least 2 subjects" in capsys.readouterr().err
+        assert out.read_bytes() == b"precious\n"
+
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         missing = tmp_path / "no-such-dir" / "table.csv"
         assert main(["table", "--n", "5", "--p", "0.5", "--output", str(missing)]) == 3
@@ -323,8 +335,13 @@ class TestErrors:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child finds the package where this process found it, also when
+        # only pytest's own path setting put it there
+        package_root = str(Path(freechoice.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "freechoice", "--version"],
+            env={**os.environ, "PYTHONPATH": path},
             capture_output=True,
             text=True,
             check=False,

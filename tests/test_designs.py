@@ -34,8 +34,11 @@ class TestDesignConfig:
 
     def test_e3_needs_complete_blocks(self):
         DesignConfig(kind="e3", n=6, subjects=45)
-        with pytest.raises(ValueError):
-            DesignConfig(kind="e3", n=6, subjects=44)
+        DesignConfig(kind="e3", n=2, subjects=2)
+        # an incomplete block, or one subject: the bootstrap needs two
+        for n, subjects in ((6, 44), (2, 1)):
+            with pytest.raises(ValueError):
+                DesignConfig(kind="e3", n=n, subjects=subjects)
 
     def test_e0_needs_even_split(self):
         DesignConfig(kind="e0", n=12, subjects=106, pair=(7, 9))
@@ -85,6 +88,15 @@ class TestModels:
         assert TwoParamModel(p=0.5, P=0.9).kind == "two-param"
         assert MemoryModel(p=0.5).kind == "memory"
         assert DissonanceShiftModel(p=0.5).kind == "dissonance-shift"
+
+    @pytest.mark.parametrize("arm", ["none", "experimental", "control"])
+    def test_stage_weights(self, arm):
+        # (first ranking, choice, final ranking): one weight for the
+        # single-weight models, P before the choice for the two-param model
+        for model in (NullModel(p=0.4), MemoryModel(p=0.4), DissonanceShiftModel(p=0.4)):
+            assert model.stage_weights(arm) == (0.4, 0.4, 0.4)
+        final = 0.9 if arm == "control" else 0.4
+        assert TwoParamModel(p=0.4, P=0.9).stage_weights(arm) == (0.9, 0.4, final)
 
 
 class TestRunSubject:

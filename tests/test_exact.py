@@ -13,7 +13,6 @@ from freechoice.exact import (
     RankingDistribution,
     brute_force_expected_spread,
     expected_spread_conditional,
-    expected_spread_objects_null,
     expected_spread_oracle,
     expected_spread_positions,
     expected_spread_table,
@@ -194,10 +193,13 @@ class TestTwoParam:
         assert value > 0
 
     def test_objects_null_is_zero(self):
-        assert expected_spread_objects_null(
-            12, Fraction(4, 5), (3, 9), exact=True
+        # with P = p the fixed-object design is the null model: exactly zero
+        assert expected_spread_two_param(
+            12, Fraction(4, 5), Fraction(4, 5), "e1-objects", pair=(3, 9), exact=True
         ) == 0
-        assert expected_spread_objects_null(12, 0.8, (3, 9)) == pytest.approx(0, abs=1e-12)
+        assert expected_spread_two_param(12, 0.8, 0.8, "e1-objects", pair=(3, 9)) == pytest.approx(
+            0, abs=1e-12
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -267,7 +269,7 @@ class TestConditional:
         reversal = expected_spread_conditional(n, p, pair, "reversal")
         # a consistent choice takes two mixing steps from the first-ranking
         # state: back to the pair's true state, then on to the choice stage
-        mix = build_M(n, p).entries
+        mix = build_M(n, p)
         indicator = np.array([1.0 if s.a < s.b else 0.0 for s in state_space(n)])
         start = state_index(n)[SimplifiedState(pair.i, pair.j)]
         prob = (mix @ (mix @ indicator))[start]
