@@ -13,9 +13,7 @@ from .core import (
     ObjectPair,
     PositionPair,
     Ranking,
-    SimplifiedState,
     all_position_pairs,
-    reverse_positions,
     spread,
     spread_simplified,
 )
@@ -54,8 +52,7 @@ from .noise import (
     sample_choice,
     sample_noisy_ranking,
     stage_weights,
-    state_index,
-    state_space,
+    state_row,
 )
 from .stats import (
     DegenerateComparisonError,
@@ -87,7 +84,6 @@ __all__ = [
     "PositionPair",
     "Ranking",
     "RankingDistribution",
-    "SimplifiedState",
     "SpreadSummary",
     "SubjectModel",
     "TrialRecord",
@@ -109,7 +105,6 @@ __all__ = [
     "pair_count",
     "power_estimate",
     "power_report",
-    "reverse_positions",
     "round_half_away",
     "run_checks",
     "run_experiment",
@@ -119,8 +114,7 @@ __all__ = [
     "spread",
     "spread_simplified",
     "stage_weights",
-    "state_index",
-    "state_space",
+    "state_row",
     "summarize",
     "swap_process_distribution",
     "__version__",

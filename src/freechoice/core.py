@@ -1,4 +1,4 @@
-"""Rankings, comparison pairs, simplified states, and the spread statistic.
+"""Rankings, comparison pairs, and the spread statistic.
 
 A free-choice trial produces two rankings of the same n objects and one
 binary choice between two of them. The spread measures how far the rankings
@@ -9,6 +9,7 @@ ranking.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Tuple
@@ -17,11 +18,9 @@ __all__ = [
     "Ranking",
     "PositionPair",
     "ObjectPair",
-    "SimplifiedState",
     "Choice",
     "spread",
     "spread_simplified",
-    "reverse_positions",
     "all_position_pairs",
 ]
 
@@ -105,6 +104,25 @@ class PositionPair:
         return self.j - self.i
 
 
+def _checked_positions(n: int, positions) -> Tuple[int, int]:
+    """Two distinct positions in 1..n, as Python ints, in the order given.
+
+    ``positions`` is a :class:`PositionPair` or any two integers, numpy
+    integers included. Each is converted with ``operator.index``, so a
+    float is rejected rather than truncated.
+    """
+    if isinstance(positions, PositionPair):
+        positions = (positions.i, positions.j)
+    try:
+        a, b = positions
+        a, b = operator.index(a), operator.index(b)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected two integer positions, got {positions!r}") from None
+    if a == b or not (1 <= a <= n and 1 <= b <= n):
+        raise ValueError(f"positions {positions!r} are not two distinct positions in 1..{n}")
+    return a, b
+
+
 @dataclass(frozen=True)
 class ObjectPair:
     """Two distinct comparison objects, fixed across subjects."""
@@ -115,26 +133,6 @@ class ObjectPair:
     def __post_init__(self):
         if self.first == self.second:
             raise ValueError("comparison objects must be distinct")
-
-
-@dataclass(frozen=True)
-class SimplifiedState:
-    """Positions (a, b) of the two tracked objects, other objects ignored.
-
-    For n objects there are n(n - 1) such states; tracking only the two
-    compared objects is what makes exact enumeration tractable.
-    """
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if not (isinstance(self.a, int) and isinstance(self.b, int)):
-            raise ValueError("state positions must be integers")
-        if self.a < 1 or self.b < 1:
-            raise ValueError("state positions must be at least 1")
-        if self.a == self.b:
-            raise ValueError("tracked objects cannot share a position")
 
 
 @dataclass(frozen=True)
@@ -164,26 +162,21 @@ def spread(rank1: Ranking, choice: Choice, rank3: Ranking) -> int:
     )
 
 
-def spread_simplified(pair: PositionPair, s2: SimplifiedState, s3: SimplifiedState) -> int:
-    """Spread computed from simplified states alone.
+def spread_simplified(pair: PositionPair, s2: Tuple[int, int], s3: Tuple[int, int]) -> int:
+    """Spread computed from the tracked objects' positions alone.
 
     The tracked objects are the ones found at positions ``pair.i`` and
-    ``pair.j`` of the first ranking; ``s2`` and ``s3`` hold their positions in
-    the choice-stage and final rankings. The choice is consistent with the
-    first ranking exactly when ``s2.a < s2.b``, and then the spread equals the
-    growth of the final gap; a reversal negates it.
+    ``pair.j`` of the first ranking; ``s2`` and ``s3`` are their positions
+    ``(a, b)`` in the choice-stage and final rankings. The choice is
+    consistent with the first ranking exactly when ``a < b`` in ``s2``, and
+    then the spread equals the growth of the final gap; a reversal negates
+    it.
     """
-    gap3 = s3.b - s3.a
-    if s2.a < s2.b:
+    (a2, b2), (a3, b3) = s2, s3
+    gap3 = b3 - a3
+    if a2 < b2:
         return gap3 - pair.delta
     return pair.delta - gap3
-
-
-def reverse_positions(s: SimplifiedState, n: int) -> SimplifiedState:
-    """Mirror a state through the middle of a ranking of length n."""
-    if s.a > n or s.b > n:
-        raise ValueError(f"state {s} does not fit in a ranking of {n} objects")
-    return SimplifiedState(n + 1 - s.a, n + 1 - s.b)
 
 
 @lru_cache(maxsize=64)

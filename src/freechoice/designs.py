@@ -35,6 +35,7 @@ from .core import (
     ObjectPair,
     PositionPair,
     Ranking,
+    _checked_positions,
     all_position_pairs,
     spread,
 )
@@ -94,15 +95,13 @@ class DesignConfig:
             raise ValueError("a design needs at least 2 objects")
         if self.subjects < 1:
             raise ValueError("a design needs at least 1 subject")
-        if self.pair is not None and not isinstance(self.pair, PositionPair):
-            object.__setattr__(self, "pair", PositionPair(*self.pair))
+        if self.pair is not None:
+            object.__setattr__(self, "pair", PositionPair(*_checked_positions(self.n, self.pair)))
         if self.object_pair is not None and not isinstance(self.object_pair, ObjectPair):
             object.__setattr__(self, "object_pair", ObjectPair(*self.object_pair))
         if self.kind in ("classic", "e0"):
             if self.pair is None:
                 raise ValueError(f"design {self.kind!r} needs a fixed position pair")
-            if self.pair.j > self.n:
-                raise ValueError(f"pair {self.pair} does not fit into {self.n} positions")
             if self.object_pair is not None:
                 raise ValueError(f"design {self.kind!r} takes a position pair, not an object pair")
         elif self.kind == "e1":

@@ -33,7 +33,7 @@ from typing import Dict, Mapping, Tuple
 import numpy as np
 
 from . import core
-from .core import PositionPair, Ranking, SimplifiedState, all_position_pairs
+from .core import PositionPair, Ranking, _checked_positions, all_position_pairs
 from .noise import (
     Weight,
     _check_weight,
@@ -41,8 +41,8 @@ from .noise import (
     build_M,
     mix_apply,
     stage_weights,
-    state_index,
-    state_space,
+    state_positions,
+    state_row,
 )
 
 __all__ = [
@@ -90,40 +90,15 @@ def _checked_weight(p: Weight, exact: bool, name: str = "p", allow_one: bool = F
 
 
 def _as_pair(n: int, pair) -> PositionPair:
-    if not isinstance(pair, PositionPair):
-        try:
-            i, j = pair
-        except (TypeError, ValueError):
-            raise ValueError(f"expected a position pair, got {pair!r}") from None
-        pair = PositionPair(int(i), int(j))
-    if pair.j > n:
-        raise ValueError(f"pair {pair} does not fit in a ranking of {n} objects")
-    return pair
-
-
-def _as_state(n: int, state) -> SimplifiedState:
-    if not isinstance(state, SimplifiedState):
-        try:
-            a, b = state
-        except (TypeError, ValueError):
-            raise ValueError(f"expected a position state, got {state!r}") from None
-        state = SimplifiedState(int(a), int(b))
-    if state.a > n or state.b > n:
-        raise ValueError(f"state {state} does not fit in a ranking of {n} objects")
-    return state
+    return PositionPair(*_checked_positions(n, pair))
 
 
 @lru_cache(maxsize=None)
 def _base_vectors(n: int, exact: bool):
     # cons(s) = 1 when a < b (the choice stage would pick the first tracked
     # object); gap(s) = b - a.
-    states = state_space(n)
-    if exact:
-        cons = np.array([1 if s.a < s.b else 0 for s in states], dtype=object)
-        gap = np.array([s.b - s.a for s in states], dtype=object)
-    else:
-        cons = np.array([1.0 if s.a < s.b else 0.0 for s in states])
-        gap = np.array([float(s.b - s.a) for s in states])
+    a, b = state_positions(n)
+    cons, gap = np.stack([a < b, b - a]).astype(object if exact else float)
     cons.setflags(write=False)
     gap.setflags(write=False)
     return cons, gap
@@ -167,14 +142,10 @@ def _conditional_kernel(n: int, p: Weight, exact: bool):
     return cw1, cw2, g2
 
 
-def _pair_row(n: int, pair: PositionPair) -> int:
-    return state_index(n)[SimplifiedState(pair.i, pair.j)]
-
-
 def _pair_value(kernel, n: int, pair: PositionPair, exact: bool) -> Weight:
     # Expected spread at one comparison pair from the kernel vectors (w1, w2).
     w1, w2 = kernel
-    k = _pair_row(n, pair)
+    k = state_row(n, pair.i, pair.j)
     value = w1[k] - pair.delta * w2[k]
     return value if exact else float(value)
 
@@ -210,8 +181,8 @@ def _enumerate_value(n: int, p: float, pair: PositionPair) -> float:
     # core.spread_simplified at call time so that verification can detect a
     # corrupted sign convention.
     entries = build_M(n, p)
-    states = state_space(n)
-    row = entries[_pair_row(n, pair)]
+    states = np.column_stack(state_positions(n)).tolist()
+    row = entries[state_row(n, pair.i, pair.j)]
     sp = np.empty((len(states), len(states)))
     for b, s2 in enumerate(states):
         for c, s3 in enumerate(states):
@@ -329,7 +300,7 @@ def expected_spread_two_param(
     )
 
     if design == "e1-objects":
-        k = state_index(n)[_as_state(n, pair)]
+        k = state_row(n, *_checked_positions(n, pair))
         c_vec = _applied_base(n, choice, "cons", exact)
         g_first = _applied_base(n, first, "gap", exact)
         g_final = _applied_base(n, final, "gap", exact)
@@ -365,7 +336,7 @@ def expected_spread_conditional(
     pair = _as_pair(n, pair)
     p = _checked_weight(p, exact)
     cw1, cw2, g2 = _conditional_kernel(n, p, exact)
-    k = _pair_row(n, pair)
+    k = state_row(n, pair.i, pair.j)
     delta = pair.delta
     prob_consistent = cw2[k]
     if condition == "consistent":

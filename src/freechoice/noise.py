@@ -7,9 +7,10 @@ with P(K = k) = (1 - p) p^k for k >= 0.
 
 Because the swap positions are chosen independently of the current ranking,
 the pair of positions occupied by any two fixed objects is itself a Markov
-chain on the n(n - 1) states (a, b). Q holds its one-swap transition
-probabilities and M = (1 - p)(I - pQ)^(-1) the transition probabilities after
-a full geometric-length swap sequence.
+chain on the n(n - 1) states (a, b), a != b. State (a, b) is row
+:func:`state_row` of Q, which holds the chain's one-swap transition
+probabilities, and of M = (1 - p)(I - pQ)^(-1), the transition probabilities
+after a full geometric-length swap sequence.
 
 Every stage of a trial (first ranking, choice, final ranking) runs this one
 process; stages differ only in their weight, which :func:`stage_weights`
@@ -23,15 +24,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import Choice, ObjectPair, Ranking, SimplifiedState
+from .core import Choice, ObjectPair, Ranking
 
 __all__ = [
-    "state_space",
-    "state_index",
+    "state_row",
+    "state_positions",
     "stage_weights",
     "build_Q",
     "build_M",
@@ -82,89 +83,69 @@ def as_exact_weight(p: Weight) -> Fraction:
     return Fraction(p)
 
 
+def state_row(n: int, a, b):
+    """Row of the lumped state (a, b) in Q and M: (a - 1)(n - 1) + b - 1 - [b > a].
+
+    Rows list the states in lexicographic order; ``a`` and ``b`` may be
+    integer arrays, which are mapped elementwise.
+    """
+    return (a - 1) * (n - 1) + b - 1 - (b > a)
+
+
 @lru_cache(maxsize=None)
-def state_space(n: int) -> Tuple[SimplifiedState, ...]:
-    """All n(n - 1) states (a, b), a != b, in lexicographic order."""
+def state_positions(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only arrays ``a`` and ``b`` holding each row's state, in row order."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    return tuple(
-        SimplifiedState(a, b)
-        for a in range(1, n + 1)
-        for b in range(1, n + 1)
-        if a != b
-    )
+    a, b = np.nonzero(~np.eye(n, dtype=bool))
+    for positions in (a, b):
+        positions += 1
+        positions.setflags(write=False)
+    return a, b
 
 
-@lru_cache(maxsize=None)
-def state_index(n: int) -> Dict[SimplifiedState, int]:
-    """Mapping from each state to its row index in Q and M."""
-    return {s: k for k, s in enumerate(state_space(n))}
+def _successors(n: int) -> np.ndarray:
+    # Row of each state after each of the n - 1 adjacent swaps (k, k + 1),
+    # one column per k; every swap has weight 1/(n - 1).
+    k = np.arange(1, n)
+    ab = np.stack(state_positions(n))[:, :, None]
+    a, b = ab + (ab == k) - (ab == k + 1)
+    return state_row(n, a, b)
 
 
-def _swapped(position: int, k: int) -> int:
-    # Effect on one tracked position of swapping positions k and k + 1.
-    if position == k:
-        return k + 1
-    if position == k + 1:
-        return k
-    return position
-
-
-@lru_cache(maxsize=None)
-def _q_rows(n: int) -> Tuple[Tuple[int, ...], ...]:
-    # For each state index, the successor state index under each of the
-    # n - 1 adjacent swaps (duplicates kept; each swap has weight 1/(n - 1)).
-    states = state_space(n)
-    index = state_index(n)
-    rows = []
-    for s in states:
-        successors = tuple(
-            index[SimplifiedState(_swapped(s.a, k), _swapped(s.b, k))]
-            for k in range(1, n)
-        )
-        rows.append(successors)
-    return tuple(rows)
+def _q(n: int, zeros: np.ndarray, unit) -> np.ndarray:
+    # Each entry is the sequential sum of ``unit`` = 1/(n - 1) over the swaps
+    # leading there, added to ``zeros`` in the order of the successor table.
+    rows = np.repeat(np.arange(len(zeros)), n - 1)
+    np.add.at(zeros, (rows, _successors(n).ravel()), unit)
+    zeros.setflags(write=False)
+    return zeros
 
 
 @lru_cache(maxsize=8)
 def _q_float(n: int) -> np.ndarray:
+    # np.zeros rather than np.full: the pages of this sparse matrix that no
+    # swap reaches are never written, so they take no memory.
     m = n * (n - 1)
-    q = np.zeros((m, m))
-    w = 1.0 / (n - 1)
-    for row, successors in enumerate(_q_rows(n)):
-        for col in successors:
-            q[row, col] += w
-    q.setflags(write=False)
-    return q
+    return _q(n, np.zeros((m, m)), 1.0 / (n - 1))
 
 
 @lru_cache(maxsize=8)
-def _q_fraction(n: int) -> Tuple[Tuple[Fraction, ...], ...]:
+def _q_fraction(n: int) -> np.ndarray:
     m = n * (n - 1)
-    w = Fraction(1, n - 1)
-    rows = []
-    for successors in _q_rows(n):
-        row = [Fraction(0)] * m
-        for col in successors:
-            row[col] += w
-        rows.append(tuple(row))
-    return tuple(rows)
+    return _q(n, np.full((m, m), Fraction(0)), Fraction(1, n - 1))
 
 
 def build_Q(n: int, exact: bool = False) -> np.ndarray:
     """Transition matrix of the tracked position pair under one random swap.
 
     A read-only array whose rows and columns are indexed by
-    :func:`state_space`; entries are multiples of 1/(n - 1) and every row
+    :func:`state_row`; entries are multiples of 1/(n - 1) and every row
     sums to 1.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if not exact:
-        return _q_float(n)
-    entries = np.array(_q_fraction(n), dtype=object)
-    entries.setflags(write=False)
-    return entries
+    return _q_fraction(n) if exact else _q_float(n)
 
 
 def _lu_factor(a: list) -> list:
@@ -208,9 +189,10 @@ def _lu_solve(lu: list, b: Sequence) -> list:
 @lru_cache(maxsize=8)
 def _mix_lu(n: int, p: Fraction) -> tuple:
     # Exact LU factors of I - pQ.
-    q = _q_fraction(n)
-    m = n * (n - 1)
-    a = [[(1 if i == j else 0) - p * q[i][j] for j in range(m)] for i in range(m)]
+    a = [
+        [(1 if i == j else 0) - p * entry for j, entry in enumerate(row)]
+        for i, row in enumerate(_q_fraction(n).tolist())
+    ]
     return tuple(map(tuple, _lu_factor(a)))
 
 

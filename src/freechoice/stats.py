@@ -181,13 +181,16 @@ def power_estimate(
     and applies a one-sided z test against zero (two-sample for the
     control design) at level alpha. A degenerate replication, with no
     variance to scale by, counts as a non-rejection. ``subjects``
-    overrides the design's subject count.
+    overrides the design's subject count, which must be at least 2: with
+    one subject no replication has a variance, so none could reject.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     if replications < 1:
         raise ValueError("need at least 1 replication")
     config = design if subjects is None else replace(design, subjects=subjects)
+    if config.subjects < 2:
+        raise ValueError("a power estimate needs at least 2 subjects per replication")
     critical = NormalDist().inv_cdf(1 - alpha)
     root = _as_seed_sequence(seed)
     rejections = 0

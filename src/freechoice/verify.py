@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from . import core
-from .core import Choice, PositionPair, Ranking, SimplifiedState, reverse_positions
+from .core import Choice, PositionPair, Ranking
 from .exact import (
     RankingDistribution,
     brute_force_expected_spread,
@@ -34,7 +34,7 @@ from .exact import (
     round_half_away,
     swap_process_distribution,
 )
-from .noise import build_M, build_Q, state_index, state_space
+from .noise import build_M, build_Q, state_positions, state_row
 
 __all__ = ["CheckResult", "LEVELS", "REFERENCE_TABLE_N12_P08", "run_checks"]
 
@@ -90,18 +90,18 @@ def _check_spread_definition() -> str:
     if core.spread(rank1, Choice(chosen=7, rejected=9), up) != 4:
         raise AssertionError("improvement example should give spread 4")
     pair = PositionPair(7, 9)
-    if core.spread_simplified(pair, SimplifiedState(1, 2), SimplifiedState(5, 11)) != 4:
+    if core.spread_simplified(pair, (1, 2), (5, 11)) != 4:
         raise AssertionError("state-level improvement example should give 4")
     # both objects swap places: chosen worsens by 2 and rejected improves by 2
     swapped = Ranking((1, 2, 3, 4, 5, 6, 9, 8, 7, 10, 11, 12))
     if core.spread(rank1, Choice(chosen=7, rejected=9), swapped) != -4:
         raise AssertionError("swap example should give spread -4")
-    if core.spread_simplified(pair, SimplifiedState(7, 9), SimplifiedState(9, 7)) != -4:
+    if core.spread_simplified(pair, (7, 9), (9, 7)) != -4:
         raise AssertionError("state-level swap example should give -4")
     # reversal branch: choosing the worse-ranked object, nothing moves
     if core.spread(rank1, Choice(chosen=9, rejected=7), rank1) != 0:
         raise AssertionError("no-movement reversal example should give 0")
-    if core.spread_simplified(pair, SimplifiedState(8, 3), SimplifiedState(7, 9)) != 0:
+    if core.spread_simplified(pair, (8, 3), (7, 9)) != 0:
         raise AssertionError("state-level reversal example should give 0")
     return "hand-worked improvement, swap, and reversal examples agree"
 
@@ -117,9 +117,9 @@ def _check_definition_glue() -> str:
         i = int(rng.integers(1, n))
         j = int(rng.integers(i + 1, n + 1))
         first, second = rank1.object_at(i), rank1.object_at(j)
-        s2 = SimplifiedState(choice_rank.position_of(first), choice_rank.position_of(second))
-        s3 = SimplifiedState(rank3.position_of(first), rank3.position_of(second))
-        if s2.a < s2.b:
+        s2 = (choice_rank.position_of(first), choice_rank.position_of(second))
+        s3 = (rank3.position_of(first), rank3.position_of(second))
+        if s2[0] < s2[1]:
             choice = Choice(chosen=first, rejected=second)
         else:
             choice = Choice(chosen=second, rejected=first)
@@ -135,11 +135,10 @@ def _check_definition_glue() -> str:
 
 def _check_swap_matrix() -> str:
     q = build_Q(12)
-    index = state_index(12)
-    one_swap = q[index[SimplifiedState(1, 2)], index[SimplifiedState(2, 1)]]
+    one_swap = q[state_row(12, 1, 2), state_row(12, 2, 1)]
     if abs(one_swap - 1 / 11) > 1e-12:
         raise AssertionError(f"swapping the tracked neighbors should have weight 1/11, got {one_swap}")
-    stay = q[index[SimplifiedState(2, 3)], index[SimplifiedState(2, 3)]]
+    stay = q[state_row(12, 2, 3), state_row(12, 2, 3)]
     if abs(stay - 8 / 11) > 1e-12:
         raise AssertionError(f"(2,3) should stay put with weight 8/11, got {stay}")
     sums = q.sum(axis=1)
@@ -316,15 +315,12 @@ def _check_brute_force() -> str:
 def _check_lumping() -> str:
     n, p = 4, 0.7
     perms, probs = swap_process_distribution(n, p)
-    states = state_space(n)
-    index = state_index(n)
     m = build_M(n, p)
-    lumped = np.zeros((len(states), len(states)))
-    for start_row, start in enumerate(states):
+    lumped = np.zeros_like(m)
+    for start_row, (a, b) in enumerate(zip(*state_positions(n))):
         for perm, prob in zip(perms, probs):
             # objects named by their starting positions
-            state = SimplifiedState(perm.index(start.a) + 1, perm.index(start.b) + 1)
-            lumped[start_row, index[state]] += prob
+            lumped[start_row, state_row(n, perm.index(a) + 1, perm.index(b) + 1)] += prob
     gap = float(np.max(np.abs(lumped - m)))
     if gap > 1e-9:
         raise AssertionError(f"pair-position distribution differs from the lumped chain by {gap}")
@@ -334,13 +330,11 @@ def _check_lumping() -> str:
 def _check_equivariance() -> str:
     n, p = 5, 0.6
     m = build_M(n, p)
-    index = state_index(n)
-    for s0, row in zip(state_space(n), m):
-        r0 = index[reverse_positions(s0, n)]
-        for s1, value in zip(state_space(n), row):
-            mirrored = m[r0, index[reverse_positions(s1, n)]]
-            if abs(value - mirrored) > 1e-12:
-                raise AssertionError(f"M[{s0},{s1}] != M[rev,rev]")
+    a, b = state_positions(n)
+    mirror = state_row(n, n + 1 - a, n + 1 - b)
+    gap = float(np.max(np.abs(m - m[np.ix_(mirror, mirror)])))
+    if gap > 1e-12:
+        raise AssertionError(f"M and its board reversal differ by {gap}")
     return "the mixture matrix commutes with board reversal at n=5"
 
 

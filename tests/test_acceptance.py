@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from freechoice.cli import main
-from freechoice.core import PositionPair, SimplifiedState, spread_simplified
+from freechoice.core import PositionPair, spread_simplified
 from freechoice.designs import DesignConfig, NullModel, iter_experiment, pair_count
 from freechoice.exact import (
     RankingDistribution,
@@ -24,7 +24,7 @@ from freechoice.exact import (
     expected_spread_table,
     expected_spread_two_param,
 )
-from freechoice.noise import build_M, state_space
+from freechoice.noise import build_M, state_positions, state_row
 from freechoice.stats import compare, power_estimate, summarize
 
 ACCEPTANCE_LINES = []
@@ -126,8 +126,8 @@ def _stage_weight_triple_sum(n, first, choice, other, pair):
     from ``spread_simplified``. Nothing of the factored kernel is used.
     """
     pair = PositionPair(*pair)
-    states = state_space(n)
-    row = build_M(n, first)[states.index(SimplifiedState(pair.i, pair.j))]
+    states = np.column_stack(state_positions(n)).tolist()
+    row = build_M(n, first)[state_row(n, pair.i, pair.j)]
     choice_m = build_M(n, choice)
     other_m = build_M(n, other)
     sp = np.array(

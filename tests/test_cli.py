@@ -319,6 +319,16 @@ class TestErrors:
         assert "at least 2 subjects" in capsys.readouterr().err
         assert out.read_bytes() == b"precious\n"
 
+    def test_single_subject_power_keeps_existing_output(self, tmp_path, capsys):
+        # with one subject no replication has a variance to test against
+        out = tmp_path / "power.json"
+        out.write_bytes(b"precious\n")
+        assert main(["power", "--design", "e2", "--model", "null", "--n", "3",
+                     "--subjects", "1", "--replications", "3", "--p", "0.5",
+                     "--output", str(out)]) == 2
+        assert "at least 2 subjects" in capsys.readouterr().err
+        assert out.read_bytes() == b"precious\n"
+
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         missing = tmp_path / "no-such-dir" / "table.csv"
         assert main(["table", "--n", "5", "--p", "0.5", "--output", str(missing)]) == 3

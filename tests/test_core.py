@@ -1,20 +1,21 @@
 """Ranking primitives and the two spread definitions."""
 
+import importlib
 import itertools
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freechoice
 from freechoice.core import (
     Choice,
     ObjectPair,
     PositionPair,
     Ranking,
-    SimplifiedState,
     all_position_pairs,
-    reverse_positions,
     spread,
     spread_simplified,
 )
@@ -73,14 +74,6 @@ class TestPairsAndStates:
         with pytest.raises(ValueError):
             ObjectPair("a", "a")
 
-    def test_simplified_state(self):
-        state = SimplifiedState(9, 2)
-        assert (state.a, state.b) == (9, 2)
-        with pytest.raises(ValueError):
-            SimplifiedState(2, 2)
-        with pytest.raises(ValueError):
-            SimplifiedState(0, 1)
-
     def test_choice_distinct(self):
         with pytest.raises(ValueError):
             Choice(chosen=1, rejected=1)
@@ -91,10 +84,6 @@ class TestPairsAndStates:
         assert pairs[0] == PositionPair(1, 2)
         assert pairs[-1] == PositionPair(3, 4)
         assert all(p.i < p.j for p in pairs)
-
-    def test_reverse_positions(self):
-        assert reverse_positions(SimplifiedState(1, 4), 4) == SimplifiedState(4, 1)
-        assert reverse_positions(SimplifiedState(2, 3), 5) == SimplifiedState(4, 3)
 
 
 class TestSpread:
@@ -122,13 +111,13 @@ class TestSpread:
     def test_simplified_consistent_branch(self):
         # consistent choice: spread = (final gap) - (starting gap)
         pair = PositionPair(7, 9)
-        assert spread_simplified(pair, SimplifiedState(1, 2), SimplifiedState(5, 11)) == 4
-        assert spread_simplified(pair, SimplifiedState(7, 9), SimplifiedState(9, 7)) == -4
+        assert spread_simplified(pair, (1, 2), (5, 11)) == 4
+        assert spread_simplified(pair, (7, 9), (9, 7)) == -4
 
     def test_simplified_reversal_branch(self):
         pair = PositionPair(7, 9)
-        assert spread_simplified(pair, SimplifiedState(8, 3), SimplifiedState(7, 9)) == 0
-        assert spread_simplified(pair, SimplifiedState(8, 3), SimplifiedState(9, 7)) == 4
+        assert spread_simplified(pair, (8, 3), (7, 9)) == 0
+        assert spread_simplified(pair, (8, 3), (9, 7)) == 4
 
     def test_exhaustive_agreement_small(self):
         # the state-level formula reproduces the ranking-level definition for
@@ -142,14 +131,10 @@ class TestSpread:
                     for pair in pairs:
                         first = rank1.object_at(pair.i)
                         second = rank1.object_at(pair.j)
-                        s2 = SimplifiedState(
-                            choice_rank.position_of(first), choice_rank.position_of(second)
-                        )
-                        s3 = SimplifiedState(
-                            rank3.position_of(first), rank3.position_of(second)
-                        )
+                        s2 = (choice_rank.position_of(first), choice_rank.position_of(second))
+                        s3 = (rank3.position_of(first), rank3.position_of(second))
                         chosen, rejected = (
-                            (first, second) if s2.a < s2.b else (second, first)
+                            (first, second) if s2[0] < s2[1] else (second, first)
                         )
                         assert spread_simplified(pair, s2, s3) == spread(
                             rank1, Choice(chosen=chosen, rejected=rejected), rank3
@@ -178,14 +163,17 @@ class TestSpread:
         )
         assert plain == mapped
 
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_reversal_negates_gap_change(self, data):
-        # reversing both boards negates positions' gaps but preserves spread
-        n = data.draw(st.integers(min_value=3, max_value=9))
-        a = data.draw(st.integers(min_value=1, max_value=n))
-        b = data.draw(st.integers(min_value=1, max_value=n).filter(lambda x: x != a))
-        state = SimplifiedState(a, b)
-        flipped = reverse_positions(state, n)
-        assert (flipped.a, flipped.b) == (n + 1 - a, n + 1 - b)
-        assert reverse_positions(flipped, n) == state
+
+def test_every_exported_name_resolves():
+    modules = [freechoice] + [
+        importlib.import_module(f"freechoice.{info.name}")
+        for info in pkgutil.iter_modules(freechoice.__path__)
+        if info.name != "__main__"
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in module.__all__
+        if not hasattr(module, name)
+    ]
+    assert missing == []

@@ -32,6 +32,14 @@ class TestDesignConfig:
         cfg = DesignConfig(kind="e1", n=12, subjects=10, object_pair=(3, 11))
         assert cfg.object_pair == ObjectPair(3, 11)
 
+    def test_accepts_numpy_positions(self):
+        # numpy integers are positions too; floats are not truncated
+        cfg = DesignConfig(kind="classic", n=12, subjects=3, pair=(np.int64(7), 9))
+        assert cfg.pair == PositionPair(7, 9)
+        assert type(cfg.pair.i) is int
+        with pytest.raises(ValueError):
+            DesignConfig(kind="classic", n=12, subjects=3, pair=(7.0, 9))
+
     def test_e3_needs_complete_blocks(self):
         DesignConfig(kind="e3", n=6, subjects=45)
         DesignConfig(kind="e3", n=2, subjects=2)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from freechoice.core import PositionPair, Ranking, SimplifiedState, all_position_pairs
+from freechoice.core import PositionPair, Ranking, all_position_pairs
 from freechoice.exact import (
     CapacityError,
     RankingDistribution,
@@ -20,7 +20,7 @@ from freechoice.exact import (
     round_half_away,
     swap_process_distribution,
 )
-from freechoice.noise import build_M, state_index, state_space
+from freechoice.noise import build_M, state_positions, state_row
 
 
 class TestRounding:
@@ -52,6 +52,13 @@ class TestTable:
     def test_getitem_accepts_tuples(self):
         table = expected_spread_table(5, 0.4)
         assert table[(1, 3)] == table[PositionPair(1, 3)]
+
+    def test_getitem_rejects_floats(self):
+        # a float position used to be truncated: (True, 9.99) read pair (1, 9)
+        table = expected_spread_table(12, 0.8)
+        assert table[(np.int64(1), 9)] == table[(1, 9)]
+        with pytest.raises(ValueError):
+            table[(True, 9.99)]
 
     @pytest.mark.parametrize("n", [3, 5, 8, 12])
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
@@ -123,6 +130,17 @@ class TestFactoredVsEnumerate:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             expected_spread_positions(4, 0.5, (1, 2), method="magic")
+
+    def test_positions_reject_floats(self):
+        # (7.9, 9.2) used to be truncated to (7, 9); the e1 objects' true
+        # positions go through the same check
+        with pytest.raises(ValueError):
+            expected_spread_positions(12, 0.8, (7.9, 9.2))
+        with pytest.raises(ValueError):
+            expected_spread_two_param(12, 0.5, 0.9, "e1-objects", pair=(9.0, 3))
+        assert expected_spread_positions(12, 0.8, (np.int64(7), 9)) == (
+            expected_spread_positions(12, 0.8, (7, 9))
+        )
 
 
 class TestBruteForce:
@@ -270,8 +288,9 @@ class TestConditional:
         # a consistent choice takes two mixing steps from the first-ranking
         # state: back to the pair's true state, then on to the choice stage
         mix = build_M(n, p)
-        indicator = np.array([1.0 if s.a < s.b else 0.0 for s in state_space(n)])
-        start = state_index(n)[SimplifiedState(pair.i, pair.j)]
+        a, b = state_positions(n)
+        indicator = np.where(a < b, 1.0, 0.0)
+        start = state_row(n, pair.i, pair.j)
         prob = (mix @ (mix @ indicator))[start]
         total = prob * consistent + (1 - prob) * reversal
         assert total == pytest.approx(expected_spread_positions(n, p, pair), abs=1e-12)

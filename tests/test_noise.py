@@ -1,11 +1,11 @@
-"""Swap-process noise: state space, Q and M matrices, samplers."""
+"""Swap-process noise: state rows, Q and M matrices, samplers."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from freechoice.core import ObjectPair, Ranking, SimplifiedState, reverse_positions
+from freechoice.core import ObjectPair, Ranking
 from freechoice.exact import swap_process_distribution
 from freechoice.noise import (
     as_exact_weight,
@@ -15,8 +15,8 @@ from freechoice.noise import (
     sample_choice,
     sample_noisy_ranking,
     stage_weights,
-    state_index,
-    state_space,
+    state_positions,
+    state_row,
 )
 
 
@@ -42,34 +42,45 @@ class TestWeights:
 
 class TestStateSpace:
     def test_size_and_order(self):
-        states = state_space(4)
-        assert len(states) == 12
-        assert states[0] == SimplifiedState(1, 2)
-        assert all(s.a != s.b for s in states)
+        a, b = state_positions(4)
+        assert len(a) == len(b) == 12
+        assert (a[0], b[0]) == (1, 2)
+        assert np.all(a != b)
+        assert not (a.flags.writeable or b.flags.writeable)
 
     def test_index_inverts_space(self):
-        index = state_index(5)
-        for k, state in enumerate(state_space(5)):
-            assert index[state] == k
+        # rows follow the lexicographic enumeration of (a, b), a != b
+        for n in range(2, 8):
+            states = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+            assert [state_row(n, a, b) for a, b in states] == list(range(len(states)))
+            a, b = state_positions(n)
+            assert list(zip(a.tolist(), b.tolist())) == states
+            assert np.array_equal(state_row(n, a, b), np.arange(len(states)))
 
 
 class TestQ:
     def test_closed_form_entries(self):
         entries = build_Q(12)
-        index = state_index(12)
-        assert entries[index[SimplifiedState(1, 2)], index[SimplifiedState(2, 1)]] == pytest.approx(
-            1 / 11, abs=1e-14
-        )
-        assert entries[index[SimplifiedState(1, 2)], index[SimplifiedState(1, 2)]] == pytest.approx(
-            9 / 11, abs=1e-14
-        )
-        assert entries[index[SimplifiedState(2, 3)], index[SimplifiedState(2, 3)]] == pytest.approx(
-            8 / 11, abs=1e-14
-        )
+        row = state_row
+        assert entries[row(12, 1, 2), row(12, 2, 1)] == pytest.approx(1 / 11, abs=1e-14)
+        assert entries[row(12, 1, 2), row(12, 1, 2)] == pytest.approx(9 / 11, abs=1e-14)
+        assert entries[row(12, 2, 3), row(12, 2, 3)] == pytest.approx(8 / 11, abs=1e-14)
         # interior state: four neighbors move, the rest leave it alone
-        assert entries[index[SimplifiedState(5, 8)], index[SimplifiedState(5, 8)]] == pytest.approx(
-            7 / 11, abs=1e-14
-        )
+        assert entries[row(12, 5, 8), row(12, 5, 8)] == pytest.approx(7 / 11, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 5, 12, 40])
+    def test_entries_are_sequential_sums(self, n):
+        # each entry adds 1/(n - 1) once per swap leading there; a product
+        # count * (1/(n - 1)) differs in the last bit for many counts
+        expected = np.zeros((n * (n - 1), n * (n - 1)))
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                if a == b:
+                    continue
+                for k in range(1, n):
+                    moved = [k + 1 if x == k else k if x == k + 1 else x for x in (a, b)]
+                    expected[state_row(n, a, b), state_row(n, *moved)] += 1 / (n - 1)
+        assert np.array_equal(build_Q(n), expected)
 
     def test_symmetric_doubly_stochastic(self):
         q = build_Q(7)
@@ -118,13 +129,12 @@ class TestM:
     def test_reversal_equivariance(self):
         n, p = 5, 0.6
         m = build_M(n, p)
-        index = state_index(n)
-        states = state_space(n)
-        for r, s0 in enumerate(states):
-            flipped_row = index[reverse_positions(s0, n)]
-            for c, s1 in enumerate(states):
-                flipped_col = index[reverse_positions(s1, n)]
-                assert m[r, c] == pytest.approx(m[flipped_row, flipped_col], abs=1e-12)
+        a, b = state_positions(n)
+        mirror = state_row(n, n + 1 - a, n + 1 - b)
+        assert sorted(mirror) == list(range(len(mirror)))
+        for r in range(len(mirror)):
+            for c in range(len(mirror)):
+                assert m[r, c] == pytest.approx(m[mirror[r], mirror[c]], abs=1e-12)
 
     def test_exact_matches_float(self):
         exact = build_M(4, Fraction(4, 5), exact=True)
@@ -136,7 +146,7 @@ class TestM:
     def test_mix_apply_equals_matrix_product(self):
         n, p = 6, 0.7
         rng = np.random.default_rng(3)
-        vectors = rng.normal(size=(len(state_space(n)), 3))
+        vectors = rng.normal(size=(n * (n - 1), 3))
         direct = build_M(n, p) @ vectors
         solved = mix_apply(n, p, vectors)
         assert np.max(np.abs(direct - solved)) < 1e-10
@@ -154,14 +164,11 @@ class TestM:
         # exactly the lumped transition rows
         n, p = 4, 0.7
         perms, probs = swap_process_distribution(n, p)
-        states = state_space(n)
-        index = state_index(n)
         m = build_M(n, p)
-        for row, start in enumerate(states):
-            lumped = np.zeros(len(states))
+        for row, (a, b) in enumerate(zip(*state_positions(n))):
+            lumped = np.zeros(len(m))
             for perm, prob in zip(perms, probs):
-                state = SimplifiedState(perm.index(start.a) + 1, perm.index(start.b) + 1)
-                lumped[index[state]] += prob
+                lumped[state_row(n, perm.index(a) + 1, perm.index(b) + 1)] += prob
             assert np.max(np.abs(lumped - m[row])) < 1e-9
 
 
@@ -191,15 +198,13 @@ class TestSamplers:
         n, p, samples = 5, 0.6, 20000
         truth = Ranking.identity(n)
         rng = np.random.default_rng(11)
-        index = state_index(n)
-        counts = np.zeros(len(index))
-        start = SimplifiedState(1, 3)
+        counts = np.zeros(n * (n - 1))
+        a, b = 1, 3
         for _ in range(samples):
             noisy = sample_noisy_ranking(truth, p, rng)
-            state = SimplifiedState(noisy.position_of(start.a), noisy.position_of(start.b))
-            counts[index[state]] += 1
+            counts[state_row(n, noisy.position_of(a), noisy.position_of(b))] += 1
         freqs = counts / samples
-        target = build_M(n, p)[index[start]]
+        target = build_M(n, p)[state_row(n, a, b)]
         sigma = np.sqrt(target * (1 - target) / samples)
         assert np.all(np.abs(freqs - target) < 4 * sigma + 1e-12)
 
@@ -218,11 +223,9 @@ class TestSamplers:
         wins = 0
         for _ in range(samples):
             wins += sample_choice(truth, ObjectPair(2, 3), p, rng).chosen == 2
-        index = state_index(n)
         m = build_M(n, p)
-        row = m[index[SimplifiedState(2, 3)]]
-        consistent = sum(
-            weight for state, weight in zip(state_space(n), row) if state.a < state.b
-        )
+        row = m[state_row(n, 2, 3)]
+        a, b = state_positions(n)
+        consistent = sum(weight for weight, ahead in zip(row, a < b) if ahead)
         sigma = np.sqrt(consistent * (1 - consistent) / samples)
         assert abs(wins / samples - consistent) < 4 * sigma

@@ -133,6 +133,21 @@ class TestPowerEstimate:
         with pytest.raises(ValueError):
             power_estimate(cfg, model, replications=10, alpha=1.0)
 
+    def test_needs_two_subjects(self):
+        # one subject leaves every replication without a variance, so none
+        # could reject; the estimate is refused before any replication runs
+        model = NullModel(p=0.5)
+        with pytest.raises(ValueError):
+            power_estimate(DesignConfig(kind="e2", n=3, subjects=20), model,
+                           replications=3, subjects=1)
+        for cfg in (
+            DesignConfig(kind="e2", n=3, subjects=1),
+            DesignConfig(kind="classic", n=5, subjects=1, pair=(1, 2)),
+            DesignConfig(kind="e1", n=5, subjects=1, object_pair=(1, 2)),
+        ):
+            with pytest.raises(ValueError):
+                power_estimate(cfg, model, replications=3)
+
     def test_noiseless_null_never_rejects(self):
         # every spread is exactly zero, so the test statistic is degenerate
         cfg = DesignConfig(kind="e2", n=6, subjects=30)
