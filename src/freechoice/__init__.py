@@ -42,15 +42,10 @@ from .exact import (
     expected_spread_table,
     expected_spread_two_param,
     round_half_away,
-    swap_process_distribution,
 )
 from .noise import (
-    as_exact_weight,
     build_M,
     build_Q,
-    mix_apply,
-    sample_choice,
-    sample_noisy_ranking,
     stage_weights,
     state_row,
 )
@@ -89,7 +84,6 @@ __all__ = [
     "TrialRecord",
     "TwoParamModel",
     "all_position_pairs",
-    "as_exact_weight",
     "bootstrap_se",
     "brute_force_expected_spread",
     "build_M",
@@ -101,7 +95,6 @@ __all__ = [
     "expected_spread_table",
     "expected_spread_two_param",
     "iter_experiment",
-    "mix_apply",
     "pair_count",
     "power_estimate",
     "power_report",
@@ -109,13 +102,10 @@ __all__ = [
     "run_checks",
     "run_experiment",
     "run_subject",
-    "sample_choice",
-    "sample_noisy_ranking",
     "spread",
     "spread_simplified",
     "stage_weights",
     "state_row",
     "summarize",
-    "swap_process_distribution",
     "__version__",
 ]

@@ -85,7 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--format", choices=("csv", "json"), default="csv",
                           help="trial records as CSV or JSON lines")
     simulate.add_argument("--truth-mode", choices=("identity", "random"), default="identity")
-    simulate.add_argument("--output", default=None, help="output path (default: trials.<fmt>)")
+    simulate.add_argument("--output", default=None,
+                          help="output path (default: trials.csv or trials.jsonl)")
     simulate.set_defaults(func=_cmd_simulate)
 
     power = commands.add_parser(
@@ -191,10 +192,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
     p = as_exact_weight(args.p) if args.exact_rational else float(args.p)
     table = expected_spread_table(args.n, p, exact=args.exact_rational)
     output = args.output or f"table_n{args.n}.{args.format}"
-    if args.format == "csv":
-        table.write_csv(output)
-    else:
-        table.write_json(output)
+    with open(output, "w", newline="") as handle:
+        if args.format == "csv":
+            table.write_csv(handle)
+        else:
+            table.write_json(handle)
     manifest = _write_manifest(
         "table",
         {

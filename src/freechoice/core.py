@@ -49,9 +49,7 @@ class Ranking:
     @classmethod
     def identity(cls, n: int) -> "Ranking":
         """The ranking that places object k at position k, for k in 1..n."""
-        if n < 1:
-            raise ValueError("n must be at least 1")
-        return cls(range(1, n + 1), validate=False)
+        return cls(range(1, _checked_int(n, "n", 1) + 1), validate=False)
 
     @property
     def n(self) -> int:
@@ -93,34 +91,16 @@ class PositionPair:
     j: int
 
     def __post_init__(self):
-        if not (isinstance(self.i, int) and isinstance(self.j, int)):
-            raise ValueError("positions must be integers")
-        if not 1 <= self.i < self.j:
-            raise ValueError(f"need 1 <= i < j, got ({self.i}, {self.j})")
+        i, j = _checked_int(self.i, "position i", 1), _checked_int(self.j, "position j", 1)
+        if not i < j:
+            raise ValueError(f"need 1 <= i < j, got ({i}, {j})")
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
 
     @property
     def delta(self) -> int:
         """Gap j - i between the two comparison positions."""
         return self.j - self.i
-
-
-def _checked_positions(n: int, positions) -> Tuple[int, int]:
-    """Two distinct positions in 1..n, as Python ints, in the order given.
-
-    ``positions`` is a :class:`PositionPair` or any two integers, numpy
-    integers included. Each is converted with ``operator.index``, so a
-    float is rejected rather than truncated.
-    """
-    if isinstance(positions, PositionPair):
-        positions = (positions.i, positions.j)
-    try:
-        a, b = positions
-        a, b = operator.index(a), operator.index(b)
-    except (TypeError, ValueError):
-        raise ValueError(f"expected two integer positions, got {positions!r}") from None
-    if a == b or not (1 <= a <= n and 1 <= b <= n):
-        raise ValueError(f"positions {positions!r} are not two distinct positions in 1..{n}")
-    return a, b
 
 
 @dataclass(frozen=True)
@@ -145,6 +125,41 @@ class Choice:
     def __post_init__(self):
         if self.chosen == self.rejected:
             raise ValueError("chosen and rejected objects must be distinct")
+
+
+def _checked_int(value, name: str, low: int) -> int:
+    """``value`` as a Python int of at least ``low``.
+
+    Conversion goes through ``operator.index``, so numpy integers are
+    accepted and a float is rejected rather than truncated.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
+def _checked_pair(n: int, pair, name: str = "position") -> Tuple[int, int]:
+    """Two distinct integers in 1..n, as Python ints, in the order given.
+
+    ``pair`` is a :class:`PositionPair`, an :class:`ObjectPair` or any two
+    integers; each goes through :func:`_checked_int`.
+    """
+    if isinstance(pair, PositionPair):
+        pair = (pair.i, pair.j)
+    elif isinstance(pair, ObjectPair):
+        pair = (pair.first, pair.second)
+    try:
+        a, b = pair
+    except (TypeError, ValueError):
+        raise ValueError(f"expected two {name}s, got {pair!r}") from None
+    a, b = _checked_int(a, name, 1), _checked_int(b, name, 1)
+    if a == b or max(a, b) > n:
+        raise ValueError(f"{name}s {pair!r} are not two distinct integers in 1..{n}")
+    return a, b
 
 
 def spread(rank1: Ranking, choice: Choice, rank3: Ranking) -> int:
@@ -182,6 +197,5 @@ def spread_simplified(pair: PositionPair, s2: Tuple[int, int], s3: Tuple[int, in
 @lru_cache(maxsize=64)
 def all_position_pairs(n: int) -> Tuple[PositionPair, ...]:
     """All C(n, 2) position pairs (i, j) with i < j, in lexicographic order."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    n = _checked_int(n, "n", 2)
     return tuple(PositionPair(i, j) for i in range(1, n) for j in range(i + 1, n + 1))

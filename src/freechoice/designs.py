@@ -35,7 +35,8 @@ from .core import (
     ObjectPair,
     PositionPair,
     Ranking,
-    _checked_positions,
+    _checked_int,
+    _checked_pair,
     all_position_pairs,
     spread,
 )
@@ -91,14 +92,13 @@ class DesignConfig:
     def __post_init__(self):
         if self.kind not in DESIGN_KINDS:
             raise ValueError(f"unknown design kind {self.kind!r}; expected one of {DESIGN_KINDS}")
-        if self.n < 2:
-            raise ValueError("a design needs at least 2 objects")
-        if self.subjects < 1:
-            raise ValueError("a design needs at least 1 subject")
+        object.__setattr__(self, "n", _checked_int(self.n, "n", 2))
+        object.__setattr__(self, "subjects", _checked_int(self.subjects, "subjects", 1))
         if self.pair is not None:
-            object.__setattr__(self, "pair", PositionPair(*_checked_positions(self.n, self.pair)))
-        if self.object_pair is not None and not isinstance(self.object_pair, ObjectPair):
-            object.__setattr__(self, "object_pair", ObjectPair(*self.object_pair))
+            object.__setattr__(self, "pair", PositionPair(*_checked_pair(self.n, self.pair)))
+        if self.object_pair is not None:
+            pair = _checked_pair(self.n, self.object_pair, "object")
+            object.__setattr__(self, "object_pair", ObjectPair(*pair))
         if self.kind in ("classic", "e0"):
             if self.pair is None:
                 raise ValueError(f"design {self.kind!r} needs a fixed position pair")
@@ -109,9 +109,6 @@ class DesignConfig:
                 raise ValueError("design 'e1' needs a fixed object pair")
             if self.pair is not None:
                 raise ValueError("design 'e1' takes an object pair, not a position pair")
-            for obj in (self.object_pair.first, self.object_pair.second):
-                if not isinstance(obj, int) or not 1 <= obj <= self.n:
-                    raise ValueError(f"e1 object {obj!r} is not an integer label in 1..{self.n}")
         else:
             if self.pair is not None or self.object_pair is not None:
                 raise ValueError(f"design {self.kind!r} assigns pairs itself; none may be fixed")
@@ -129,6 +126,9 @@ class DesignConfig:
 class _StageHooks:
     """Default subject behavior: every stage is fresh noise around the truth."""
 
+    def __post_init__(self):
+        _check_weight(self.p, "model noise weight")
+
     def stage_weights(self, arm: str) -> Tuple[Weight, Weight, Weight]:
         """Noise weights of the first ranking, the choice and the final ranking."""
         return stage_weights(self.p, self.p, arm)
@@ -145,11 +145,7 @@ class NullModel(_StageHooks):
     """No real preference change: all three stages are iid noise at weight p."""
 
     p: float
-    truth: Optional[Ranking] = None
     kind: ClassVar[str] = "null"
-
-    def __post_init__(self):
-        _check_weight(self.p, "model noise weight")
 
 
 @dataclass(frozen=True)
@@ -162,11 +158,10 @@ class TwoParamModel(_StageHooks):
 
     p: float
     P: float
-    truth: Optional[Ranking] = None
     kind: ClassVar[str] = "two-param"
 
     def __post_init__(self):
-        _check_weight(self.p, "model noise weight")
+        super().__post_init__()
         if not self.p <= self.P < 1:
             raise ValueError(f"need p <= P < 1, got p={self.p}, P={self.P}")
 
@@ -184,11 +179,7 @@ class MemoryModel(_StageHooks):
     """
 
     p: float
-    truth: Optional[Ranking] = None
     kind: ClassVar[str] = "memory"
-
-    def __post_init__(self):
-        _check_weight(self.p, "model noise weight")
 
     def finalize_ranking(self, ranking: Ranking, choice: Choice) -> Ranking:
         pos_chosen = ranking.position_of(choice.chosen)
@@ -217,15 +208,12 @@ class DissonanceShiftModel(_StageHooks):
     p: float
     shift: int = 1
     threshold: int = 3
-    truth: Optional[Ranking] = None
     kind: ClassVar[str] = "dissonance-shift"
 
     def __post_init__(self):
-        _check_weight(self.p, "model noise weight")
-        if not isinstance(self.shift, int) or self.shift < 0:
-            raise ValueError(f"shift must be a nonnegative integer, got {self.shift!r}")
-        if not isinstance(self.threshold, int) or self.threshold < 1:
-            raise ValueError(f"threshold must be a positive integer, got {self.threshold!r}")
+        super().__post_init__()
+        object.__setattr__(self, "shift", _checked_int(self.shift, "shift", 0))
+        object.__setattr__(self, "threshold", _checked_int(self.threshold, "threshold", 1))
 
     def adjusted_truth(self, truth: Ranking, choice: Choice, gap: int) -> Ranking:
         if gap > self.threshold or self.shift == 0:
@@ -265,16 +253,6 @@ class TrialRecord:
     rank_final: Ranking
 
 
-def _resolve_truth(design: DesignConfig, model: SubjectModel, truth: Optional[Ranking]) -> Ranking:
-    if truth is None:
-        truth = model.truth
-    if truth is None:
-        return Ranking.identity(design.n)
-    if truth.n != design.n:
-        raise ValueError(f"true ranking has {truth.n} objects but the design has {design.n}")
-    return truth
-
-
 def run_subject(
     design: DesignConfig,
     model: SubjectModel,
@@ -287,15 +265,18 @@ def run_subject(
     """Run one subject and return the complete trial.
 
     ``pair`` must carry the assigned position pair for e3 (the driver owns
-    the assignment); other designs reject it. ``truth`` overrides the
-    model's true ranking for this subject.
+    the assignment); other designs reject it. ``truth`` is this subject's
+    true ranking, the identity when omitted.
     """
     if not 0 <= subject < design.subjects:
         raise ValueError(f"subject index {subject} outside 0..{design.subjects - 1}")
     if pair is not None and design.kind != "e3":
         raise ValueError(f"design {design.kind!r} does not take a per-subject pair")
-    truth = _resolve_truth(design, model, truth)
     n = design.n
+    if truth is None:
+        truth = Ranking.identity(n)
+    elif truth.n != n:
+        raise ValueError(f"true ranking has {truth.n} objects but the design has {n}")
 
     arm = "none"
     if design.kind == "e0":
@@ -411,20 +392,19 @@ def iter_experiment(
 
     Deterministic given the master seed: each subject consumes an own
     random stream derived from (seed, subject index), so the result does
-    not depend on ``threads``. ``truth_mode="random"`` draws a fresh true
-    ranking per subject from the subject's stream (the model must not pin
-    one). Records are produced lazily in blocks, so million-subject runs
-    can be consumed without holding them all; the arguments are checked
-    at call time, before the first record is asked for.
+    not depend on ``threads``. The true ranking is the identity, or with
+    ``truth_mode="random"`` a fresh one per subject drawn from the
+    subject's stream. Records are produced lazily in blocks, so
+    million-subject runs can be consumed without holding them all; the
+    arguments are checked at call time, before the first record is asked
+    for.
     """
     if truth_mode not in TRUTH_MODES:
         raise ValueError(f"unknown truth mode {truth_mode!r}; expected one of {TRUTH_MODES}")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
-    random_truth = truth_mode == "random"
-    if random_truth and model.truth is not None:
-        raise ValueError("truth_mode='random' conflicts with a model that pins its true ranking")
-    return _iter_blocks(design, model, _as_seed_sequence(master_seed), random_truth, threads)
+    threads = _checked_int(threads, "threads", 1)
+    return _iter_blocks(
+        design, model, _as_seed_sequence(master_seed), truth_mode == "random", threads
+    )
 
 
 def _iter_blocks(

@@ -33,7 +33,7 @@ from typing import Dict, Mapping, Tuple
 import numpy as np
 
 from . import core
-from .core import PositionPair, Ranking, _checked_positions, all_position_pairs
+from .core import PositionPair, Ranking, _checked_int, _checked_pair, all_position_pairs
 from .noise import (
     Weight,
     _check_weight,
@@ -67,18 +67,17 @@ class CapacityError(ValueError):
     """An exact enumeration would exceed its supported problem size."""
 
 
-def round_half_away(value: Weight, decimals: int = 3) -> str:
-    """Format a number with fixed decimals, rounding ties away from zero.
+def round_half_away(value: Weight) -> str:
+    """Format a number with three decimals, rounding ties away from zero.
 
     The computation is exact: floats are converted to their binary rational
     value first, so the result never depends on intermediate rounding.
     """
     f = Fraction(value)
-    scale = 10 ** decimals
-    units = int(abs(f) * scale + Fraction(1, 2))
+    units = math.floor(abs(f) * 1000 + Fraction(1, 2))
     sign = "-" if f < 0 and units > 0 else ""
-    whole, frac = divmod(units, scale)
-    return f"{sign}{whole}.{frac:0{decimals}d}"
+    whole, frac = divmod(units, 1000)
+    return f"{sign}{whole}.{frac:03d}"
 
 
 def _checked_weight(p: Weight, exact: bool, name: str = "p", allow_one: bool = False) -> Weight:
@@ -90,7 +89,7 @@ def _checked_weight(p: Weight, exact: bool, name: str = "p", allow_one: bool = F
 
 
 def _as_pair(n: int, pair) -> PositionPair:
-    return PositionPair(*_checked_positions(n, pair))
+    return PositionPair(*_checked_pair(n, pair))
 
 
 @lru_cache(maxsize=None)
@@ -208,9 +207,9 @@ class ExpectedSpreadTable:
             return sum(self.values.values(), Fraction(0))
         return math.fsum(self.values.values())
 
-    def rounded(self, decimals: int = 3) -> Dict[PositionPair, str]:
-        """Display values rounded half away from zero."""
-        return {pair: round_half_away(v, decimals) for pair, v in self.values.items()}
+    def rounded(self) -> Dict[PositionPair, str]:
+        """Display values rounded half away from zero to three decimals."""
+        return {pair: round_half_away(v) for pair, v in self.values.items()}
 
     def _rows(self):
         for pair in sorted(self.values, key=lambda q: (q.i, q.j)):
@@ -218,15 +217,11 @@ class ExpectedSpreadTable:
             text = str(value) if self.exact else repr(float(value))
             yield pair.i, pair.j, text, round_half_away(value)
 
-    def write_csv(self, destination) -> None:
-        """CSV with header i,j,expected_spread,rounded; full precision values."""
-        if hasattr(destination, "write"):
-            self._write_csv(destination)
-            return
-        with open(destination, "w", newline="") as handle:
-            self._write_csv(handle)
+    def write_csv(self, handle) -> None:
+        """CSV with header i,j,expected_spread,rounded; full precision values.
 
-    def _write_csv(self, handle) -> None:
+        ``handle`` is an open text file.
+        """
         handle.write("i,j,expected_spread,rounded\n")
         for i, j, text, display in self._rows():
             handle.write(f"{i},{j},{text},{display}\n")
@@ -243,21 +238,15 @@ class ExpectedSpreadTable:
             "values": values,
         }
 
-    def write_json(self, destination) -> None:
-        obj = self.to_json_obj()
-        if hasattr(destination, "write"):
-            json.dump(obj, destination, indent=2, sort_keys=True)
-            destination.write("\n")
-            return
-        with open(destination, "w", newline="") as handle:
-            json.dump(obj, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    def write_json(self, handle) -> None:
+        """:meth:`to_json_obj` as indented JSON to the open text file ``handle``."""
+        json.dump(self.to_json_obj(), handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def expected_spread_table(n: int, p: Weight, *, exact: bool = False) -> ExpectedSpreadTable:
     """Expected spread for all C(n, 2) comparison pairs under the null model."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    n = _checked_int(n, "n", 2)
     p = _checked_weight(p, exact)
     kernel = _design_kernel(n, p, p, p, exact)
     values = {pair: _pair_value(kernel, n, pair, exact) for pair in all_position_pairs(n)}
@@ -300,7 +289,7 @@ def expected_spread_two_param(
     )
 
     if design == "e1-objects":
-        k = state_row(n, *_checked_positions(n, pair))
+        k = state_row(n, *_checked_pair(n, pair))
         c_vec = _applied_base(n, choice, "cons", exact)
         g_first = _applied_base(n, first, "gap", exact)
         g_final = _applied_base(n, final, "gap", exact)
@@ -384,8 +373,7 @@ def swap_process_distribution(n: int, p: float) -> Tuple[Tuple[tuple, ...], np.n
     The geometric mixture is truncated once the remaining mass drops below
     1e-12, so probabilities sum to 1 minus at most that. Supports n <= 6.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    n = _checked_int(n, "n", 2)
     if n > 6:
         raise CapacityError("the full-permutation distribution supports n <= 6")
     _check_weight(float(p), "p")
@@ -450,8 +438,7 @@ class RankingDistribution:
     probabilities: Mapping[tuple, float]
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+        object.__setattr__(self, "n", _checked_int(self.n, "n", 2))
         if self.n > 6:
             raise CapacityError("ranking distributions support n <= 6")
         cleaned = {}
@@ -532,14 +519,7 @@ def expected_spread_oracle(
     if design == "e1":
         if object_pair is None:
             raise ValueError("design 'e1' needs the fixed object pair")
-        first, second = (
-            (object_pair.first, object_pair.second)
-            if hasattr(object_pair, "first")
-            else object_pair
-        )
-        first, second = int(first), int(second)
-        if not (1 <= first <= n and 1 <= second <= n and first != second):
-            raise ValueError(f"objects ({first}, {second}) are not two distinct ids in 1..{n}")
+        first, second = _checked_pair(n, object_pair, "object")
         t1 = np.full(m, first, dtype=np.int32)
         t2 = np.full(m, second, dtype=np.int32)
         return pair_value(t1, t2)

@@ -28,7 +28,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import Choice, ObjectPair, Ranking
+from .core import Choice, ObjectPair, Ranking, _checked_int
 
 __all__ = [
     "state_row",
@@ -74,13 +74,7 @@ def as_exact_weight(p: Weight) -> Fraction:
     Floats are interpreted through their shortest decimal form, so 0.8 means
     exactly 4/5. Strings such as ``"0.8"`` or ``"4/5"`` are accepted too.
     """
-    if isinstance(p, Fraction):
-        return p
-    if isinstance(p, int):
-        return Fraction(p)
-    if isinstance(p, float):
-        return Fraction(str(p))
-    return Fraction(p)
+    return Fraction(str(p)) if isinstance(p, float) else Fraction(p)
 
 
 def state_row(n: int, a, b):
@@ -95,9 +89,7 @@ def state_row(n: int, a, b):
 @lru_cache(maxsize=None)
 def state_positions(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Read-only arrays ``a`` and ``b`` holding each row's state, in row order."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    a, b = np.nonzero(~np.eye(n, dtype=bool))
+    a, b = np.nonzero(~np.eye(_checked_int(n, "n", 2), dtype=bool))
     for positions in (a, b):
         positions += 1
         positions.setflags(write=False)
@@ -143,8 +135,7 @@ def build_Q(n: int, exact: bool = False) -> np.ndarray:
     :func:`state_row`; entries are multiples of 1/(n - 1) and every row
     sums to 1.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    n = _checked_int(n, "n", 2)
     return _q_fraction(n) if exact else _q_float(n)
 
 
@@ -241,8 +232,7 @@ def build_M(n: int, p: Weight, exact: bool = False) -> np.ndarray:
     system per column; at n = 12 this takes a few seconds, so prefer
     :func:`mix_apply` when only a few matrix-vector products are needed.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    n = _checked_int(n, "n", 2)
     identity = np.eye(n * (n - 1), dtype=object if exact else float)
     entries = mix_apply(n, p, identity, exact=exact)
     entries.setflags(write=False)

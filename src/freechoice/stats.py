@@ -14,12 +14,13 @@ so reports include a bootstrap standard error next to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .core import _checked_int
 from .designs import (
     DesignConfig,
     Seed,
@@ -117,8 +118,7 @@ def bootstrap_se(
     values = np.asarray([float(value) for value in spreads])
     if values.size < 2:
         raise ValueError("a bootstrap needs at least 2 observations")
-    if resamples < 2:
-        raise ValueError("need at least 2 resamples")
+    resamples = _checked_int(resamples, "resamples", 2)
     rng = _stream_rng(_as_seed_sequence(seed), "bootstrap")
     means = np.empty(resamples)
     chunk = max(1, _BOOTSTRAP_CELLS // values.size)
@@ -170,7 +170,6 @@ def power_estimate(
     model: SubjectModel,
     *,
     replications: int,
-    subjects: Optional[int] = None,
     alpha: float = 0.05,
     seed: Seed = 0,
     threads: int = 1,
@@ -180,23 +179,21 @@ def power_estimate(
     Each replication simulates the full experiment on its own seed stream
     and applies a one-sided z test against zero (two-sample for the
     control design) at level alpha. A degenerate replication, with no
-    variance to scale by, counts as a non-rejection. ``subjects``
-    overrides the design's subject count, which must be at least 2: with
-    one subject no replication has a variance, so none could reject.
+    variance to scale by, counts as a non-rejection. The design needs at
+    least 2 subjects: with one, no replication has a variance, so none
+    could reject.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    if replications < 1:
-        raise ValueError("need at least 1 replication")
-    config = design if subjects is None else replace(design, subjects=subjects)
-    if config.subjects < 2:
+    replications = _checked_int(replications, "replications", 1)
+    if design.subjects < 2:
         raise ValueError("a power estimate needs at least 2 subjects per replication")
     critical = NormalDist().inv_cdf(1 - alpha)
     root = _as_seed_sequence(seed)
     rejections = 0
     for replication in range(replications):
         seq = _stream_seed(root, "replication", replication)
-        if _rejects(config, model, seq, critical, threads):
+        if _rejects(design, model, seq, critical, threads):
             rejections += 1
     return rejections / replications
 
@@ -206,11 +203,9 @@ def power_report(
     model: SubjectModel,
     *,
     replications: int,
-    subjects: Optional[int] = None,
     alpha: float = 0.05,
     seed: Seed = 0,
     threads: int = 1,
-    bootstrap_resamples: int = 1000,
 ) -> Dict[str, object]:
     """Power estimate plus descriptive statistics, as a JSON-ready dict.
 
@@ -219,9 +214,8 @@ def power_report(
     difference); the all-pairs-once design also reports a bootstrap
     standard error over the same run.
     """
-    config = design if subjects is None else replace(design, subjects=subjects)
     rate = power_estimate(
-        config,
+        design,
         model,
         replications=replications,
         alpha=alpha,
@@ -230,18 +224,16 @@ def power_report(
     )
     report_seed = _stream_seed(_as_seed_sequence(seed), "report")
     report: Dict[str, object] = {
-        "design": config.kind,
+        "design": design.kind,
         "model": model.kind,
-        "n": config.n,
-        "subjects": config.subjects,
+        "n": design.n,
+        "subjects": design.subjects,
         "replications": replications,
         "alpha": alpha,
         "rejection_rate": rate,
     }
-    spreads = _replication_spreads(config, model, report_seed, threads)
-    report["mean"], report["se"] = _estimate(config.kind, spreads)
-    if config.kind == "e3":
-        report["se_bootstrap"] = bootstrap_se(
-            spreads, resamples=bootstrap_resamples, seed=report_seed
-        )
+    spreads = _replication_spreads(design, model, report_seed, threads)
+    report["mean"], report["se"] = _estimate(design.kind, spreads)
+    if design.kind == "e3":
+        report["se_bootstrap"] = bootstrap_se(spreads, seed=report_seed)
     return report

@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,3 +178,9 @@ def test_every_exported_name_resolves():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_every_package_export_is_documented():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    undocumented = [name for name in freechoice.__all__ if f"`{name}`" not in readme]
+    assert undocumented == []

@@ -33,12 +33,28 @@ class TestDesignConfig:
         assert cfg.object_pair == ObjectPair(3, 11)
 
     def test_accepts_numpy_positions(self):
-        # numpy integers are positions too; floats are not truncated
+        # numpy integers are positions, object labels and counts too; floats
+        # are not truncated
         cfg = DesignConfig(kind="classic", n=12, subjects=3, pair=(np.int64(7), 9))
         assert cfg.pair == PositionPair(7, 9)
         assert type(cfg.pair.i) is int
-        with pytest.raises(ValueError):
-            DesignConfig(kind="classic", n=12, subjects=3, pair=(7.0, 9))
+        cfg = DesignConfig(kind="e1", n=12, subjects=3, object_pair=(np.int64(3), 11))
+        assert cfg.object_pair == ObjectPair(3, 11)
+        assert type(cfg.object_pair.first) is int
+        cfg = DesignConfig(kind="e2", n=np.int64(5), subjects=np.int64(2))
+        assert type(cfg.n) is int and type(cfg.subjects) is int
+        pair = PositionPair(np.int64(7), 9)
+        assert pair == PositionPair(7, 9) and type(pair.i) is int
+        model = DissonanceShiftModel(p=0.5, shift=np.int64(1))
+        assert model.shift == 1 and type(model.shift) is int
+        for kwargs in (
+            {"kind": "classic", "n": 12, "subjects": 3, "pair": (7.0, 9)},
+            {"kind": "e1", "n": 12, "subjects": 3, "object_pair": (3.0, 11)},
+            {"kind": "e2", "n": 5, "subjects": 2.5},
+            {"kind": "e2", "n": 5.0, "subjects": 2},
+        ):
+            with pytest.raises(ValueError):
+                DesignConfig(**kwargs)
 
     def test_e3_needs_complete_blocks(self):
         DesignConfig(kind="e3", n=6, subjects=45)
@@ -202,12 +218,6 @@ class TestRunSubject:
         with pytest.raises(ValueError):
             run_subject(cfg, NullModel(p=0.0), 0, np.random.default_rng(0), truth=wrong_size)
 
-    def test_model_pinned_truth(self):
-        cfg = DesignConfig(kind="classic", n=5, subjects=2, pair=(1, 5))
-        truth = Ranking((5, 4, 3, 2, 1))
-        record = run_subject(cfg, NullModel(p=0.0, truth=truth), 0, np.random.default_rng(0))
-        assert record.rank_first == truth
-
 
 class TestRunExperiment:
     def test_deterministic_and_thread_independent(self):
@@ -249,12 +259,6 @@ class TestRunExperiment:
         noiseless = run_experiment(cfg, NullModel(p=0.0), 9, truth_mode="random")
         assert len({(r.i, r.j) for r in noiseless}) > 1
 
-    def test_random_truth_conflicts_with_pinned(self):
-        cfg = DesignConfig(kind="classic", n=5, subjects=2, pair=(1, 5))
-        model = NullModel(p=0.2, truth=Ranking.identity(5))
-        with pytest.raises(ValueError):
-            run_experiment(cfg, model, 0, truth_mode="random")
-
     def test_truth_mode_validated(self):
         cfg = DesignConfig(kind="classic", n=5, subjects=2, pair=(1, 5))
         with pytest.raises(ValueError):
@@ -265,14 +269,9 @@ class TestRunExperiment:
     def test_arguments_checked_at_call_time(self):
         # no record is requested, so a lazy check would not raise
         cfg = DesignConfig(kind="classic", n=5, subjects=2, pair=(1, 5))
-        pinned = NullModel(p=0.2, truth=Ranking.identity(5))
-        for model, kwargs in (
-            (NullModel(p=0.2), {"threads": 0}),
-            (NullModel(p=0.2), {"truth_mode": "sometimes"}),
-            (pinned, {"truth_mode": "random"}),
-        ):
+        for kwargs in ({"threads": 0}, {"truth_mode": "sometimes"}):
             with pytest.raises(ValueError):
-                iter_experiment(cfg, model, 0, **kwargs)
+                iter_experiment(cfg, NullModel(p=0.2), 0, **kwargs)
 
     def test_iter_streams_lazily(self):
         cfg = DesignConfig(kind="e2", n=5, subjects=5000)

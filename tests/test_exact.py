@@ -29,7 +29,6 @@ class TestRounding:
         assert round_half_away(Fraction(-1, 2000)) == "-0.001"
         assert round_half_away(Fraction(-1, 100000)) == "0.000"
         assert round_half_away(Fraction(16, 3)) == "5.333"
-        assert round_half_away(Fraction(5, 200), 2) == "0.03"
         assert round_half_away(0.0) == "0.000"
         assert round_half_away(-1.0305) == "-1.030"  # binary value sits below the tie
 
@@ -140,6 +139,15 @@ class TestFactoredVsEnumerate:
             expected_spread_two_param(12, 0.5, 0.9, "e1-objects", pair=(9.0, 3))
         assert expected_spread_positions(12, 0.8, (np.int64(7), 9)) == (
             expected_spread_positions(12, 0.8, (7, 9))
+        )
+        # n and the oracle's e1 object labels follow the same integer rule
+        with pytest.raises(ValueError):
+            expected_spread_table(5.0, 0.5)
+        uniform = RankingDistribution.uniform(4)
+        with pytest.raises(ValueError):
+            expected_spread_oracle(uniform, "e1", object_pair=(1.9, 3))
+        assert expected_spread_oracle(uniform, "e1", object_pair=(np.int64(1), 3)) == (
+            expected_spread_oracle(uniform, "e1", object_pair=(1, 3))
         )
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -138,8 +139,8 @@ class TestPowerEstimate:
         # could reject; the estimate is refused before any replication runs
         model = NullModel(p=0.5)
         with pytest.raises(ValueError):
-            power_estimate(DesignConfig(kind="e2", n=3, subjects=20), model,
-                           replications=3, subjects=1)
+            power_estimate(replace(DesignConfig(kind="e2", n=3, subjects=20), subjects=1),
+                           model, replications=3)
         for cfg in (
             DesignConfig(kind="e2", n=3, subjects=1),
             DesignConfig(kind="classic", n=5, subjects=1, pair=(1, 2)),
@@ -172,7 +173,7 @@ class TestPowerEstimate:
         cfg = DesignConfig(kind="e2", n=8, subjects=10)
         model = DissonanceShiftModel(p=0.55, shift=1, threshold=7)
         rates = [
-            power_estimate(cfg, model, replications=200, subjects=count, seed=11)
+            power_estimate(replace(cfg, subjects=count), model, replications=200, seed=11)
             for count in (10, 60, 360)
         ]
         assert rates[0] <= rates[1] <= rates[2]
@@ -181,7 +182,7 @@ class TestPowerEstimate:
     def test_subjects_override(self):
         cfg = DesignConfig(kind="e2", n=6, subjects=200)
         model = DissonanceShiftModel(p=0.3, shift=2, threshold=6)
-        small = power_estimate(cfg, model, replications=20, subjects=4, seed=0)
+        small = power_estimate(replace(cfg, subjects=4), model, replications=20, seed=0)
         assert small < 1.0
 
     def test_deterministic(self):
