@@ -17,7 +17,8 @@ does for the simulator.
 Two independent oracles guard the engine: a full-permutation enumeration of
 the swap process for n <= 5, and an exact enumeration of arbitrary ranking
 distributions for n <= 6 that checks the zero-expectation property of the
-control-group-free designs.
+control-group-free designs. With ``exact=True`` every mix solve behind a
+value is rational and certified by its exact residual (see :mod:`noise`).
 """
 
 from __future__ import annotations
@@ -425,6 +426,14 @@ def brute_force_expected_spread(n: int, p: float, pair) -> float:
     return float(np.einsum("a,b,c,abc->", probs, probs, probs, spread_t.astype(float)))
 
 
+def _checked_ranking_size(n) -> int:
+    # Checked before any of the n! rankings is listed.
+    n = _checked_int(n, "n", 2)
+    if n > 6:
+        raise CapacityError("ranking distributions support n <= 6")
+    return n
+
+
 @dataclass(frozen=True)
 class RankingDistribution:
     """A probability distribution over the rankings of 1..n (n <= 6).
@@ -438,9 +447,7 @@ class RankingDistribution:
     probabilities: Mapping[tuple, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _checked_int(self.n, "n", 2))
-        if self.n > 6:
-            raise CapacityError("ranking distributions support n <= 6")
+        object.__setattr__(self, "n", _checked_ranking_size(self.n))
         cleaned = {}
         expected = set(range(1, self.n + 1))
         for key, value in self.probabilities.items():
@@ -457,6 +464,7 @@ class RankingDistribution:
 
     @classmethod
     def uniform(cls, n: int) -> "RankingDistribution":
+        n = _checked_ranking_size(n)
         perms = list(itertools.permutations(range(1, n + 1)))
         weight = 1.0 / len(perms)
         return cls(n, {perm: weight for perm in perms})
@@ -468,6 +476,7 @@ class RankingDistribution:
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "RankingDistribution":
+        n = _checked_ranking_size(n)
         perms = list(itertools.permutations(range(1, n + 1)))
         weights = rng.dirichlet(np.ones(len(perms)))
         return cls(n, dict(zip(perms, (float(w) for w in weights))))
@@ -496,6 +505,8 @@ def expected_spread_oracle(
     """
     if design not in ("e1", "e2", "e3"):
         raise ValueError(f"oracle designs are 'e1', 'e2', 'e3'; got {design!r}")
+    if design != "e1" and object_pair is not None:
+        raise ValueError(f"design {design!r} takes no fixed pair")
     n = dist.n
     keys, probs = dist.support()
     parr = np.array(keys, dtype=np.int32)

@@ -18,10 +18,19 @@ assigns.
 
 Two numeric backends are provided: 64-bit floats (default) and exact rational
 arithmetic, which certifies identities such as row sums being exactly 1.
+
+The rational backend solves (I - pQ)x = (1 - p)v inside symmetry sectors. Q
+commutes with the label swap (a, b) -> (b, a) and the board reversal
+(a, b) -> (n + 1 - a, n + 1 - b), so v splits into four parts, one per sign
+pattern of the two symmetries, and each part is solved on one row per orbit:
+about m/4 unknowns instead of m = n(n - 1). Every rational result is then
+checked against the exact residual x - pQx = (1 - p)v on the n - 1 swaps of
+each row, and an entry that misses it raises ``ArithmeticError``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Tuple, Union
@@ -177,14 +186,84 @@ def _lu_solve(lu: list, b: Sequence) -> list:
     return y
 
 
-@lru_cache(maxsize=8)
-def _mix_lu(n: int, p: Fraction) -> tuple:
-    # Exact LU factors of I - pQ.
-    a = [
-        [(1 if i == j else 0) - p * entry for j, entry in enumerate(row)]
-        for i, row in enumerate(_q_fraction(n).tolist())
-    ]
+# The symmetries of Q: the label swap sigma(a, b) = (b, a), the board
+# reversal rho(a, b) = (n + 1 - a, n + 1 - b) and their product. A character
+# lists its signs on (id, sigma, rho, sigma rho).
+_CHARACTERS = tuple((1, s, r, s * r) for s in (1, -1) for r in (1, -1))
+
+
+@lru_cache(maxsize=32)
+def _sector(n: int, chi: tuple) -> tuple:
+    # For the sector of character chi: the images of each representative
+    # (one row per representative, its own row first), and for every state
+    # its column in the sector (-1 when its orbit drops out) and its sign
+    # chi(g), where g maps the orbit's representative to it.
+    a, b = state_positions(n)
+    c, d = n + 1 - a, n + 1 - b
+    images = state_row(n, np.stack([a, b, c, d]), np.stack([b, a, d, c]))
+    # the representative is the orbit's smallest row; every g is its own
+    # inverse, so g(rep) = s exactly when g(s) = rep
+    rep = images.min(axis=0)
+    sign = np.asarray(chi)[(images == rep).argmax(axis=0)]
+    # sigma rho fixes the states with a + b = n + 1, so those orbits carry
+    # only vectors with chi(sigma rho) = 1
+    rows = np.arange(len(rep))
+    reps = np.flatnonzero((rep == rows) & ((chi[3] == 1) | (images[3] != rows)))
+    column = np.full(len(rep), -1)
+    column[reps] = np.arange(len(reps))
+    rep_images = tuple(map(tuple, images[:, reps].T.tolist()))
+    return rep_images, tuple(column[rep].tolist()), tuple(sign.tolist())
+
+
+@lru_cache(maxsize=32)
+def _sector_lu(n: int, p: Fraction, chi: tuple) -> tuple:
+    # Exact LU factors of I - pQ on the sector of character chi. A swap from
+    # representative r to t = g(rep(t)) reaches x(t) = chi(g) x(rep(t)).
+    rep_images, column, sign = _sector(n, chi)
+    targets = _successors(n)[[images[0] for images in rep_images]]
+    cols = np.asarray(column)[targets]
+    hit = cols >= 0
+    counts = np.zeros((len(rep_images),) * 2, dtype=np.int64)
+    np.add.at(counts, (np.nonzero(hit)[0], cols[hit]), np.asarray(sign)[targets][hit])
+    # one Fraction per distinct count: the products are what costs
+    counts = counts.tolist()
+    entry = {c: -c * p / (n - 1) for c in set().union(*counts)}
+    a = [[entry[c] for c in row] for row in counts]
+    for i, row in enumerate(a):
+        row[i] += 1
     return tuple(map(tuple, _lu_factor(a)))
+
+
+def _certify(n: int, p: Fraction, v: list, x: list) -> None:
+    # Exact residual x - pQx = (1 - p)v on the successor stencil of Q, with
+    # p = r/q and x, v scaled to integers by their common denominator d.
+    r, q = p.numerator, p.denominator
+    d = math.lcm(*(e.denominator for e in x + v))
+    xs, vs = ([e.numerator * (d // e.denominator) for e in w] for w in (x, v))
+    for s, targets in enumerate(_successors(n).tolist()):
+        if q * (n - 1) * xs[s] - r * sum(xs[t] for t in targets) != (q - r) * (n - 1) * vs[s]:
+            raise ArithmeticError(
+                f"rational mix solve at n={n}, p={p} misses its exact residual in row {s}"
+            )
+
+
+def _sector_solve(n: int, p: Fraction, v: list) -> list:
+    # Solve (I - pQ)x = (1 - p)v one symmetry sector at a time: project v on
+    # each character, P v = 1/4 sum_g chi(g) v o g, solve the reduced system
+    # and add the pieces back.
+    x = [Fraction(0)] * len(v)
+    scale = (1 - p) / 4
+    for chi in _CHARACTERS:
+        rep_images, column, sign = _sector(n, chi)
+        f = [sum(c * v[t] for c, t in zip(chi, images)) for images in rep_images]
+        if not any(f):
+            continue
+        y = _lu_solve(_sector_lu(n, p, chi), [scale * e for e in f])
+        for s, k in enumerate(column):
+            if k >= 0:
+                x[s] += sign[s] * y[k]
+    _certify(n, p, v, x)
+    return x
 
 
 def mix_apply(n: int, p: Weight, vectors: Sequence, exact: bool = False):
@@ -210,7 +289,7 @@ def mix_apply(n: int, p: Weight, vectors: Sequence, exact: bool = False):
             elif pf == 0:
                 solved = col
             else:
-                solved = _lu_solve(_mix_lu(n, pf), [(1 - pf) * v for v in col])
+                solved = _sector_solve(n, pf, col)
             out[:, c] = solved
         return out.reshape(arr.shape)
     arr = np.asarray(vectors, dtype=float)
@@ -229,8 +308,8 @@ def build_M(n: int, p: Weight, exact: bool = False) -> np.ndarray:
     A read-only array indexed like :func:`build_Q`. Rows sum to 1 and the
     matrix is symmetric and doubly stochastic; p = 1 gives the uniform
     limit, 1/(n(n - 1)) everywhere. The exact backend solves one rational
-    system per column; at n = 12 this takes a few seconds, so prefer
-    :func:`mix_apply` when only a few matrix-vector products are needed.
+    system per column, so prefer :func:`mix_apply` when only a few
+    matrix-vector products are needed.
     """
     n = _checked_int(n, "n", 2)
     identity = np.eye(n * (n - 1), dtype=object if exact else float)

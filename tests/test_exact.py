@@ -345,6 +345,17 @@ class TestRankingDistribution:
         with pytest.raises(CapacityError):
             RankingDistribution.uniform(7)
 
+    def test_size_checked_before_enumerating(self):
+        # 12! rankings would take minutes to list; the cap must fire first
+        with pytest.raises(CapacityError):
+            RankingDistribution.uniform(12)
+        with pytest.raises(CapacityError):
+            RankingDistribution.random(12, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="integer"):
+            RankingDistribution.uniform(2.0)
+        with pytest.raises(ValueError, match="integer"):
+            RankingDistribution.random(2.0, np.random.default_rng(0))
+
 
 class TestDesignOracle:
     def test_point_mass_gives_zero(self):
@@ -371,6 +382,13 @@ class TestDesignOracle:
     def test_needs_object_pair_for_e1(self):
         with pytest.raises(ValueError):
             expected_spread_oracle(RankingDistribution.uniform(3), "e1")
+
+    def test_rejects_fixed_pair_for_e2_e3(self):
+        uniform = RankingDistribution.uniform(4)
+        for design in ("e2", "e3"):
+            for pair in ((1, 3), "junk"):
+                with pytest.raises(ValueError, match="takes no fixed pair"):
+                    expected_spread_oracle(uniform, design, object_pair=pair)
 
     def test_rejects_unknown_design(self):
         with pytest.raises(ValueError):

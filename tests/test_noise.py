@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from freechoice import noise
 from freechoice.core import ObjectPair, Ranking
-from freechoice.exact import swap_process_distribution
+from freechoice.exact import expected_spread_table, swap_process_distribution
 from freechoice.noise import (
     as_exact_weight,
     build_M,
@@ -170,6 +171,80 @@ class TestM:
             for perm, prob in zip(perms, probs):
                 lumped[state_row(n, perm.index(a) + 1, perm.index(b) + 1)] += prob
             assert np.max(np.abs(lumped - m[row])) < 1e-9
+
+
+def _dense_mix(n, p, v):
+    # (1 - p)(I - pQ)^(-1) v by plain Gaussian elimination on the dense
+    # Fraction matrix, with a nonzero pivot searched in each column
+    q = build_Q(n, exact=True)
+    m = len(v)
+    rows = [[(i == j) - p * q[i, j] for j in range(m)] + [(1 - p) * v[i]] for i in range(m)]
+    for k in range(m):
+        pivot = next(i for i in range(k, m) if rows[i][k])
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for i in range(k + 1, m):
+            f = rows[i][k] / rows[k][k]
+            if f:
+                rows[i] = [e - f * top for e, top in zip(rows[i], rows[k])]
+    x = [Fraction(0)] * m
+    for i in range(m - 1, -1, -1):
+        x[i] = (rows[i][m] - sum(rows[i][j] * x[j] for j in range(i + 1, m))) / rows[i][i]
+    return x
+
+
+class TestRationalSectors:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_random_columns_meet_dense_residual(self, n):
+        # random integer columns have a part in every symmetry sector; odd
+        # and even n have different orbits of size 2 (a + b = n + 1)
+        m = n * (n - 1)
+        q = build_Q(n, exact=True)
+        v = np.random.default_rng(n).integers(-9, 10, size=(m, 3)).astype(object)
+        for p in (Fraction(1, 3), 0.8):
+            pf = as_exact_weight(p)
+            x = mix_apply(n, p, v, True)
+            assert all(isinstance(e, Fraction) for e in x.ravel())
+            assert np.all(x - pf * q.dot(x) == (1 - pf) * v)
+        assert np.all(mix_apply(n, 0, v, True) == v)
+        assert np.all(mix_apply(n, 1, v, True) == v.sum(axis=0) / Fraction(m))
+
+    def test_sector_sizes(self):
+        # sigma rho fixes the n or n - 1 states with a + b = n + 1; their
+        # orbits have size 2 and vanish when chi(sigma rho) = -1
+        def sizes(n):
+            return [len(noise._sector(n, chi)[0]) for chi in noise._CHARACTERS]
+
+        for n in (2, 3, 6, 7):
+            m, fixed = n * (n - 1), 2 * (n // 2)
+            assert sizes(n) == [
+                (m - fixed) // 4 + (fixed // 2 if chi[3] == 1 else 0) for chi in noise._CHARACTERS
+            ]
+        assert sorted(sizes(20)) == [90, 90, 100, 100]
+
+    def test_table_matches_dense_elimination(self):
+        n, p = 8, Fraction(4, 5)
+        a, b = state_positions(n)
+        cons = [Fraction(int(e)) for e in a < b]
+        gap = [Fraction(int(e)) for e in b - a]
+        bias = [2 * e - 1 for e in _dense_mix(n, p, cons)]
+        g_final = _dense_mix(n, p, gap)
+        w1 = _dense_mix(n, p, [s * g for s, g in zip(bias, g_final)])
+        w2 = _dense_mix(n, p, bias)
+        table = expected_spread_table(n, p, exact=True)
+        for pair, value in table.values.items():
+            k = state_row(n, pair.i, pair.j)
+            assert value == w1[k] - (pair.j - pair.i) * w2[k]
+
+    def test_certificate_catches_flipped_sign(self, monkeypatch):
+        # a chi(sigma) sign flipped in the sector build gives wrong factors,
+        # which the exact residual must refuse
+        build = noise._sector_lu
+        monkeypatch.setattr(
+            noise, "_sector_lu", lambda n, p, chi: build(n, p, (chi[0], -chi[1]) + chi[2:])
+        )
+        v = np.random.default_rng(0).integers(-9, 10, size=(20, 2)).astype(object)
+        with pytest.raises(ArithmeticError, match="exact residual"):
+            mix_apply(5, Fraction(1, 2), v, True)
 
 
 class TestSamplers:
