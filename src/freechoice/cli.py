@@ -24,6 +24,7 @@ from .designs import (
     MemoryModel,
     NullModel,
     SubjectModel,
+    TrialRecord,
     TwoParamModel,
     iter_experiment,
 )
@@ -42,9 +43,6 @@ from .verify import LEVELS, run_checks
 __all__ = ["main"]
 
 MODEL_KINDS = ("null", "two-param", "memory", "dissonance-shift")
-
-# The fields of one trial record, in the order ``simulate`` writes them.
-RECORD_FIELDS = ("subject", "arm", "i", "j", "consistent", "spread")
 
 
 def _parse_pair(text: str) -> Tuple[int, int]:
@@ -246,14 +244,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         writer = None
         if args.format == "csv":
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(RECORD_FIELDS)
+            writer.writerow(TrialRecord._fields)
         for record in records:
-            row = {field: getattr(record, field) for field in RECORD_FIELDS}
             if writer is not None:
-                row["consistent"] = "true" if record.consistent else "false"
-                writer.writerow(row.values())
+                writer.writerow(record._replace(consistent="true" if record.consistent else "false"))
             else:
-                json.dump(row, handle, sort_keys=True)
+                json.dump(record._asdict(), handle, sort_keys=True)
                 handle.write("\n")
             spreads.append(record.spread)
             if record.arm != "none":

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -231,15 +231,16 @@ class DissonanceShiftModel(_StageHooks):
 SubjectModel = Union[NullModel, TwoParamModel, MemoryModel, DissonanceShiftModel]
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One complete trial: both rankings, the choice, and derived numbers.
+class TrialRecord(NamedTuple):
+    """One trial as the six numbers ``simulate`` writes, in that order.
 
     ``i`` and ``j`` are the compared positions as realized in the first
     ranking (for e1 they come from the fixed objects' realized places).
-    ``rank_final`` is the later of the two rankings; for an e0 control
-    subject it precedes the choice chronologically. ``spread`` is always
-    recomputable as ``spread(rank_first, choice, rank_final)``.
+    ``consistent`` says whether the choice agrees with the first ranking,
+    and ``spread`` is :func:`core.spread` of the first ranking, the choice
+    and the later ranking; for an e0 control subject that later ranking
+    precedes the choice chronologically. The rankings and the choice
+    themselves are not kept.
     """
 
     subject: int
@@ -248,9 +249,6 @@ class TrialRecord:
     j: int
     consistent: bool
     spread: int
-    rank_first: Ranking
-    choice: Choice
-    rank_final: Ranking
 
 
 def run_subject(
@@ -262,7 +260,7 @@ def run_subject(
     pair: Optional[PositionPair] = None,
     truth: Optional[Ranking] = None,
 ) -> TrialRecord:
-    """Run one subject and return the complete trial.
+    """Run one subject and return its trial record.
 
     ``pair`` must carry the assigned position pair for e3 (the driver owns
     the assignment); other designs reject it. ``truth`` is this subject's
@@ -314,18 +312,7 @@ def run_subject(
         rank_final = model.finalize_ranking(rank_final, choice)
 
     consistent = rank_first.position_of(choice.chosen) < rank_first.position_of(choice.rejected)
-    value = spread(rank_first, choice, rank_final)
-    return TrialRecord(
-        subject=subject,
-        arm=arm,
-        i=i,
-        j=j,
-        consistent=consistent,
-        spread=value,
-        rank_first=rank_first,
-        choice=choice,
-        rank_final=rank_final,
-    )
+    return TrialRecord(subject, arm, i, j, consistent, spread(rank_first, choice, rank_final))
 
 
 # The random-stream layout: the spawn key of each stream under its root seed.

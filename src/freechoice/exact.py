@@ -165,6 +165,7 @@ def expected_spread_positions(
     ``method="enumerate"`` keeps the full triple sum (float backend only) and
     exists to verify the factored path.
     """
+    n = _checked_int(n, "n", 2)
     pair = _as_pair(n, pair)
     if method not in ("factored", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
@@ -273,6 +274,7 @@ def expected_spread_two_param(
     model, where e1 gives exactly zero. ``P = 1`` is served by the uniform
     limit.
     """
+    n = _checked_int(n, "n", 2)
     if design not in TWO_PARAM_DESIGNS:
         raise ValueError(f"unknown design {design!r}; expected one of {TWO_PARAM_DESIGNS}")
     p = _checked_weight(p, exact)
@@ -321,6 +323,7 @@ def expected_spread_conditional(
     though the unconditional value may be negative or zero; this is the
     selection effect that invalidates consistency-filtered analyses.
     """
+    n = _checked_int(n, "n", 2)
     if condition not in ("consistent", "reversal"):
         raise ValueError(f"condition must be 'consistent' or 'reversal', got {condition!r}")
     pair = _as_pair(n, pair)

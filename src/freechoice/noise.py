@@ -274,11 +274,14 @@ def mix_apply(n: int, p: Weight, vectors: Sequence, exact: bool = False):
     (I - pQ) X = (1 - p) V directly. p = 1 is accepted as the uniform limit,
     where every output entry is the mean of the corresponding input vector.
     """
+    n = _checked_int(n, "n", 2)
     _check_weight(p, "noise weight", allow_one=True)
     m = n * (n - 1)
+    arr = np.asarray(vectors, dtype=object if exact else float)
+    if arr.ndim not in (1, 2) or arr.shape[0] != m:
+        raise ValueError(f"vectors must have {m} rows for n = {n}, got shape {arr.shape}")
     if exact:
         pf = as_exact_weight(p)
-        arr = np.asarray(vectors, dtype=object)
         cols = arr.reshape(m, -1)
         out = np.empty_like(cols)
         for c in range(cols.shape[1]):
@@ -292,7 +295,6 @@ def mix_apply(n: int, p: Weight, vectors: Sequence, exact: bool = False):
                 solved = _sector_solve(n, pf, col)
             out[:, c] = solved
         return out.reshape(arr.shape)
-    arr = np.asarray(vectors, dtype=float)
     if p == 1:
         means = arr.reshape(m, -1).mean(axis=0)
         return np.tile(means, (m, 1)).reshape(arr.shape)

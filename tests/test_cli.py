@@ -16,6 +16,7 @@ import freechoice.core as core
 import freechoice
 from freechoice import __version__
 from freechoice.cli import main
+from freechoice.designs import DesignConfig, DissonanceShiftModel, TrialRecord, run_experiment
 from freechoice.exact import expected_spread_positions, expected_spread_two_param, round_half_away
 from freechoice.stats import bootstrap_se
 
@@ -134,6 +135,28 @@ class TestSimulate:
         assert len(lines) == 20
         record = json.loads(lines[0])
         assert set(record) == {"subject", "arm", "i", "j", "consistent", "spread"}
+
+    def test_record_layout_is_trial_record(self, tmp_path):
+        # one layout: the CSV header, the JSON keys and the library records
+        # all come from TrialRecord, whose values are plain Python scalars
+        args = ["simulate", "--design", "e0", "--model", "dissonance-shift", "--n", "7",
+                "--subjects", "30", "--p", "0.6", "--pair", "2,4", "--seed", "9"]
+        csv_out, json_out = tmp_path / "trials.csv", tmp_path / "trials.jsonl"
+        assert main([*args, "--output", str(csv_out)]) == 0
+        assert main([*args, "--format", "json", "--output", str(json_out)]) == 0
+        with open(csv_out, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert tuple(rows[0]) == TrialRecord._fields
+        lines = [json.loads(line) for line in json_out.read_text().splitlines()]
+        assert all(set(line) == set(TrialRecord._fields) for line in lines)
+        design = DesignConfig(kind="e0", n=7, subjects=30, pair=(2, 4))
+        records = run_experiment(design, DissonanceShiftModel(p=0.6), 9)
+        assert {type(value) for record in records for value in record} <= {int, str, bool}
+        assert lines == [record._asdict() for record in records]
+        assert rows[1:] == [
+            [str(value).lower() if type(value) is bool else str(value) for value in record]
+            for record in records
+        ]
 
     def test_e0_summary_compares_arms(self, tmp_path):
         out = tmp_path / "trials.csv"

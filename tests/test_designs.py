@@ -6,7 +6,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from freechoice.core import ObjectPair, PositionPair, Ranking, spread
+from freechoice import designs
+from freechoice.core import Choice, ObjectPair, PositionPair, Ranking, spread
 from freechoice.designs import (
     DesignConfig,
     DissonanceShiftModel,
@@ -123,16 +124,40 @@ class TestModels:
         assert TwoParamModel(p=0.4, P=0.9).stage_weights(arm) == (0.9, 0.4, final)
 
 
+@pytest.fixture
+def stages(monkeypatch):
+    """Spy on the sampled stages: each subject's first and final ranking and its choice.
+
+    The spies call through to the real samplers, so the records are those of
+    an unspied run. The final ranking is the sampled one, before any
+    ``finalize_ranking`` edit.
+    """
+    seen = {"rankings": [], "choices": []}
+
+    def spy(name, log):
+        real = getattr(designs, name)
+
+        def wrapper(*args):
+            result = real(*args)
+            log.append(result)
+            return result
+
+        monkeypatch.setattr(designs, name, wrapper)
+
+    spy("sample_noisy_ranking", seen["rankings"])
+    spy("sample_choice", seen["choices"])
+    return seen
+
+
 class TestRunSubject:
-    def test_null_noiseless_spread_is_zero(self):
+    def test_null_noiseless_spread_is_zero(self, stages):
         cfg = DesignConfig(kind="classic", n=12, subjects=5, pair=(7, 9))
         record = run_subject(cfg, NullModel(p=0.0), 0, np.random.default_rng(0))
         assert record.spread == 0
         assert record.consistent
         assert (record.i, record.j) == (7, 9)
         assert record.arm == "none"
-        assert record.rank_first == Ranking.identity(12)
-        assert record.rank_final == Ranking.identity(12)
+        assert stages["rankings"] == [Ranking.identity(12)] * 2
 
     def test_dissonance_shift_forced_arithmetic(self):
         # gap 2 <= threshold, so the chosen object climbs one step and the
@@ -142,8 +167,9 @@ class TestRunSubject:
         record = run_subject(cfg, model, 0, np.random.default_rng(1))
         assert (record.i, record.j) == (7, 9)
         assert record.spread == 2
-        assert record.rank_final.position_of(7) == 6
-        assert record.rank_final.position_of(9) == 10
+        shifted = model.adjusted_truth(Ranking.identity(15), Choice(7, 9), 2)
+        assert shifted.position_of(7) == 6
+        assert shifted.position_of(9) == 10
 
     def test_dissonance_shift_respects_threshold(self):
         cfg = DesignConfig(kind="classic", n=15, subjects=3, pair=(7, 12))
@@ -156,8 +182,9 @@ class TestRunSubject:
         model = DissonanceShiftModel(p=0.0, shift=4, threshold=6)
         record = run_subject(cfg, model, 0, np.random.default_rng(1))
         # chosen already sits at position 1; rejected clamps to position 6
-        assert record.rank_final.position_of(1) == 1
-        assert record.rank_final.position_of(6) == 6
+        shifted = model.adjusted_truth(Ranking.identity(6), Choice(1, 6), 5)
+        assert shifted.position_of(1) == 1
+        assert shifted.position_of(6) == 6
         assert record.spread == 0
 
     def test_memory_noiseless_needs_no_correction(self):
@@ -169,22 +196,37 @@ class TestRunSubject:
         cfg = DesignConfig(kind="e2", n=8, subjects=300)
         model = MemoryModel(p=0.8)
         for record in run_experiment(cfg, model, 13):
-            chosen_pos = record.rank_final.position_of(record.choice.chosen)
-            rejected_pos = record.rank_final.position_of(record.choice.rejected)
-            assert chosen_pos < rejected_pos
+            # the final gap between chosen and rejected object is the first
+            # gap plus the spread; a positive gap keeps the chosen one ahead
+            first_gap = record.j - record.i if record.consistent else record.i - record.j
+            assert record.spread + first_gap > 0
+        # a final ranking contradicting the choice swaps the two objects back
+        contradicting = Ranking((1, 5, 3, 4, 2, 6, 7, 8))
+        assert model.finalize_ranking(contradicting, Choice(2, 5)) == Ranking.identity(8)
+        assert model.finalize_ranking(contradicting, Choice(5, 2)) == contradicting
 
-    def test_consistency_flag_matches_first_ranking(self):
+    def test_consistency_flag_matches_first_ranking(self, stages, monkeypatch):
         cfg = DesignConfig(kind="classic", n=10, subjects=200, pair=(4, 7))
-        for record in run_experiment(cfg, NullModel(p=0.7), 3):
-            flag = record.rank_first.position_of(record.choice.chosen) < (
-                record.rank_first.position_of(record.choice.rejected)
-            )
+        records = run_experiment(cfg, NullModel(p=0.7), 3)
+        first_rankings = stages["rankings"][::2]
+        assert len(first_rankings) == len(stages["choices"]) == len(records)
+        for record, rank_first, choice in zip(records, first_rankings, stages["choices"]):
+            flag = rank_first.position_of(choice.chosen) < rank_first.position_of(choice.rejected)
             assert record.consistent == flag
+        monkeypatch.undo()
+        assert run_experiment(cfg, NullModel(p=0.7), 3) == records
 
-    def test_spread_recomputable(self):
+    def test_spread_recomputable(self, stages, monkeypatch):
         cfg = DesignConfig(kind="e2", n=9, subjects=150)
-        for record in run_experiment(cfg, TwoParamModel(p=0.4, P=0.8), 5):
-            assert spread(record.rank_first, record.choice, record.rank_final) == record.spread
+        records = run_experiment(cfg, TwoParamModel(p=0.4, P=0.8), 5)
+        rankings, choices = stages["rankings"], stages["choices"]
+        assert len(rankings) == 2 * len(choices) == 2 * len(records)
+        for record, rank_first, choice, rank_final in zip(
+            records, rankings[::2], choices, rankings[1::2]
+        ):
+            assert spread(rank_first, choice, rank_final) == record.spread
+        monkeypatch.undo()
+        assert run_experiment(cfg, TwoParamModel(p=0.4, P=0.8), 5) == records
 
     def test_subject_index_validated(self):
         cfg = DesignConfig(kind="classic", n=6, subjects=4, pair=(1, 2))
@@ -210,10 +252,13 @@ class TestRunSubject:
             )
 
     def test_explicit_truth(self):
-        cfg = DesignConfig(kind="classic", n=5, subjects=2, pair=(1, 5))
+        # e1 reads the compared positions off the first ranking, so a
+        # noiseless reversed truth moves objects 1 and 2 to positions 5 and 4
+        cfg = DesignConfig(kind="e1", n=5, subjects=2, object_pair=(1, 2))
         truth = Ranking((5, 4, 3, 2, 1))
         record = run_subject(cfg, NullModel(p=0.0), 0, np.random.default_rng(0), truth=truth)
-        assert record.rank_first == truth
+        assert (record.i, record.j) == (4, 5)
+        assert record.spread == 0
         wrong_size = Ranking.identity(4)
         with pytest.raises(ValueError):
             run_subject(cfg, NullModel(p=0.0), 0, np.random.default_rng(0), truth=wrong_size)

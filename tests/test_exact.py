@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from freechoice import exact as exact_module
 from freechoice.core import PositionPair, Ranking, all_position_pairs
 from freechoice.exact import (
     CapacityError,
@@ -149,6 +150,27 @@ class TestFactoredVsEnumerate:
         assert expected_spread_oracle(uniform, "e1", object_pair=(np.int64(1), 3)) == (
             expected_spread_oracle(uniform, "e1", object_pair=(1, 3))
         )
+
+    def test_entry_points_check_n_before_cached_kernels(self):
+        # n = 12.0 raises the integer rule's ValueError whether or not an
+        # n = 12 kernel is already cached; numpy integers are accepted
+        for cached in (exact_module._base_vectors, exact_module._applied_base,
+                       exact_module._design_kernel, exact_module._conditional_kernel):
+            cached.cache_clear()
+        calls = [
+            lambda n: expected_spread_positions(n, 0.8, (7, 9)),
+            lambda n: expected_spread_two_param(n, 0.5, 0.9, "e0-experimental", pair=(7, 9)),
+            lambda n: expected_spread_two_param(n, 0.5, 0.9, "e1-objects", pair=(7, 9)),
+            lambda n: expected_spread_conditional(n, 0.8, (7, 9), "consistent"),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="n must be an integer"):
+                call(12.0)
+        expected_spread_table(12, 0.8)
+        for call in calls:
+            with pytest.raises(ValueError, match="n must be an integer"):
+                call(12.0)
+            assert call(np.int64(12)) == call(12)
 
 
 class TestBruteForce:

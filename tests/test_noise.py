@@ -160,6 +160,20 @@ class TestM:
         at_one = mix_apply(n, 1.0, vectors)
         assert np.allclose(at_one, vectors.mean())
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("p", [0, 0.5, 1])
+    def test_mix_apply_checks_n_and_rows(self, exact, p):
+        # a 12-vector is not two 6-vectors for n = 3, and n follows the
+        # integer rule on both backends and at every weight
+        with pytest.raises(ValueError, match="6 rows"):
+            mix_apply(3, p, np.ones(12), exact=exact)
+        with pytest.raises(ValueError, match="6 rows"):
+            mix_apply(3, p, np.ones((4, 3)), exact=exact)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            mix_apply(3.0, p, np.ones(6), exact=exact)
+        v = np.arange(6)
+        assert np.all(mix_apply(np.int64(3), p, v, exact=exact) == mix_apply(3, p, v, exact=exact))
+
     def test_lumped_chain_matches_full_process(self):
         # tracking two objects through the full permutation process gives
         # exactly the lumped transition rows
