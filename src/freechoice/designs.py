@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import (
     Choice,
@@ -65,6 +66,9 @@ Seed = Union[int, np.random.SeedSequence]
 
 _CHUNK = 1024
 
+# Subject indices enter their stream's spawn key as one 32-bit word.
+_MAX_SUBJECTS = 2**32
+
 
 def pair_count(n: int) -> int:
     """Number of unordered position pairs, C(n, 2)."""
@@ -94,6 +98,11 @@ class DesignConfig:
             raise ValueError(f"unknown design kind {self.kind!r}; expected one of {DESIGN_KINDS}")
         object.__setattr__(self, "n", _checked_int(self.n, "n", 2))
         object.__setattr__(self, "subjects", _checked_int(self.subjects, "subjects", 1))
+        if self.subjects > _MAX_SUBJECTS:
+            raise ValueError(
+                f"subjects must be at most 2**32, since each subject's stream key is one "
+                f"32-bit word; got {self.subjects}"
+            )
         if self.pair is not None:
             object.__setattr__(self, "pair", PositionPair(*_checked_pair(self.n, self.pair)))
         if self.object_pair is not None:
@@ -323,7 +332,7 @@ _STREAM_KEYS = {"e3-assignment": 0, "subject": 1, "replication": 2, "report": 3,
 def _as_seed_sequence(seed: Seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    return np.random.SeedSequence(seed)
+    return np.random.SeedSequence(_checked_int(seed, "seed", 0))
 
 
 def _stream_seed(root: np.random.SeedSequence, stream: str, *index: int) -> np.random.SeedSequence:
@@ -334,6 +343,82 @@ def _stream_seed(root: np.random.SeedSequence, stream: str, *index: int) -> np.r
 
 def _stream_rng(root: np.random.SeedSequence, stream: str, *index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_stream_seed(root, stream, *index)))
+
+
+# numpy's SeedSequence hash constants; numpy keeps them fixed so that seeded
+# streams stay reproducible across its versions.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _word_count(value) -> int:
+    # uint32 words SeedSequence makes of an int, a decimal or 0x-hex string,
+    # or a sequence of these
+    if isinstance(value, str):
+        value = int(value, 16) if value.startswith("0x") else int(value)
+    if isinstance(value, (int, np.integer)):
+        return max(1, (int(value).bit_length() + 31) // 32)
+    return sum(map(_word_count, value))
+
+
+def _hash(words: np.ndarray, hash_const: int, mult: int) -> Tuple[np.ndarray, int]:
+    # One step of SeedSequence's hash on uint32 values held in uint64 arrays:
+    # xor the constant, advance it, multiply by it and fold the high half.
+    advanced = hash_const * mult & _MASK32
+    words = (words ^ hash_const) * advanced & _MASK32
+    return words ^ words >> 16, advanced
+
+
+def _subject_states(root: np.random.SeedSequence, subjects: Sequence[int]) -> np.ndarray:
+    """PCG64 seeds of the subject streams, one row of 4 uint64 per subject.
+
+    Row k equals ``_stream_seed(root, "subject", subjects[k]).generate_state(4,
+    np.uint64)``, computed for all subjects in one array pass. SeedSequence
+    mixes its entropy words in order, so numpy mixes the shared prefix (the
+    root's entropy and spawn key plus the subject stream key) once. Its hash
+    constant has then advanced pool_size times per prefix word; each
+    subject index, one word below 2**32, is mixed into every pool word, and
+    the state is hashed from the pool.
+    """
+    prefix = _stream_seed(root, "subject")
+    pool_size = prefix.pool_size
+    # a non-empty spawn key pads the entropy to at least pool_size words
+    prefix_words = max(_word_count(prefix.entropy), pool_size) + _word_count(prefix.spawn_key)
+    hash_const = _INIT_A * pow(_MULT_A, pool_size * prefix_words, 2**32) & _MASK32
+    index = np.asarray(subjects, dtype=np.uint64)
+    pool = []
+    for word in prefix.pool.tolist():
+        mixed, hash_const = _hash(index, hash_const, _MULT_A)
+        mixed = (_MIX_MULT_L * word - _MIX_MULT_R * mixed) & _MASK32
+        pool.append(mixed ^ mixed >> 16)
+    hash_const = _INIT_B
+    state = []
+    for k in range(8):
+        word, hash_const = _hash(pool[k % pool_size], hash_const, _MULT_B)
+        state.append(word)
+    return np.stack([state[2 * k] | state[2 * k + 1] << 32 for k in range(4)], axis=1)
+
+
+class _PresetSeed(ISeedSequence):
+    """A seed source holding the four words PCG64 asks it for."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a preset subject seed holds only 4 uint64 words")
+        return self.state
+
+
+def _subject_rngs(
+    root: np.random.SeedSequence, subjects: Sequence[int]
+) -> Iterator[np.random.Generator]:
+    """``_stream_rng(root, "subject", s)`` for each s in ``subjects``, in order."""
+    for state in _subject_states(root, subjects):
+        yield np.random.Generator(np.random.PCG64(_PresetSeed(state)))
 
 
 def _e3_assignment(design: DesignConfig, root: np.random.SeedSequence) -> List[PositionPair]:
@@ -355,13 +440,12 @@ def _run_block(
     assignment: Optional[List[PositionPair]],
     random_truth: bool,
 ) -> List[TrialRecord]:
+    identity = Ranking.identity(design.n)
     records = []
-    for subject in subjects:
-        rng = _stream_rng(root, "subject", subject)
-        truth = None
+    for subject, rng in zip(subjects, _subject_rngs(root, subjects)):
+        truth = identity
         if random_truth:
-            order = rng.permutation(design.n) + 1
-            truth = Ranking(tuple(int(obj) for obj in order), validate=False)
+            truth = Ranking((rng.permutation(design.n) + 1).tolist(), validate=False)
         pair = assignment[subject] if assignment is not None else None
         records.append(run_subject(design, model, subject, rng, pair=pair, truth=truth))
     return records

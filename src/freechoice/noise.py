@@ -332,7 +332,7 @@ def sample_noisy_ranking(truth: Ranking, p: float, rng: np.random.Generator) -> 
     if k == 0:
         return truth
     entries = list(truth.entries)
-    for pos in rng.integers(0, truth.n - 1, size=k):
+    for pos in rng.integers(0, len(entries) - 1, size=k).tolist():
         entries[pos], entries[pos + 1] = entries[pos + 1], entries[pos]
     return Ranking(entries, validate=False)
 

@@ -273,6 +273,18 @@ class TestStreamLayout:
         assert summary["spread"]["mean"] == pytest.approx(-0.1, rel=1e-12)
         assert summary["se_bootstrap"] == pytest.approx(0.30796355555739313, rel=1e-12)
 
+    def test_simulate_across_blocks(self, tmp_path):
+        # 2,100 subjects span three blocks of 1,024, run on two threads
+        out = tmp_path / "trials.csv"
+        assert main(["simulate", "--design", "e2", "--model", "memory", "--n", "12",
+                     "--subjects", "2100", "--p", "0.8", "--truth-mode", "random",
+                     "--threads", "2", "--seed", "7", "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "29c7235388dca4c8c62558298b97f79afefe02b8fbf84e4a12fff9715fe8c51d"
+        )
+        summary = json.loads((tmp_path / "trials.csv.summary.json").read_text())
+        assert summary["spread"]["mean"] == pytest.approx(0.16238095238095238, rel=1e-12)
+
     @pytest.mark.parametrize(
         "design, extra, rejections, mean, se, se_bootstrap",
         [
@@ -317,6 +329,13 @@ class TestErrors:
                      "--subjects", "10", "--p", "0.5",
                      "--output", str(tmp_path / "t.csv")]) == 2
         assert "--P" in capsys.readouterr().err
+
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        assert main(["simulate", "--design", "e2", "--model", "null", "--n", "6",
+                     "--subjects", "10", "--p", "0.5", "--seed", "-1",
+                     "--output", str(tmp_path / "t.csv")]) == 2
+        assert "seed must be at least 0" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_zero_replications(self, tmp_path, capsys):
         assert main(["power", "--design", "e2", "--model", "null", "--n", "6",

@@ -57,6 +57,12 @@ class TestDesignConfig:
             with pytest.raises(ValueError):
                 DesignConfig(**kwargs)
 
+    def test_subject_indices_fit_one_word(self):
+        # each subject's stream key holds its index as one 32-bit word
+        assert DesignConfig(kind="e2", n=5, subjects=2**32).subjects == 2**32
+        with pytest.raises(ValueError, match="at most 2\\*\\*32"):
+            DesignConfig(kind="e2", n=5, subjects=2**32 + 1)
+
     def test_e3_needs_complete_blocks(self):
         DesignConfig(kind="e3", n=6, subjects=45)
         DesignConfig(kind="e3", n=2, subjects=2)
@@ -317,6 +323,15 @@ class TestRunExperiment:
         for kwargs in ({"threads": 0}, {"truth_mode": "sometimes"}):
             with pytest.raises(ValueError):
                 iter_experiment(cfg, NullModel(p=0.2), 0, **kwargs)
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            iter_experiment(cfg, NullModel(p=0.2), -1)
+
+    def test_seed_follows_integer_rule(self):
+        cfg = DesignConfig(kind="e2", n=5, subjects=4)
+        model = NullModel(p=0.5)
+        assert run_experiment(cfg, model, np.int64(3)) == run_experiment(cfg, model, 3)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            run_experiment(cfg, model, 1.5)
 
     def test_iter_streams_lazily(self):
         cfg = DesignConfig(kind="e2", n=5, subjects=5000)
@@ -324,6 +339,42 @@ class TestRunExperiment:
         first = next(iterator)
         assert first.subject == 0
         iterator.close()
+
+
+class TestSubjectStreams:
+    """The block-wide subject seeds equal numpy's per-subject SeedSequence."""
+
+    ROOTS = {
+        "small int": np.random.SeedSequence(3),
+        "os entropy": np.random.SeedSequence(),
+        "list entropy": np.random.SeedSequence([7, 2**40, 0, 2**70]),
+        "string entropy": np.random.SeedSequence(["0x" + "f" * 40, "12"]),
+        "power replication": designs._stream_seed(np.random.SeedSequence(5), "replication", 17),
+        # a stream is seeded with numpy's default pool size, whatever the root's
+        "pool size 8": np.random.SeedSequence(11, pool_size=8),
+    }
+    SUBJECTS = [0, 1, 1023, 1024, 2**32 - 1]
+
+    @pytest.mark.parametrize("name", ROOTS)
+    def test_matches_numpy_seed_sequence(self, name):
+        root = self.ROOTS[name]
+        states = designs._subject_states(root, self.SUBJECTS)
+        rngs = designs._subject_rngs(root, self.SUBJECTS)
+        for subject, state, rng in zip(self.SUBJECTS, states, rngs):
+            key = root.spawn_key + (1, subject)
+            seq = np.random.SeedSequence(entropy=root.entropy, spawn_key=key)
+            assert state.dtype == np.uint64
+            assert state.tolist() == seq.generate_state(4, np.uint64).tolist()
+            expected = np.random.Generator(np.random.PCG64(seq))
+            draws = rng.integers(0, 2**62, size=3).tolist()
+            assert draws == expected.integers(0, 2**62, size=3).tolist()
+            assert rng.geometric(0.3) == expected.geometric(0.3)
+            assert rng.permutation(12).tolist() == expected.permutation(12).tolist()
+
+    def test_preset_seed_serves_only_pcg64(self):
+        rng = next(designs._subject_rngs(np.random.SeedSequence(3), [0]))
+        with pytest.raises(ValueError):
+            rng.bit_generator.seed_seq.generate_state(8, np.uint32)
 
 
 class TestMonteCarlo:

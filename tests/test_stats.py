@@ -121,6 +121,8 @@ class TestBootstrap:
             bootstrap_se([1.0], seed=0)
         with pytest.raises(ValueError):
             bootstrap_se([1.0, 2.0], resamples=1, seed=0)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            bootstrap_se([1.0, 2.0], seed=2.5)
 
 
 class TestPowerEstimate:
