@@ -373,19 +373,28 @@ def _perm_tables(n: int):
 def swap_process_distribution(n: int, p: float) -> Tuple[Tuple[tuple, ...], np.ndarray]:
     """Distribution of the swap process over all n! rankings.
 
-    Returns (rankings, probabilities) where each ranking is an entries tuple.
+    Returns (rankings, probabilities) where each ranking is an entries tuple
+    and the probabilities are a read-only array, computed once per (n, p).
     The geometric mixture is truncated once the remaining mass drops below
-    1e-12, so probabilities sum to 1 minus at most that. Supports n <= 6.
+    1e-12, so probabilities sum to 1 minus at most that. Supports n <= 6 and
+    at most 10**5 mixture steps, about log(1e-12)/log(p): p <= 0.9997.
     """
     n = _checked_int(n, "n", 2)
     if n > 6:
         raise CapacityError("the full-permutation distribution supports n <= 6")
-    _check_weight(float(p), "p")
+    p = float(p)
+    _check_weight(p, "p")
+    steps = math.log(1e-12) / math.log(p) if p > 0 else 0
+    if steps > 10**5:
+        raise CapacityError(f"p={p} needs {steps:.3g} swap steps; at most 1e5 are supported")
+    return _swap_distribution(n, p)
+
+
+@lru_cache(maxsize=16)
+def _swap_distribution(n: int, p: float) -> Tuple[Tuple[tuple, ...], np.ndarray]:
     perms, _, swaps = _perm_tables(n)
-    m = len(perms)
-    identity_index = 0  # itertools.permutations yields the identity first
-    current = np.zeros(m)
-    current[identity_index] = 1.0
+    current = np.zeros(len(perms))
+    current[0] = 1.0  # itertools.permutations yields the identity first
     probs = (1.0 - p) * current
     weight = 1.0 - p
     tail = p
@@ -395,7 +404,23 @@ def swap_process_distribution(n: int, p: float) -> Tuple[Tuple[tuple, ...], np.n
         weight *= p
         probs = probs + weight * current
         tail *= p
+    probs.setflags(write=False)
     return perms, probs
+
+
+def _pair_spread(pos: np.ndarray, probs: np.ndarray, t1, t2, mass: float) -> float:
+    # Expected spread when all three stage rankings are independent draws
+    # from ``probs`` (total ``mass``); ranking k puts object o at pos[k, o]
+    # and compares t1[k] with t2[k]. The final ranking enters only through
+    # each object's expected position; the first-stage term carries the mass,
+    # which keeps the value equal to the triple sum when probs is truncated.
+    rows = np.arange(len(probs))[:, None]
+    e3pos = probs @ pos
+    chosen = np.where(pos[:, t1].T < pos[:, t2].T, t1[:, None], t2[:, None])
+    rejected = t1[:, None] + t2[:, None] - chosen
+    stage1 = mass * (pos[rows, chosen] - pos[rows, rejected])
+    stage3 = e3pos[rejected] - e3pos[chosen]
+    return float(probs @ (stage1 + stage3) @ probs)
 
 
 def brute_force_expected_spread(n: int, p: float, pair) -> float:
@@ -404,29 +429,19 @@ def brute_force_expected_spread(n: int, p: float, pair) -> float:
     Works directly on permutations and their positions, with none of the
     state-space reductions used by the main engine, so agreement between the
     two validates the lumped chain, the first-stage distribution argument,
-    and the simplified spread formula at once. Supports n <= 5.
+    and the simplified spread formula at once. The final ranking is
+    independent of the first two stages, so it is averaged out exactly, not
+    lumped: a sum over pairs of rankings of expected final positions.
+    Supports n <= 5.
     """
+    n = _checked_int(n, "n", 2)
     if n > 5:
         raise CapacityError("the full-permutation oracle supports n <= 5")
     pair = _as_pair(n, pair)
-    _check_weight(float(p), "p")
-    perms, probs = swap_process_distribution(n, float(p))
+    perms, probs = swap_process_distribution(n, p)
     _, pos, _ = _perm_tables(n)
     parr = np.array(perms, dtype=np.int32)
-    m = len(perms)
-    t1 = parr[:, pair.i - 1]
-    t2 = parr[:, pair.j - 1]
-    pos2_t1 = pos[:, t1].T
-    pos2_t2 = pos[:, t2].T
-    chosen = np.where(pos2_t1 < pos2_t2, t1[:, None], t2[:, None])
-    rejected = t1[:, None] + t2[:, None] - chosen
-    rows = np.arange(m)[:, None]
-    pos1_c = pos[rows, chosen].astype(np.int32)
-    pos1_r = pos[rows, rejected].astype(np.int32)
-    pos3_c = pos.T[chosen].astype(np.int32)
-    pos3_r = pos.T[rejected].astype(np.int32)
-    spread_t = (pos1_c[:, :, None] - pos3_c) + (pos3_r - pos1_r[:, :, None])
-    return float(np.einsum("a,b,c,abc->", probs, probs, probs, spread_t.astype(float)))
+    return _pair_spread(pos, probs, parr[:, pair.i - 1], parr[:, pair.j - 1], probs.sum())
 
 
 def _checked_ranking_size(n) -> int:
@@ -515,29 +530,17 @@ def expected_spread_oracle(
     parr = np.array(keys, dtype=np.int32)
     m = len(keys)
     pos = np.zeros((m, n + 1), dtype=np.int32)
-    rows = np.arange(m)[:, None]
-    pos[rows, parr] = np.arange(1, n + 1)[None, :]
-    # expected final-stage position of each object
-    e3pos = probs @ pos
-
-    def pair_value(t1: np.ndarray, t2: np.ndarray) -> float:
-        pos2_t1 = pos[:, t1].T
-        pos2_t2 = pos[:, t2].T
-        chosen = np.where(pos2_t1 < pos2_t2, t1[:, None], t2[:, None])
-        rejected = t1[:, None] + t2[:, None] - chosen
-        stage1 = pos[rows, chosen] - pos[rows, rejected]
-        stage3 = e3pos[rejected] - e3pos[chosen]
-        values = stage1 + stage3
-        return float(probs @ values @ probs)
+    pos[np.arange(m)[:, None], parr] = np.arange(1, n + 1)[None, :]
+    # the distribution is normalized, so its mass is taken as exactly 1
 
     if design == "e1":
         if object_pair is None:
             raise ValueError("design 'e1' needs the fixed object pair")
         first, second = _checked_pair(n, object_pair, "object")
-        t1 = np.full(m, first, dtype=np.int32)
-        t2 = np.full(m, second, dtype=np.int32)
-        return pair_value(t1, t2)
+        return _pair_spread(pos, probs, np.full(m, first), np.full(m, second), 1)
 
     pairs = all_position_pairs(n)
-    total = math.fsum(pair_value(parr[:, q.i - 1], parr[:, q.j - 1]) for q in pairs)
+    total = math.fsum(
+        _pair_spread(pos, probs, parr[:, q.i - 1], parr[:, q.j - 1], 1) for q in pairs
+    )
     return total / len(pairs)

@@ -23,9 +23,11 @@ The rational backend solves (I - pQ)x = (1 - p)v inside symmetry sectors. Q
 commutes with the label swap (a, b) -> (b, a) and the board reversal
 (a, b) -> (n + 1 - a, n + 1 - b), so v splits into four parts, one per sign
 pattern of the two symmetries, and each part is solved on one row per orbit:
-about m/4 unknowns instead of m = n(n - 1). Every rational result is then
-checked against the exact residual x - pQx = (1 - p)v on the n - 1 swaps of
-each row, and an entry that misses it raises ``ArithmeticError``.
+about m/4 unknowns instead of m = n(n - 1). Scaled to integers, each sector
+system is solved by Bareiss fraction-free elimination with exact divisions,
+and every rational result is still checked against the exact residual
+x - pQx = (1 - p)v on the n - 1 swaps of each row; an entry that misses it
+raises ``ArithmeticError``.
 """
 
 from __future__ import annotations
@@ -148,44 +150,6 @@ def build_Q(n: int, exact: bool = False) -> np.ndarray:
     return _q_fraction(n) if exact else _q_float(n)
 
 
-def _lu_factor(a: list) -> list:
-    # In-place LU factorization without pivoting. The systems solved here
-    # are strictly diagonally dominant for p < 1, so no pivot is ever zero.
-    m = len(a)
-    for k in range(m):
-        inv = 1 / a[k][k]
-        row_k = a[k]
-        for i in range(k + 1, m):
-            f = a[i][k] * inv
-            if f:
-                a[i][k] = f
-                row_i = a[i]
-                for j in range(k + 1, m):
-                    if row_k[j]:
-                        row_i[j] -= f * row_k[j]
-    return a
-
-
-def _lu_solve(lu: list, b: Sequence) -> list:
-    m = len(lu)
-    y = list(b)
-    for i in range(m):
-        row = lu[i]
-        s = y[i]
-        for j in range(i):
-            if row[j] and y[j]:
-                s -= row[j] * y[j]
-        y[i] = s
-    for i in range(m - 1, -1, -1):
-        row = lu[i]
-        s = y[i]
-        for j in range(i + 1, m):
-            if row[j] and y[j]:
-                s -= row[j] * y[j]
-        y[i] = s / row[i]
-    return y
-
-
 # The symmetries of Q: the label swap sigma(a, b) = (b, a), the board
 # reversal rho(a, b) = (n + 1 - a, n + 1 - b) and their product. A character
 # lists its signs on (id, sigma, rho, sigma rho).
@@ -217,21 +181,48 @@ def _sector(n: int, chi: tuple) -> tuple:
 
 @lru_cache(maxsize=32)
 def _sector_lu(n: int, p: Fraction, chi: tuple) -> tuple:
-    # Exact LU factors of I - pQ on the sector of character chi. A swap from
-    # representative r to t = g(rep(t)) reaches x(t) = chi(g) x(rep(t)).
+    # Bareiss factors of A = q(n - 1)(I - pQ) on the sector of character chi,
+    # p = r/q. A swap from a representative to t = g(rep(t)) reaches
+    # x(t) = chi(g) x(rep(t)), so A = q(n - 1) I - r C, C the signed counts.
     rep_images, column, sign = _sector(n, chi)
     targets = _successors(n)[[images[0] for images in rep_images]]
     cols = np.asarray(column)[targets]
     hit = cols >= 0
     counts = np.zeros((len(rep_images),) * 2, dtype=np.int64)
     np.add.at(counts, (np.nonzero(hit)[0], cols[hit]), np.asarray(sign)[targets][hit])
-    # one Fraction per distinct count: the products are what costs
-    counts = counts.tolist()
-    entry = {c: -c * p / (n - 1) for c in set().union(*counts)}
-    a = [[entry[c] for c in row] for row in counts]
-    for i, row in enumerate(a):
-        row[i] += 1
-    return tuple(map(tuple, _lu_factor(a)))
+    r, q = p.numerator, p.denominator
+    a = (q * (n - 1) * np.eye(len(counts), dtype=object) - r * counts.astype(object)).tolist()
+    # No pivoting: A is strictly diagonally dominant for p < 1. Entries stay
+    # minors of A, so each division by the previous pivot is exact; column k
+    # keeps step k's multipliers and the last pivot is det(A). A step with a
+    # zero multiplier only scales the row by pivot / previous pivot, so it is
+    # deferred to the row's next use: row i is current as of step start[i].
+    pivots, start = [1], [0] * len(a)
+    for k, row_k in enumerate(a):
+        for i in (i for i in range(k, len(a)) if a[i][k]):
+            row_i = a[i]
+            if start[i] < k:
+                row_i[k:] = [pivots[k] * e // pivots[start[i]] for e in row_i[k:]]
+            if i > k:
+                f, right = row_i[k], zip(row_i[k + 1:], row_k[k + 1:])
+                row_i[k + 1:] = [(row_k[k] * e - f * t) // pivots[k] for e, t in right]
+            start[i] = k + 1
+        pivots.append(row_k[k])
+    return tuple(map(tuple, a))
+
+
+def _bareiss_solve(a: tuple, b: list) -> Tuple[int, list]:
+    # det(A) and the integer vector det(A) A^(-1) b (Cramer) from the Bareiss
+    # factors of A: replay the elimination on b, then back-substitute.
+    b, prev = list(b), 1
+    for k, row_k in enumerate(a):
+        for i in range(k + 1, len(a)):
+            b[i] = (row_k[k] * b[i] - a[i][k] * b[k]) // prev
+        prev = row_k[k]
+    y = [0] * len(a)
+    for i in range(len(a) - 1, -1, -1):
+        y[i] = (prev * b[i] - sum(e * t for e, t in zip(a[i][i + 1:], y[i + 1:]))) // a[i][i]
+    return prev, y
 
 
 def _certify(n: int, p: Fraction, v: list, x: list) -> None:
@@ -250,15 +241,20 @@ def _certify(n: int, p: Fraction, v: list, x: list) -> None:
 def _sector_solve(n: int, p: Fraction, v: list) -> list:
     # Solve (I - pQ)x = (1 - p)v one symmetry sector at a time: project v on
     # each character, P v = 1/4 sum_g chi(g) v o g, solve the reduced system
-    # and add the pieces back.
+    # and add the pieces back. With p = r/q, d the common denominator of v
+    # and w = (n - 1)(q - r) d v, the sector system scaled by 4 d q(n - 1) is
+    # A (4 d y) = sum_g chi(g) w o g in integers.
+    r, q = p.numerator, p.denominator
+    d = math.lcm(*(e.denominator for e in v))
+    w = [(n - 1) * (q - r) * e.numerator * (d // e.denominator) for e in v]
     x = [Fraction(0)] * len(v)
-    scale = (1 - p) / 4
     for chi in _CHARACTERS:
         rep_images, column, sign = _sector(n, chi)
-        f = [sum(c * v[t] for c, t in zip(chi, images)) for images in rep_images]
+        f = [sum(c * w[t] for c, t in zip(chi, images)) for images in rep_images]
         if not any(f):
             continue
-        y = _lu_solve(_sector_lu(n, p, chi), [scale * e for e in f])
+        det, y = _bareiss_solve(_sector_lu(n, p, chi), f)
+        y = [Fraction(e, 4 * d * det) for e in y]
         for s, k in enumerate(column):
             if k >= 0:
                 x[s] += sign[s] * y[k]

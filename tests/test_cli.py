@@ -67,6 +67,19 @@ class TestTable:
         total = sum(Fraction(entry["expected_spread"]) for entry in payload["values"])
         assert total == 0
 
+    @pytest.mark.parametrize("n, p, fmt, digest", [
+        ("12", "0.8", "csv", "5f6310029f90014fa503b3c3c95af32050ae12525fd8e35713c73db487578115"),
+        ("15", "0.8", "csv", "c5bd221bbf53c85d545447cabb573a90b61d995f61256a3b21109fa7ae9a7ec5"),
+        ("9", "4/5", "json", "9cde15f44282ac8351a8cfdc973df89fcbaf515059ea6b4186c2341f25140b30"),
+    ])
+    def test_exact_rational_bytes(self, tmp_path, n, p, fmt, digest):
+        # recorded with the Fraction LU solver that the integer elimination
+        # replaced; exact values must not move by a single byte
+        out = tmp_path / f"table.{fmt}"
+        assert main(["table", "--n", n, "--p", p, "--format", fmt,
+                     "--exact-rational", "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_prints_triangle_and_summary(self, tmp_path, capsys):
         run_table(tmp_path)
         lines = capsys.readouterr().out.splitlines()

@@ -150,6 +150,10 @@ class TestFactoredVsEnumerate:
         assert expected_spread_oracle(uniform, "e1", object_pair=(np.int64(1), 3)) == (
             expected_spread_oracle(uniform, "e1", object_pair=(1, 3))
         )
+        # the brute-force oracle applies the integer rule before its size cap
+        for n in ("5", 6.0):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                brute_force_expected_spread(n, 0.8, (1, 2))
 
     def test_entry_points_check_n_before_cached_kernels(self):
         # n = 12.0 raises the integer rule's ValueError whether or not an
@@ -181,11 +185,25 @@ class TestBruteForce:
         for pair, value in table.values.items():
             assert value == pytest.approx(brute_force_expected_spread(n, p, pair), abs=1e-9)
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("p", [0.3, 0.8])
+    def test_oracle_matches_triple_sum(self, n, p):
+        # averaging out the final stage reproduces the (n!)^3 triple sum over
+        # the truncated distribution, whose mass is slightly under 1
+        for pair in all_position_pairs(n):
+            triple = _two_weight_brute(n, p, p, (pair.i, pair.j), "experimental")
+            assert brute_force_expected_spread(n, p, pair) == pytest.approx(triple, abs=1e-13)
+
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             brute_force_expected_spread(6, 0.5, (1, 2))
         with pytest.raises(CapacityError):
             swap_process_distribution(7, 0.5)
+        # p near 1 needs about log(1e-12)/log(p) swap steps: 2.8e10 here
+        with pytest.raises(CapacityError, match="swap steps"):
+            swap_process_distribution(5, 1 - 1e-9)
+        with pytest.raises(CapacityError, match="swap steps"):
+            brute_force_expected_spread(3, 1 - 1e-9, (1, 2))
 
     def test_swap_distribution_normalized(self):
         perms, probs = swap_process_distribution(4, 0.6)
@@ -193,6 +211,9 @@ class TestBruteForce:
         assert math.fsum(probs) == pytest.approx(1.0, abs=1e-9)
         # the truth stays the most likely single ranking
         assert probs[perms.index((1, 2, 3, 4))] == max(probs)
+        # computed once per (n, p) and shared, so callers cannot write to it
+        assert not probs.flags.writeable
+        assert swap_process_distribution(np.int64(4), 0.6)[1] is probs
 
 
 class TestTwoParam:
@@ -267,7 +288,8 @@ def _two_weight_brute(n, p, P, pair, design):
 
     The first ranking always carries weight P and the choice weight p; the
     remaining ranking carries p for the choose-then-rank arm and P for the
-    rank-then-choose control arm.
+    rank-then-choose control arm. With P = p and the experimental arm this is
+    the plain (n!)^3 triple sum that the brute-force oracle once computed.
     """
     perms, probs_small = swap_process_distribution(n, p)
     _, probs_large = swap_process_distribution(n, P)

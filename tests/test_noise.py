@@ -249,6 +249,13 @@ class TestRationalSectors:
             k = state_row(n, pair.i, pair.j)
             assert value == w1[k] - (pair.j - pair.i) * w2[k]
 
+    def test_sector_factors_hold_python_ints(self):
+        # q(n - 1)(I - pQ) has integer entries and Bareiss divisions are exact
+        for n, p in ((5, Fraction(1, 3)), (8, Fraction(4, 5))):
+            for chi in noise._CHARACTERS:
+                factors = noise._sector_lu(n, p, chi)
+                assert all(type(e) is int for row in factors for e in row)
+
     def test_certificate_catches_flipped_sign(self, monkeypatch):
         # a chi(sigma) sign flipped in the sector build gives wrong factors,
         # which the exact residual must refuse
