@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -227,6 +226,20 @@ def _print_rounded_triangle(table) -> None:
         print(f"{f'j={j}':>5}{cells}")
 
 
+# One template per trial record. The bytes equal those of csv.writer with
+# "\n" line ends and of json.dump(record._asdict(), sort_keys=True): the arm
+# is a bare word, and the other fields are ints and a bool.
+def _csv_line(r: TrialRecord) -> str:
+    return f"{r.subject},{r.arm},{r.i},{r.j},{'true' if r.consistent else 'false'},{r.spread}\n"
+
+
+def _json_line(r: TrialRecord) -> str:
+    return (
+        f'{{"arm": "{r.arm}", "consistent": {"true" if r.consistent else "false"}, '
+        f'"i": {r.i}, "j": {r.j}, "spread": {r.spread}, "subject": {r.subject}}}\n'
+    )
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     design = _build_design(args)
     model = _build_model(args)
@@ -240,17 +253,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     records = iter_experiment(
         design, model, args.seed, truth_mode=args.truth_mode, threads=args.threads
     )
+    line = _csv_line if args.format == "csv" else _json_line
     with open(output, "w", newline="") as handle:
-        writer = None
         if args.format == "csv":
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(TrialRecord._fields)
+            handle.write(",".join(TrialRecord._fields) + "\n")
         for record in records:
-            if writer is not None:
-                writer.writerow(record._replace(consistent="true" if record.consistent else "false"))
-            else:
-                json.dump(record._asdict(), handle, sort_keys=True)
-                handle.write("\n")
+            handle.write(line(record))
             spreads.append(record.spread)
             if record.arm != "none":
                 arm_spreads[record.arm].append(record.spread)

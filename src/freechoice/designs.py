@@ -18,7 +18,9 @@ stage order.
 Subject models plug in through a small hook interface: the noise weight of
 each stage (one triple from :func:`noise.stage_weights`), an optional
 post-choice modification of the true ranking, and an optional post-hoc edit
-of the final ranking.
+of the final ranking. A subject runs on plain entry lists, so the hooks act
+on entries; ``adjusted_truth`` and ``finalize_ranking`` are their
+:class:`Ranking` forms.
 """
 
 from __future__ import annotations
@@ -39,9 +41,13 @@ from .core import (
     _checked_int,
     _checked_pair,
     all_position_pairs,
-    spread,
 )
-from .noise import Weight, _check_weight, sample_choice, sample_noisy_ranking, stage_weights
+from .noise import Weight, _check_weight, _Draws, _PCG64Draws, _swapped, stage_weights
+
+# A subject no longer calls these; bench/tracer.py wraps them as names of
+# this module, so they stay importable from here.
+from .core import spread  # noqa: F401
+from .noise import sample_choice, sample_noisy_ranking  # noqa: F401
 
 __all__ = [
     "DESIGN_KINDS",
@@ -143,9 +149,19 @@ class _StageHooks:
         return stage_weights(self.p, self.p, arm)
 
     def adjusted_truth(self, truth: Ranking, choice: Choice, gap: int) -> Ranking:
-        return truth
+        """The true ranking after ``choice`` between positions ``gap`` apart."""
+        entries = self._adjust(truth.entries, choice.chosen, choice.rejected, gap)
+        return Ranking(entries, validate=False)
 
     def finalize_ranking(self, ranking: Ranking, choice: Choice) -> Ranking:
+        """The final ranking as the subject reports it after ``choice``."""
+        entries = self._finalize(ranking.entries, choice.chosen, choice.rejected)
+        return Ranking(entries, validate=False)
+
+    def _adjust(self, truth: Sequence, chosen, rejected, gap: int) -> Sequence:
+        return truth
+
+    def _finalize(self, ranking: Sequence, chosen, rejected) -> Sequence:
         return ranking
 
 
@@ -190,17 +206,13 @@ class MemoryModel(_StageHooks):
     p: float
     kind: ClassVar[str] = "memory"
 
-    def finalize_ranking(self, ranking: Ranking, choice: Choice) -> Ranking:
-        pos_chosen = ranking.position_of(choice.chosen)
-        pos_rejected = ranking.position_of(choice.rejected)
+    def _finalize(self, ranking: Sequence, chosen, rejected) -> Sequence:
+        pos_chosen, pos_rejected = ranking.index(chosen), ranking.index(rejected)
         if pos_chosen < pos_rejected:
             return ranking
-        entries = list(ranking.entries)
-        entries[pos_chosen - 1], entries[pos_rejected - 1] = (
-            entries[pos_rejected - 1],
-            entries[pos_chosen - 1],
-        )
-        return Ranking(entries, validate=False)
+        entries = list(ranking)
+        entries[pos_chosen], entries[pos_rejected] = rejected, chosen
+        return entries
 
 
 @dataclass(frozen=True)
@@ -224,17 +236,18 @@ class DissonanceShiftModel(_StageHooks):
         object.__setattr__(self, "shift", _checked_int(self.shift, "shift", 0))
         object.__setattr__(self, "threshold", _checked_int(self.threshold, "threshold", 1))
 
-    def adjusted_truth(self, truth: Ranking, choice: Choice, gap: int) -> Ranking:
+    def _adjust(self, truth: Sequence, chosen, rejected, gap: int) -> Sequence:
         if gap > self.threshold or self.shift == 0:
             return truth
-        target_chosen = max(1, truth.position_of(choice.chosen) - self.shift)
-        target_rejected = min(truth.n, truth.position_of(choice.rejected) + self.shift)
-        entries = list(truth.entries)
-        entries.remove(choice.chosen)
-        entries.insert(target_chosen - 1, choice.chosen)
-        entries.remove(choice.rejected)
-        entries.insert(target_rejected - 1, choice.rejected)
-        return Ranking(entries, validate=False)
+        # 0-based target places, clamped to the board
+        target_chosen = max(0, truth.index(chosen) - self.shift)
+        target_rejected = min(len(truth) - 1, truth.index(rejected) + self.shift)
+        entries = list(truth)
+        entries.remove(chosen)
+        entries.insert(target_chosen, chosen)
+        entries.remove(rejected)
+        entries.insert(target_rejected, rejected)
+        return entries
 
 
 SubjectModel = Union[NullModel, TwoParamModel, MemoryModel, DissonanceShiftModel]
@@ -264,16 +277,17 @@ def run_subject(
     design: DesignConfig,
     model: SubjectModel,
     subject: int,
-    rng: np.random.Generator,
+    rng: Union[np.random.Generator, _Draws],
     *,
     pair: Optional[PositionPair] = None,
     truth: Optional[Ranking] = None,
 ) -> TrialRecord:
     """Run one subject and return its trial record.
 
-    ``pair`` must carry the assigned position pair for e3 (the driver owns
-    the assignment); other designs reject it. ``truth`` is this subject's
-    true ranking, the identity when omitted.
+    ``rng`` is a numpy Generator, drawn through its ``geometric`` and
+    ``integers`` methods. ``pair`` must carry the assigned position pair
+    for e3 (the driver owns the assignment); other designs reject it.
+    ``truth`` is this subject's true ranking, the identity when omitted.
     """
     if not 0 <= subject < design.subjects:
         raise ValueError(f"subject index {subject} outside 0..{design.subjects - 1}")
@@ -284,6 +298,8 @@ def run_subject(
         truth = Ranking.identity(n)
     elif truth.n != n:
         raise ValueError(f"true ranking has {truth.n} objects but the design has {n}")
+    draws = rng if isinstance(rng, _Draws) else _Draws(rng)
+    truth_entries = truth.entries
 
     arm = "none"
     if design.kind == "e0":
@@ -291,7 +307,7 @@ def run_subject(
 
     if design.kind == "e2":
         pairs = all_position_pairs(n)
-        position_pair = pairs[int(rng.integers(0, len(pairs)))]
+        position_pair = pairs[draws.below(len(pairs), 1)[0]]
     elif design.kind == "e3":
         if pair is None:
             raise ValueError("design 'e3' needs the driver-assigned pair; use run_experiment")
@@ -299,29 +315,32 @@ def run_subject(
     else:
         position_pair = design.pair
 
+    # Each stage is a sequence of entries; x and y are the tracked objects.
     w_first, w_choice, w_final = model.stage_weights(arm)
-    rank_first = sample_noisy_ranking(truth, w_first, rng)
-
+    first = _swapped(truth_entries, w_first, draws)
     if design.kind == "e1":
-        tracked = design.object_pair
-        a = rank_first.position_of(tracked.first)
-        b = rank_first.position_of(tracked.second)
+        x, y = design.object_pair.first, design.object_pair.second
+        a, b = first.index(x) + 1, first.index(y) + 1
         i, j = min(a, b), max(a, b)
     else:
         i, j = position_pair.i, position_pair.j
-        tracked = ObjectPair(rank_first.object_at(i), rank_first.object_at(j))
+        x, y = first[i - 1], first[j - 1]
 
+    # the control arm ranks a second time before it chooses
     if arm == "control":
-        rank_final = sample_noisy_ranking(truth, w_final, rng)
-        choice = sample_choice(truth, tracked, w_choice, rng)
-    else:
-        choice = sample_choice(truth, tracked, w_choice, rng)
-        adjusted = model.adjusted_truth(truth, choice, j - i)
-        rank_final = sample_noisy_ranking(adjusted, w_final, rng)
-        rank_final = model.finalize_ranking(rank_final, choice)
+        final = _swapped(truth_entries, w_final, draws)
+    noisy = _swapped(truth_entries, w_choice, draws)
+    chosen, rejected = (x, y) if noisy.index(x) < noisy.index(y) else (y, x)
+    if arm != "control":
+        adjusted = model._adjust(truth_entries, chosen, rejected, j - i)
+        final = _swapped(adjusted, w_final, draws)
+        final = model._finalize(final, chosen, rejected)
 
-    consistent = rank_first.position_of(choice.chosen) < rank_first.position_of(choice.rejected)
-    return TrialRecord(subject, arm, i, j, consistent, spread(rank_first, choice, rank_final))
+    # core.spread on the entry lists: the chosen object's climb plus the
+    # rejected object's fall from the first ranking to the final one
+    first_chosen, first_rejected = first.index(chosen), first.index(rejected)
+    moved = first_chosen - final.index(chosen) + final.index(rejected) - first_rejected
+    return TrialRecord(subject, arm, i, j, first_chosen < first_rejected, moved)
 
 
 # The random-stream layout: the spawn key of each stream under its root seed.
@@ -446,8 +465,9 @@ def _run_block(
         truth = identity
         if random_truth:
             truth = Ranking((rng.permutation(design.n) + 1).tolist(), validate=False)
+        draws = _PCG64Draws(rng, fresh=not random_truth)
         pair = assignment[subject] if assignment is not None else None
-        records.append(run_subject(design, model, subject, rng, pair=pair, truth=truth))
+        records.append(run_subject(design, model, subject, draws, pair=pair, truth=truth))
     return records
 
 

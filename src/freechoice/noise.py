@@ -16,6 +16,10 @@ Every stage of a trial (first ranking, choice, final ranking) runs this one
 process; stages differ only in their weight, which :func:`stage_weights`
 assigns.
 
+One swap kernel samples every stage on plain entry sequences. The subject
+streams of :mod:`designs` feed it bounded draws replayed on raw PCG64
+words, value for value those of ``Generator.integers``.
+
 Two numeric backends are provided: 64-bit floats (default) and exact rational
 arithmetic, which certifies identities such as row sums being exactly 1.
 
@@ -35,7 +39,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -316,6 +320,81 @@ def build_M(n: int, p: Weight, exact: bool = False) -> np.ndarray:
     return entries
 
 
+class _Draws:
+    """A Generator's geometric and bounded-integer draws, through numpy."""
+
+    __slots__ = ("geometric", "_integers")
+
+    def __init__(self, rng: np.random.Generator):
+        self.geometric = rng.geometric
+        self._integers = rng.integers
+
+    def below(self, bound: int, k: int) -> List[int]:
+        """``k`` integers uniform on 0..bound - 1, as ``rng.integers(0, bound, size=k)``."""
+        return self._integers(0, bound, size=k).tolist()
+
+
+_HALF_RANGE = 2**32
+
+
+class _PCG64Draws(_Draws):
+    """The same draws from a PCG64 Generator, bounded ones replayed on raw words.
+
+    numpy draws an integer below ``bound <= 2**32`` by Lemire's multiply-shift
+    (Lemire 2019, ACM TOMACS 29(1)) on 32-bit halves of PCG64's 64-bit
+    words: a fresh word gives its low half and carries its high half to the
+    next 32-bit draw. With m = x * bound for a half x, the draw is m >> 32
+    unless m mod 2**32 falls below (2**32 - bound) mod bound, which redraws.
+    Replaying that in Python skips numpy's per-call overhead; larger bounds
+    go to ``integers``, whose 64-bit path leaves the carried half alone.
+    ``fresh`` says that nothing has been drawn from ``rng`` yet, so no half
+    is carried; otherwise the carried half is read from the state.
+    """
+
+    __slots__ = ("_raw", "_carry")
+
+    def __init__(self, rng: np.random.Generator, fresh: bool = True):
+        super().__init__(rng)
+        self._raw = rng.bit_generator.random_raw
+        self._carry = None
+        if not fresh:
+            state = rng.bit_generator.state
+            if state["has_uint32"]:
+                self._carry = state["uinteger"]
+
+    def below(self, bound: int, k: int) -> List[int]:
+        if bound > _HALF_RANGE:
+            return super().below(bound, k)
+        if bound == 1:
+            return [0] * k  # numpy draws nothing from a range of one value
+        threshold = _HALF_RANGE % bound
+        raw, carry = self._raw, self._carry
+        out: List[int] = []
+        while len(out) < k:
+            if carry is None:
+                word = raw()
+                half, carry = word & (_HALF_RANGE - 1), word >> 32
+            else:
+                half, carry = carry, None
+            m = half * bound
+            if m & (_HALF_RANGE - 1) >= threshold:
+                out.append(m >> 32)
+        self._carry = carry
+        return out
+
+
+def _swapped(entries: Sequence, p: float, draws: _Draws) -> Sequence:
+    # The swap kernel of every stage: ``entries`` after a geometric number of
+    # uniform adjacent swaps at weight p; ``entries`` itself when none is drawn.
+    k = draws.geometric(1.0 - p) - 1
+    if k == 0:
+        return entries
+    entries = list(entries)
+    for pos in draws.below(len(entries) - 1, k):
+        entries[pos], entries[pos + 1] = entries[pos + 1], entries[pos]
+    return entries
+
+
 def sample_noisy_ranking(truth: Ranking, p: float, rng: np.random.Generator) -> Ranking:
     """One noisy ranking: a geometric number of uniform adjacent swaps.
 
@@ -324,13 +403,8 @@ def sample_noisy_ranking(truth: Ranking, p: float, rng: np.random.Generator) -> 
     weight must lie in [0, 1).
     """
     _check_weight(p, "noise weight")
-    k = int(rng.geometric(1.0 - p)) - 1
-    if k == 0:
-        return truth
-    entries = list(truth.entries)
-    for pos in rng.integers(0, len(entries) - 1, size=k).tolist():
-        entries[pos], entries[pos + 1] = entries[pos + 1], entries[pos]
-    return Ranking(entries, validate=False)
+    entries = _swapped(truth.entries, p, _Draws(rng))
+    return truth if entries is truth.entries else Ranking(entries, validate=False)
 
 
 def sample_choice(truth: Ranking, pair: ObjectPair, p: float, rng: np.random.Generator) -> Choice:

@@ -3,6 +3,7 @@
 import csv
 import filecmp
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,12 +12,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from numpy.random import MT19937, Generator
 
 import freechoice.core as core
 import freechoice
 from freechoice import __version__
 from freechoice.cli import main
-from freechoice.designs import DesignConfig, DissonanceShiftModel, TrialRecord, run_experiment
+from freechoice.designs import (
+    DesignConfig,
+    DissonanceShiftModel,
+    MemoryModel,
+    TrialRecord,
+    run_experiment,
+    run_subject,
+)
 from freechoice.exact import expected_spread_positions, expected_spread_two_param, round_half_away
 from freechoice.stats import bootstrap_se
 
@@ -171,6 +180,34 @@ class TestSimulate:
             for record in records
         ]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("design, extra", [
+        ("e0", ["--pair", "2,4"]),  # the experimental and control arms
+        ("e2", []),  # arm "none"
+    ])
+    def test_record_bytes_match_library_writers(self, tmp_path, fmt, design, extra):
+        # the per-record templates write what csv.writer and json.dump write
+        out = tmp_path / "trials.out"
+        assert main(["simulate", "--design", design, "--model", "dissonance-shift",
+                     "--n", "7", "--subjects", "60", "--p", "0.6", "--seed", "9",
+                     "--format", fmt, "--output", str(out), *extra]) == 0
+        config = DesignConfig(kind=design, n=7, subjects=60,
+                              pair=(2, 4) if extra else None)
+        records = run_experiment(config, DissonanceShiftModel(p=0.6), 9)
+        assert {r.consistent for r in records} == {True, False}
+        assert min(r.spread for r in records) < 0
+        expected = io.StringIO()
+        if fmt == "csv":
+            writer = csv.writer(expected, lineterminator="\n")
+            writer.writerow(TrialRecord._fields)
+            for record in records:
+                writer.writerow(record._replace(consistent=str(record.consistent).lower()))
+        else:
+            for record in records:
+                json.dump(record._asdict(), expected, sort_keys=True)
+                expected.write("\n")
+        assert out.read_bytes() == expected.getvalue().encode()
+
     def test_e0_summary_compares_arms(self, tmp_path):
         out = tmp_path / "trials.csv"
         code = main([
@@ -297,6 +334,52 @@ class TestStreamLayout:
         )
         summary = json.loads((tmp_path / "trials.csv.summary.json").read_text())
         assert summary["spread"]["mean"] == pytest.approx(0.16238095238095238, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "args, digest, mean",
+        [
+            (["--design", "classic", "--model", "null", "--n", "6", "--pair", "2,5",
+              "--subjects", "40", "--p", "0.6", "--seed", "3"],
+             "9bb03ac4f806ec7c91d2aae7fc32606d345b7459a32728ebab28d70db74d32fe", 0.025),
+            (["--design", "e0", "--model", "two-param", "--n", "7", "--pair", "3,4",
+              "--subjects", "40", "--p", "0.3", "--P", "0.8", "--seed", "4",
+              "--format", "json"],
+             "babe6593939a83f4d35ca102afc21cc8e5808bec9e90ab0cee7cb14ec2ae3252", 1.6),
+            (["--design", "e1", "--model", "null", "--n", "8", "--object-pair", "2,6",
+              "--subjects", "40", "--p", "0.7", "--seed", "5"],
+             "c4617673ff7848d4f7e13c4db601cc74fddbcc4f057eced46d22d6395ce2a489", -0.125),
+            # shift 2 on six positions pushes objects against both ends of the board
+            (["--design", "e2", "--model", "dissonance-shift", "--n", "6", "--shift", "2",
+              "--threshold", "4", "--subjects", "60", "--p", "0.5", "--seed", "6"],
+             "7b19e93dd3915e62b2dbe9e249064164bc7b52bc649076506b5fa971c12d02cf",
+             2.066666666666667),
+            # one adjacent pair: every swap position is drawn from a range of one
+            (["--design", "e2", "--model", "memory", "--n", "2", "--subjects", "30",
+              "--p", "0.5", "--seed", "8"],
+             "9c1f81992d2f1635634406498f1270d7d1cf1f016d076156684c42e5e9ced5fb",
+             0.9333333333333333),
+        ],
+        ids=["classic-null", "e0-two-param-json", "e1-null", "e2-dissonance-shift",
+             "e2-memory-n2"],
+    )
+    def test_simulate_designs(self, tmp_path, args, digest, mean):
+        out = tmp_path / "trials.out"
+        assert main(["simulate", *args, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        summary = json.loads((tmp_path / "trials.out.summary.json").read_text())
+        assert summary["spread"]["mean"] == pytest.approx(mean, rel=1e-12)
+
+    def test_run_subject_on_any_bit_generator(self):
+        # the public entry draws through Generator.integers, so an MT19937
+        # stream gives the records it gave before the PCG64 replay existed
+        design = DesignConfig(kind="e2", n=9, subjects=20)
+        records = [
+            run_subject(design, MemoryModel(p=0.7), s, Generator(MT19937(100 + s)))
+            for s in range(20)
+        ]
+        assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == (
+            "f133330de23e5ef3ae3c4143542c61259d65e4304e2b463935e771738d86ead9"
+        )
 
     @pytest.mark.parametrize(
         "design, extra, rejections, mean, se, se_bootstrap",

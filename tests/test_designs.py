@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from freechoice import designs
+from freechoice import designs, noise
 from freechoice.core import Choice, ObjectPair, PositionPair, Ranking, spread
 from freechoice.designs import (
     DesignConfig,
@@ -132,27 +132,29 @@ class TestModels:
 
 @pytest.fixture
 def stages(monkeypatch):
-    """Spy on the sampled stages: each subject's first and final ranking and its choice.
+    """Spy on the swap kernel: every ranking a subject samples, in draw order.
 
-    The spies call through to the real samplers, so the records are those of
+    Outside the e0 control arm a subject samples its first ranking, the
+    ranking its choice is read from and its final ranking, in that order.
+    The spy calls through to the real kernel, so the records are those of
     an unspied run. The final ranking is the sampled one, before any
     ``finalize_ranking`` edit.
     """
-    seen = {"rankings": [], "choices": []}
+    seen = []
+    real = designs._swapped
 
-    def spy(name, log):
-        real = getattr(designs, name)
+    def wrapper(*args):
+        result = real(*args)
+        seen.append(Ranking(result, validate=False))
+        return result
 
-        def wrapper(*args):
-            result = real(*args)
-            log.append(result)
-            return result
-
-        monkeypatch.setattr(designs, name, wrapper)
-
-    spy("sample_noisy_ranking", seen["rankings"])
-    spy("sample_choice", seen["choices"])
+    monkeypatch.setattr(designs, "_swapped", wrapper)
     return seen
+
+
+def choice_from(noisy: Ranking, x, y) -> Choice:
+    """The choice between objects x and y read off a choice-stage ranking."""
+    return Choice(x, y) if noisy.position_of(x) < noisy.position_of(y) else Choice(y, x)
 
 
 class TestRunSubject:
@@ -163,7 +165,7 @@ class TestRunSubject:
         assert record.consistent
         assert (record.i, record.j) == (7, 9)
         assert record.arm == "none"
-        assert stages["rankings"] == [Ranking.identity(12)] * 2
+        assert stages == [Ranking.identity(12)] * 3
 
     def test_dissonance_shift_forced_arithmetic(self):
         # gap 2 <= threshold, so the chosen object climbs one step and the
@@ -214,9 +216,9 @@ class TestRunSubject:
     def test_consistency_flag_matches_first_ranking(self, stages, monkeypatch):
         cfg = DesignConfig(kind="classic", n=10, subjects=200, pair=(4, 7))
         records = run_experiment(cfg, NullModel(p=0.7), 3)
-        first_rankings = stages["rankings"][::2]
-        assert len(first_rankings) == len(stages["choices"]) == len(records)
-        for record, rank_first, choice in zip(records, first_rankings, stages["choices"]):
+        assert len(stages) == 3 * len(records)
+        for record, rank_first, noisy in zip(records, stages[::3], stages[1::3]):
+            choice = choice_from(noisy, rank_first.object_at(4), rank_first.object_at(7))
             flag = rank_first.position_of(choice.chosen) < rank_first.position_of(choice.rejected)
             assert record.consistent == flag
         monkeypatch.undo()
@@ -225,12 +227,14 @@ class TestRunSubject:
     def test_spread_recomputable(self, stages, monkeypatch):
         cfg = DesignConfig(kind="e2", n=9, subjects=150)
         records = run_experiment(cfg, TwoParamModel(p=0.4, P=0.8), 5)
-        rankings, choices = stages["rankings"], stages["choices"]
-        assert len(rankings) == 2 * len(choices) == 2 * len(records)
-        for record, rank_first, choice, rank_final in zip(
-            records, rankings[::2], choices, rankings[1::2]
+        assert len(stages) == 3 * len(records)
+        for record, rank_first, noisy, rank_final in zip(
+            records, stages[::3], stages[1::3], stages[2::3]
         ):
+            tracked = rank_first.object_at(record.i), rank_first.object_at(record.j)
+            choice = choice_from(noisy, *tracked)
             assert spread(rank_first, choice, rank_final) == record.spread
+            assert record.consistent == (choice.chosen == tracked[0])
         monkeypatch.undo()
         assert run_experiment(cfg, TwoParamModel(p=0.4, P=0.8), 5) == records
 
@@ -375,6 +379,32 @@ class TestSubjectStreams:
         rng = next(designs._subject_rngs(np.random.SeedSequence(3), [0]))
         with pytest.raises(ValueError):
             rng.bit_generator.seed_seq.generate_state(8, np.uint32)
+
+
+class TestSubjectDraws:
+    """The subject stream's replayed bounded draws equal numpy's, word for word."""
+
+    # 3 * 2**30 rejects about one draw in four; 2**32 is the largest bound
+    # replayed, and 2**32 + 1 goes to numpy's 64-bit path
+    BOUNDS = [1, 2, 11, 66, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1]
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    @pytest.mark.parametrize("after", ["nothing", "permutation"])
+    def test_below_matches_integers(self, bound, after):
+        carried = []
+        for seed in range(16):
+            expected = np.random.Generator(np.random.PCG64(seed))
+            replayed = np.random.Generator(np.random.PCG64(seed))
+            if after == "permutation":
+                # a shuffle draws 32-bit halves and may leave one carried
+                assert replayed.permutation(12).tolist() == expected.permutation(12).tolist()
+                carried.append(replayed.bit_generator.state["has_uint32"])
+            draws = noise._PCG64Draws(replayed, fresh=after == "nothing")
+            for k in [0, 1, 2, 3, 4, 5, 6] * 2:
+                assert draws.below(bound, k) == expected.integers(0, bound, size=k).tolist()
+                assert draws.geometric(0.4) == expected.geometric(0.4)
+        if after == "permutation":
+            assert 0 < sum(carried) < len(carried)
 
 
 class TestMonteCarlo:
