@@ -16,6 +16,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
+from .core import _checked_int
 from .designs import (
     DESIGN_KINDS,
     DesignConfig,
@@ -118,7 +119,8 @@ def _add_experiment_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--threshold", type=int, default=3,
                      help="largest first-ranking gap that still triggers the shift")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, default=1,
+                     help="no effect; checked and recorded in the manifest for compatibility")
 
 
 def _build_model(args: argparse.Namespace) -> SubjectModel:
@@ -250,9 +252,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     arm_spreads: Dict[str, List[int]] = {"experimental": [], "control": []}
     consistent_spreads: List[int] = []
     reversal_spreads: List[int] = []
-    records = iter_experiment(
-        design, model, args.seed, truth_mode=args.truth_mode, threads=args.threads
-    )
+    _checked_int(args.threads, "threads", 1)
+    records = iter_experiment(design, model, args.seed, truth_mode=args.truth_mode)
     line = _csv_line if args.format == "csv" else _json_line
     with open(output, "w", newline="") as handle:
         if args.format == "csv":
@@ -313,13 +314,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_power(args: argparse.Namespace) -> int:
     design = _build_design(args)
     model = _build_model(args)
+    _checked_int(args.threads, "threads", 1)
     report = power_report(
         design,
         model,
         replications=args.replications,
         alpha=args.alpha,
         seed=args.seed,
-        threads=args.threads,
     )
     output = args.output or "power.json"
     with open(output, "w", newline="") as handle:

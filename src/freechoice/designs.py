@@ -15,6 +15,10 @@ stage order.
 * ``e3``: each block of C(n, 2) subjects covers every position pair exactly
   once, in an order drawn from the experiment-level stream.
 
+An experiment runs its subjects one after another in one loop; each
+subject draws from its own stream, and each e3 cover is drawn when the
+loop reaches it.
+
 Subject models plug in through a small hook interface: the noise weight of
 each stage (one triple from :func:`noise.stage_weights`), an optional
 post-choice modification of the true ranking, and an optional post-hoc edit
@@ -25,8 +29,6 @@ on entries; ``adjusted_truth`` and ``finalize_ranking`` are their
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -440,35 +442,16 @@ def _subject_rngs(
         yield np.random.Generator(np.random.PCG64(_PresetSeed(state)))
 
 
-def _e3_assignment(design: DesignConfig, root: np.random.SeedSequence) -> List[PositionPair]:
-    """Pair per subject: a fresh random cover of all pairs for every block."""
+def _e3_assignment(design: DesignConfig, root: np.random.SeedSequence) -> Iterator[PositionPair]:
+    """Pair per subject: a fresh random cover of all pairs for every block.
+
+    Each cover is drawn when the first of its subjects is reached.
+    """
     pairs = all_position_pairs(design.n)
     rng = _stream_rng(root, "e3-assignment")
-    assignment: List[PositionPair] = []
     for _ in range(design.subjects // len(pairs)):
         for index in rng.permutation(len(pairs)):
-            assignment.append(pairs[int(index)])
-    return assignment
-
-
-def _run_block(
-    design: DesignConfig,
-    model: SubjectModel,
-    root: np.random.SeedSequence,
-    subjects: Sequence[int],
-    assignment: Optional[List[PositionPair]],
-    random_truth: bool,
-) -> List[TrialRecord]:
-    identity = Ranking.identity(design.n)
-    records = []
-    for subject, rng in zip(subjects, _subject_rngs(root, subjects)):
-        truth = identity
-        if random_truth:
-            truth = Ranking((rng.permutation(design.n) + 1).tolist(), validate=False)
-        draws = _PCG64Draws(rng, fresh=not random_truth)
-        pair = assignment[subject] if assignment is not None else None
-        records.append(run_subject(design, model, subject, draws, pair=pair, truth=truth))
-    return records
+            yield pairs[int(index)]
 
 
 def iter_experiment(
@@ -477,25 +460,21 @@ def iter_experiment(
     master_seed: Seed = 0,
     *,
     truth_mode: str = "identity",
-    threads: int = 1,
 ) -> Iterator[TrialRecord]:
     """Yield one TrialRecord per subject, in subject order.
 
     Deterministic given the master seed: each subject consumes an own
-    random stream derived from (seed, subject index), so the result does
-    not depend on ``threads``. The true ranking is the identity, or with
-    ``truth_mode="random"`` a fresh one per subject drawn from the
-    subject's stream. Records are produced lazily in blocks, so
-    million-subject runs can be consumed without holding them all; the
-    arguments are checked at call time, before the first record is asked
-    for.
+    random stream derived from (seed, subject index). The true ranking is
+    the identity, or with ``truth_mode="random"`` a fresh one per subject
+    drawn from the subject's stream. Records are produced lazily, with the
+    subject streams seeded a block at a time and each e3 cover drawn as it
+    is reached, so million-subject runs can be consumed without holding
+    them all; the arguments are checked at call time, before the first
+    record is asked for.
     """
     if truth_mode not in TRUTH_MODES:
         raise ValueError(f"unknown truth mode {truth_mode!r}; expected one of {TRUTH_MODES}")
-    threads = _checked_int(threads, "threads", 1)
-    return _iter_blocks(
-        design, model, _as_seed_sequence(master_seed), truth_mode == "random", threads
-    )
+    return _iter_blocks(design, model, _as_seed_sequence(master_seed), truth_mode == "random")
 
 
 def _iter_blocks(
@@ -503,33 +482,18 @@ def _iter_blocks(
     model: SubjectModel,
     root: np.random.SeedSequence,
     random_truth: bool,
-    threads: int,
 ) -> Iterator[TrialRecord]:
+    identity = Ranking.identity(design.n)
     assignment = _e3_assignment(design, root) if design.kind == "e3" else None
-    blocks = [
-        range(start, min(start + _CHUNK, design.subjects))
-        for start in range(0, design.subjects, _CHUNK)
-    ]
-    if threads == 1:
-        for block in blocks:
-            yield from _run_block(design, model, root, block, assignment, random_truth)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = deque()
-        queued = iter(blocks)
-        for block in queued:
-            pending.append(
-                pool.submit(_run_block, design, model, root, block, assignment, random_truth)
-            )
-            if len(pending) >= 2 * threads:
-                break
-        for block in queued:
-            yield from pending.popleft().result()
-            pending.append(
-                pool.submit(_run_block, design, model, root, block, assignment, random_truth)
-            )
-        while pending:
-            yield from pending.popleft().result()
+    for start in range(0, design.subjects, _CHUNK):
+        block = range(start, min(start + _CHUNK, design.subjects))
+        for subject, rng in zip(block, _subject_rngs(root, block)):
+            truth = identity
+            if random_truth:
+                truth = Ranking((rng.permutation(design.n) + 1).tolist(), validate=False)
+            draws = _PCG64Draws(rng, fresh=not random_truth)
+            pair = next(assignment) if assignment is not None else None
+            yield run_subject(design, model, subject, draws, pair=pair, truth=truth)
 
 
 def run_experiment(
@@ -538,9 +502,6 @@ def run_experiment(
     master_seed: Seed = 0,
     *,
     truth_mode: str = "identity",
-    threads: int = 1,
 ) -> List[TrialRecord]:
     """Run every subject and return the records as a list."""
-    return list(
-        iter_experiment(design, model, master_seed, truth_mode=truth_mode, threads=threads)
-    )
+    return list(iter_experiment(design, model, master_seed, truth_mode=truth_mode))

@@ -162,8 +162,8 @@ def expected_spread_positions(
 
     ``method="factored"`` collapses the triple sum over outcome states using
     the conditional independence of the choice-stage and final-stage states.
-    ``method="enumerate"`` keeps the full triple sum (float backend only) and
-    exists to verify the factored path.
+    ``method="enumerate"`` keeps the full triple sum (float backend only,
+    n <= 20) and exists to verify the factored path.
     """
     n = _checked_int(n, "n", 2)
     pair = _as_pair(n, pair)
@@ -173,6 +173,8 @@ def expected_spread_positions(
     if method == "enumerate":
         if exact:
             raise ValueError("the enumeration path supports the float backend only")
+        if n > 20:
+            raise CapacityError("the enumeration path supports n <= 20")
         return _enumerate_value(n, float(p), pair)
     return _pair_value(_design_kernel(n, p, p, p, exact), n, pair, exact)
 
@@ -472,8 +474,8 @@ class RankingDistribution:
             key = tuple(key)
             if set(key) != expected or len(key) != self.n:
                 raise ValueError(f"{key!r} is not a ranking of 1..{self.n}")
-            if value < 0:
-                raise ValueError(f"negative probability {value} for {key!r}")
+            if not value >= 0:  # also catches NaN
+                raise ValueError(f"probability {value} for {key!r} is not a nonnegative number")
             cleaned[key] = float(value)
         total = math.fsum(cleaned.values())
         if abs(total - 1.0) > 1e-12:

@@ -135,15 +135,14 @@ def _replication_spreads(
     design: DesignConfig,
     model: SubjectModel,
     seed: np.random.SeedSequence,
-    threads: int,
 ) -> Union[List[int], Tuple[List[int], List[int]]]:
     if design.kind == "e0":
         experimental: List[int] = []
         control: List[int] = []
-        for record in iter_experiment(design, model, seed, threads=threads):
+        for record in iter_experiment(design, model, seed):
             (experimental if record.arm == "experimental" else control).append(record.spread)
         return experimental, control
-    return [record.spread for record in iter_experiment(design, model, seed, threads=threads)]
+    return [record.spread for record in iter_experiment(design, model, seed)]
 
 
 def _estimate(kind: str, spreads) -> Tuple[float, Optional[float]]:
@@ -160,11 +159,6 @@ def _estimate(kind: str, spreads) -> Tuple[float, Optional[float]]:
     return comparison.difference, comparison.se
 
 
-def _rejects(design, model, seed, critical, threads) -> bool:
-    mean, se = _estimate(design.kind, _replication_spreads(design, model, seed, threads))
-    return bool(se) and mean / se > critical
-
-
 def power_estimate(
     design: DesignConfig,
     model: SubjectModel,
@@ -172,7 +166,6 @@ def power_estimate(
     replications: int,
     alpha: float = 0.05,
     seed: Seed = 0,
-    threads: int = 1,
 ) -> float:
     """Fraction of replications in which the design detects an effect.
 
@@ -193,7 +186,8 @@ def power_estimate(
     rejections = 0
     for replication in range(replications):
         seq = _stream_seed(root, "replication", replication)
-        if _rejects(design, model, seq, critical, threads):
+        mean, se = _estimate(design.kind, _replication_spreads(design, model, seq))
+        if se and mean / se > critical:
             rejections += 1
     return rejections / replications
 
@@ -205,7 +199,6 @@ def power_report(
     replications: int,
     alpha: float = 0.05,
     seed: Seed = 0,
-    threads: int = 1,
 ) -> Dict[str, object]:
     """Power estimate plus descriptive statistics, as a JSON-ready dict.
 
@@ -220,7 +213,6 @@ def power_report(
         replications=replications,
         alpha=alpha,
         seed=seed,
-        threads=threads,
     )
     report_seed = _stream_seed(_as_seed_sequence(seed), "report")
     report: Dict[str, object] = {
@@ -232,7 +224,7 @@ def power_report(
         "alpha": alpha,
         "rejection_rate": rate,
     }
-    spreads = _replication_spreads(design, model, report_seed, threads)
+    spreads = _replication_spreads(design, model, report_seed)
     report["mean"], report["se"] = _estimate(design.kind, spreads)
     if design.kind == "e3":
         report["se_bootstrap"] = bootstrap_se(spreads, seed=report_seed)

@@ -323,8 +323,23 @@ class TestStreamLayout:
         assert summary["spread"]["mean"] == pytest.approx(-0.1, rel=1e-12)
         assert summary["se_bootstrap"] == pytest.approx(0.30796355555739313, rel=1e-12)
 
+    def test_simulate_e3_covers_across_blocks(self, tmp_path):
+        # 32 covers of 66 pairs over three blocks of 1,024; covers straddle
+        # both block boundaries
+        out = tmp_path / "trials.csv"
+        assert main(["simulate", "--design", "e3", "--model", "null", "--n", "12",
+                     "--subjects", "2112", "--p", "0.8", "--seed", "5",
+                     "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "b3e0ff0e05f66b1f8090f0e477d406a5ba0f9790b7a731114533f9f47d2fb171"
+        )
+        summary = json.loads((tmp_path / "trials.csv.summary.json").read_text())
+        assert summary["spread"]["mean"] == pytest.approx(-0.004261363636363636, rel=1e-12)
+        assert summary["se_bootstrap"] == pytest.approx(0.03397633449780093, rel=1e-12)
+
     def test_simulate_across_blocks(self, tmp_path):
-        # 2,100 subjects span three blocks of 1,024, run on two threads
+        # 2,100 subjects span three blocks of 1,024; --threads has no effect
+        # but is still accepted and recorded
         out = tmp_path / "trials.csv"
         assert main(["simulate", "--design", "e2", "--model", "memory", "--n", "12",
                      "--subjects", "2100", "--p", "0.8", "--truth-mode", "random",
@@ -334,6 +349,8 @@ class TestStreamLayout:
         )
         summary = json.loads((tmp_path / "trials.csv.summary.json").read_text())
         assert summary["spread"]["mean"] == pytest.approx(0.16238095238095238, rel=1e-12)
+        manifest = json.loads((tmp_path / "trials.csv.manifest.json").read_text())
+        assert manifest["parameters"]["threads"] == 2
 
     @pytest.mark.parametrize(
         "args, digest, mean",
@@ -465,6 +482,15 @@ class TestErrors:
                      "--subjects", "1", "--replications", "3", "--p", "0.5",
                      "--output", str(out)]) == 2
         assert "at least 2 subjects" in capsys.readouterr().err
+        assert out.read_bytes() == b"precious\n"
+
+    def test_zero_threads_power_keeps_existing_output(self, tmp_path, capsys):
+        out = tmp_path / "power.json"
+        out.write_bytes(b"precious\n")
+        assert main(["power", "--design", "e2", "--model", "null", "--n", "3",
+                     "--subjects", "4", "--replications", "3", "--p", "0.5",
+                     "--threads", "0", "--output", str(out)]) == 2
+        assert "threads" in capsys.readouterr().err
         assert out.read_bytes() == b"precious\n"
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):

@@ -275,13 +275,12 @@ class TestRunSubject:
 
 
 class TestRunExperiment:
-    def test_deterministic_and_thread_independent(self):
+    def test_deterministic(self):
         cfg = DesignConfig(kind="e3", n=6, subjects=45)
         model = TwoParamModel(p=0.3, P=0.7)
         a = run_experiment(cfg, model, 42)
         b = run_experiment(cfg, model, 42)
-        c = run_experiment(cfg, model, 42, threads=3)
-        assert a == b == c
+        assert a == b
         assert run_experiment(cfg, model, 43) != a
 
     def test_record_count_and_order(self):
@@ -308,7 +307,7 @@ class TestRunExperiment:
     def test_random_truth_mode(self):
         cfg = DesignConfig(kind="e1", n=8, subjects=30, object_pair=(3, 5))
         a = run_experiment(cfg, NullModel(p=0.5), 9, truth_mode="random")
-        b = run_experiment(cfg, NullModel(p=0.5), 9, truth_mode="random", threads=4)
+        b = run_experiment(cfg, NullModel(p=0.5), 9, truth_mode="random")
         assert a == b
         # with noiseless stages the realized positions follow the random truths
         noiseless = run_experiment(cfg, NullModel(p=0.0), 9, truth_mode="random")
@@ -318,15 +317,12 @@ class TestRunExperiment:
         cfg = DesignConfig(kind="classic", n=5, subjects=2, pair=(1, 5))
         with pytest.raises(ValueError):
             run_experiment(cfg, NullModel(p=0.2), 0, truth_mode="sometimes")
-        with pytest.raises(ValueError):
-            run_experiment(cfg, NullModel(p=0.2), 0, threads=0)
 
     def test_arguments_checked_at_call_time(self):
         # no record is requested, so a lazy check would not raise
         cfg = DesignConfig(kind="classic", n=5, subjects=2, pair=(1, 5))
-        for kwargs in ({"threads": 0}, {"truth_mode": "sometimes"}):
-            with pytest.raises(ValueError):
-                iter_experiment(cfg, NullModel(p=0.2), 0, **kwargs)
+        with pytest.raises(ValueError):
+            iter_experiment(cfg, NullModel(p=0.2), 0, truth_mode="sometimes")
         with pytest.raises(ValueError, match="seed must be at least 0"):
             iter_experiment(cfg, NullModel(p=0.2), -1)
 
@@ -343,6 +339,35 @@ class TestRunExperiment:
         first = next(iterator)
         assert first.subject == 0
         iterator.close()
+
+
+    def test_e3_covers_drawn_as_reached(self, monkeypatch):
+        # 300,000 subjects are 100,000 covers of 3 pairs; the first block of
+        # 1,024 records needs only the covers it reaches
+        covers = []
+        stream_rng = designs._stream_rng
+
+        class Spy:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def permutation(self, size):
+                covers.append(size)
+                return self.rng.permutation(size)
+
+        def spying_stream_rng(root, stream, *index):
+            rng = stream_rng(root, stream, *index)
+            return Spy(rng) if stream == "e3-assignment" else rng
+
+        monkeypatch.setattr(designs, "_stream_rng", spying_stream_rng)
+        cfg = DesignConfig(kind="e3", n=3, subjects=300_000)
+        iterator = iter_experiment(cfg, NullModel(p=0.5), 0)
+        records = [next(iterator) for _ in range(1024)]
+        iterator.close()
+        assert len(covers) <= math.ceil(1024 / 3) + 1
+        for start in range(0, 1023, 3):
+            cover = sorted((r.i, r.j) for r in records[start : start + 3])
+            assert cover == [(1, 2), (1, 3), (2, 3)]
 
 
 class TestSubjectStreams:

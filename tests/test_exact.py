@@ -131,6 +131,15 @@ class TestFactoredVsEnumerate:
         with pytest.raises(ValueError):
             expected_spread_positions(4, 0.5, (1, 2), method="magic")
 
+    def test_enumerate_size_checked_before_building(self, monkeypatch):
+        # n = 21 would build two dense 420 x 420 arrays; the cap fires first
+        def no_build(*args):
+            raise AssertionError("build_M called past the enumeration cap")
+
+        monkeypatch.setattr(exact_module, "build_M", no_build)
+        with pytest.raises(CapacityError, match="n <= 20"):
+            expected_spread_positions(21, 0.5, (1, 2), method="enumerate")
+
     def test_positions_reject_floats(self):
         # (7.9, 9.2) used to be truncated to (7, 9); the e1 objects' true
         # positions go through the same check
@@ -386,6 +395,9 @@ class TestRankingDistribution:
             RankingDistribution(3, {(1, 2, 3): 1.5, (2, 1, 3): -0.5})
         with pytest.raises(ValueError):
             RankingDistribution(3, {(1, 2, 4): 1.0})
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                RankingDistribution(2, {(1, 2): bad, (2, 1): 0.5})
         with pytest.raises(CapacityError):
             RankingDistribution.uniform(7)
 
