@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .core import _checked_int
+from .core import PositionPair, _checked_int
 from .designs import (
     DESIGN_KINDS,
     DesignConfig,
@@ -30,19 +31,14 @@ from .designs import (
 )
 from .exact import expected_spread_table
 from .noise import as_exact_weight
-from .stats import (
-    DegenerateComparisonError,
-    SpreadSummary,
-    bootstrap_se,
-    compare,
-    power_report,
-    summarize,
-)
+# bench/tracer.py wraps summarize, compare and bootstrap_se under these names
+from .stats import _SpreadTally, bootstrap_se, compare, power_report, summarize  # noqa: F401
 from .verify import LEVELS, run_checks
 
 __all__ = ["main"]
 
-MODEL_KINDS = ("null", "two-param", "memory", "dissonance-shift")
+MODELS = {model.kind: model
+          for model in (NullModel, TwoParamModel, MemoryModel, DissonanceShiftModel)}
 
 
 def _parse_pair(text: str) -> Tuple[int, int]:
@@ -104,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_experiment_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--design", choices=DESIGN_KINDS, required=True)
-    sub.add_argument("--model", choices=MODEL_KINDS, required=True)
+    sub.add_argument("--model", choices=tuple(MODELS), required=True)
     sub.add_argument("--n", type=int, required=True, help="number of objects")
     sub.add_argument("--subjects", type=int, required=True)
     sub.add_argument("--pair", type=_parse_pair, default=None,
@@ -114,35 +110,31 @@ def _add_experiment_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--p", type=float, required=True, help="noise weight, 0 <= p < 1")
     sub.add_argument("--P", type=float, default=None,
                      help="pre-choice noise weight (two-param model)")
-    sub.add_argument("--shift", type=int, default=1,
-                     help="positions moved after a close choice (dissonance-shift model)")
-    sub.add_argument("--threshold", type=int, default=3,
-                     help="largest first-ranking gap that still triggers the shift")
+    sub.add_argument("--shift", type=int, default=None,
+                     help="positions moved after a close choice (dissonance-shift; default 1)")
+    sub.add_argument("--threshold", type=int, default=None,
+                     help="largest first-ranking gap that still shifts (default 3)")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--threads", type=int, default=1,
                      help="no effect; checked and recorded in the manifest for compatibility")
 
 
-def _build_model(args: argparse.Namespace) -> SubjectModel:
-    if args.model == "null":
-        return NullModel(p=args.p)
-    if args.model == "two-param":
-        if args.P is None:
-            raise ValueError("the two-param model needs --P")
-        return TwoParamModel(p=args.p, P=args.P)
-    if args.model == "memory":
-        return MemoryModel(p=args.p)
-    return DissonanceShiftModel(p=args.p, shift=args.shift, threshold=args.threshold)
-
-
-def _build_design(args: argparse.Namespace) -> DesignConfig:
-    return DesignConfig(
-        kind=args.design,
-        n=args.n,
-        subjects=args.subjects,
-        pair=args.pair,
-        object_pair=args.object_pair,
-    )
+def _build_experiment(args: argparse.Namespace) -> Tuple[DesignConfig, SubjectModel]:
+    # The design and model of a simulate or power command, checked before any
+    # output is opened; --P, --shift and --threshold are model fields beside p.
+    design = DesignConfig(kind=args.design, n=args.n, subjects=args.subjects, pair=args.pair,
+                          object_pair=args.object_pair)
+    model_class = MODELS[args.model]
+    given = {name: getattr(args, name) for name in ("P", "shift", "threshold")
+             if getattr(args, name) is not None}
+    ignored = [f"--{name}" for name in given if name not in {f.name for f in fields(model_class)}]
+    if ignored:
+        raise ValueError(f"the {args.model} model does not take {' or '.join(ignored)}")
+    if model_class is TwoParamModel and args.P is None:
+        raise ValueError("the two-param model needs --P")
+    model = model_class(p=args.p, **given)
+    _checked_int(args.threads, "threads", 1)
+    return design, model
 
 
 def _write_manifest(command: str, parameters: Dict[str, object], seed: Optional[int],
@@ -161,9 +153,10 @@ def _write_manifest(command: str, parameters: Dict[str, object], seed: Optional[
     return path
 
 
-def _experiment_parameters(args: argparse.Namespace, output: str, **extra) -> Dict[str, object]:
-    # Manifest parameters shared by the simulate and power commands.
-    shifting = args.model == "dissonance-shift"
+def _experiment_parameters(args: argparse.Namespace, model: SubjectModel, output: str,
+                           **extra) -> Dict[str, object]:
+    # Manifest parameters shared by the simulate and power commands; a model
+    # field is None for the models without it.
     return {
         "design": args.design,
         "model": args.model,
@@ -172,17 +165,11 @@ def _experiment_parameters(args: argparse.Namespace, output: str, **extra) -> Di
         "pair": list(args.pair) if args.pair else None,
         "object_pair": list(args.object_pair) if args.object_pair else None,
         "p": args.p,
-        "P": args.P,
-        "shift": args.shift if shifting else None,
-        "threshold": args.threshold if shifting else None,
+        **{name: getattr(model, name, None) for name in ("P", "shift", "threshold")},
         "threads": args.threads,
         "output": output,
         **extra,
     }
-
-
-def _summary_dict(summary: SpreadSummary) -> Dict[str, object]:
-    return {"count": summary.count, "mean": summary.mean, "sd": summary.sd, "se": summary.se}
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -220,11 +207,7 @@ def _print_rounded_triangle(table) -> None:
     header = "".join(f"{f'i={i}' if i == 1 else i:>{width}}" for i in range(1, n))
     print(f"{'':>5}{header}")
     for j in range(2, n + 1):
-        cells = "".join(
-            f"{rounded[pair]:>{width}}"
-            for pair in sorted(rounded, key=lambda q: (q.i, q.j))
-            if pair.j == j
-        )
+        cells = "".join(f"{rounded[PositionPair(i, j)]:>{width}}" for i in range(1, j))
         print(f"{f'j={j}':>5}{cells}")
 
 
@@ -243,65 +226,52 @@ def _json_line(r: TrialRecord) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    design = _build_design(args)
-    model = _build_model(args)
+    design, model = _build_experiment(args)
     output = args.output or ("trials.csv" if args.format == "csv" else "trials.jsonl")
     summary_path = output + ".summary.json"
-
-    spreads: List[int] = []
-    arm_spreads: Dict[str, List[int]] = {"experimental": [], "control": []}
-    consistent_spreads: List[int] = []
-    reversal_spreads: List[int] = []
-    _checked_int(args.threads, "threads", 1)
     records = iter_experiment(design, model, args.seed, truth_mode=args.truth_mode)
+    tally = _SpreadTally(ordered=design.kind == "e3")
     line = _csv_line if args.format == "csv" else _json_line
     with open(output, "w", newline="") as handle:
         if args.format == "csv":
             handle.write(",".join(TrialRecord._fields) + "\n")
         for record in records:
             handle.write(line(record))
-            spreads.append(record.spread)
-            if record.arm != "none":
-                arm_spreads[record.arm].append(record.spread)
-            (consistent_spreads if record.consistent else reversal_spreads).append(record.spread)
+            tally.add(record)
 
+    spread = summarize(tally.counts())
+    consistent, reversal = tally.counts(consistent=True), tally.counts(consistent=False)
     summary: Dict[str, object] = {
         "design": design.kind,
         "model": model.kind,
         "n": design.n,
         "subjects": design.subjects,
         "seed": args.seed,
-        "spread": _summary_dict(summarize(spreads)),
-        "consistent_fraction": len(consistent_spreads) / len(spreads),
+        "spread": asdict(spread),
+        "consistent_fraction": sum(consistent.values()) / spread.count,
+        "spread_by_choice": {
+            label: asdict(summarize(counts)) if counts else None
+            for label, counts in (("consistent", consistent), ("reversal", reversal))
+        },
     }
-    by_choice: Dict[str, object] = {}
-    for label, values in (("consistent", consistent_spreads), ("reversal", reversal_spreads)):
-        by_choice[label] = _summary_dict(summarize(values)) if values else None
-    summary["spread_by_choice"] = by_choice
     if design.kind == "e0":
-        experimental = summarize(arm_spreads["experimental"])
-        control = summarize(arm_spreads["control"])
-        summary["experimental"] = _summary_dict(experimental)
-        summary["control"] = _summary_dict(control)
-        try:
-            comparison = compare(experimental, control)
-            summary["comparison"] = {
-                "difference": comparison.difference,
-                "se": comparison.se,
-                "z": comparison.z,
-            }
-        except DegenerateComparisonError:
-            summary["comparison"] = None
+        experimental, control, comparison = tally.arms()
+        summary["experimental"] = asdict(experimental)
+        summary["control"] = asdict(control)
+        summary["comparison"] = asdict(comparison) if comparison else None
+        if comparison is None:
             summary["note"] = "both arms have zero variance; no comparison scale"
-    if design.kind == "e3":
-        summary["se_bootstrap"] = bootstrap_se(spreads, seed=args.seed)
+    if tally.ordered is not None:
+        summary["se_bootstrap"] = bootstrap_se(tally.ordered, seed=args.seed)
     with open(summary_path, "w", newline="") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
     manifest = _write_manifest(
         "simulate",
-        _experiment_parameters(args, output, truth_mode=args.truth_mode, format=args.format),
+        _experiment_parameters(
+            args, model, output, truth_mode=args.truth_mode, format=args.format
+        ),
         args.seed,
         [output, summary_path],
     )
@@ -312,23 +282,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_power(args: argparse.Namespace) -> int:
-    design = _build_design(args)
-    model = _build_model(args)
-    _checked_int(args.threads, "threads", 1)
-    report = power_report(
-        design,
-        model,
-        replications=args.replications,
-        alpha=args.alpha,
-        seed=args.seed,
-    )
+    design, model = _build_experiment(args)
+    report = power_report(design, model, replications=args.replications, alpha=args.alpha,
+                          seed=args.seed)
     output = args.output or "power.json"
     with open(output, "w", newline="") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     manifest = _write_manifest(
         "power",
-        _experiment_parameters(args, output, replications=args.replications, alpha=args.alpha),
+        _experiment_parameters(
+            args, model, output, replications=args.replications, alpha=args.alpha
+        ),
         args.seed,
         [output],
     )

@@ -288,7 +288,8 @@ def run_subject(
 
     ``rng`` is a numpy Generator, drawn through its ``geometric`` and
     ``integers`` methods. ``pair`` must carry the assigned position pair
-    for e3 (the driver owns the assignment); other designs reject it.
+    for e3 (the driver owns the assignment), checked like ``DesignConfig``'s
+    pair; other designs reject it.
     ``truth`` is this subject's true ranking, the identity when omitted.
     """
     if not 0 <= subject < design.subjects:
@@ -314,6 +315,9 @@ def run_subject(
         if pair is None:
             raise ValueError("design 'e3' needs the driver-assigned pair; use run_experiment")
         position_pair = pair
+        # a PositionPair, as the loop passes, has passed the rule but for n
+        if type(pair) is not PositionPair or pair.j > n:
+            position_pair = PositionPair(*_checked_pair(n, pair))
     else:
         position_pair = design.pair
 

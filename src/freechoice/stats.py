@@ -1,22 +1,28 @@
 """Summary statistics, group comparisons, and power estimation.
 
-Spreads from a simulated experiment are reduced with the usual mean and
-standard-error formulas; a rank-rank-choose control design is analyzed as
-a two-sample difference. The power estimator reruns an experiment many
-times and reports how often a one-sided z test at level alpha rejects the
-no-effect null.
+Spreads are integers in a narrow range, so an experiment is reduced to
+counts of each spread value per (arm, consistent) cell as its records
+arrive, and :func:`summarize` reads such counts (or a plain sequence,
+which it counts first) with exact sums rounded once. A rank-rank-choose
+control design is analyzed as a two-sample difference. The power estimator
+reruns an experiment many times and reports how often a one-sided z test
+at level alpha rejects the no-effect null.
 
 For the all-pairs-once design the usual standard-error formula is not
 obviously valid (subjects are not identically distributed across pairs),
-so reports include a bootstrap standard error next to it.
+so reports include a bootstrap standard error next to it; that bootstrap
+is the only reduction that keeps the spreads themselves, in subject order.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -25,6 +31,7 @@ from .designs import (
     DesignConfig,
     Seed,
     SubjectModel,
+    TrialRecord,
     _as_seed_sequence,
     _stream_rng,
     _stream_seed,
@@ -76,22 +83,35 @@ class GroupComparison:
     z: float
 
 
-def summarize(spreads: Iterable[float]) -> SpreadSummary:
-    """Reduce a sequence of spreads to count/mean/sd/se.
+def summarize(spreads: Union[Iterable[float], Mapping[float, int]]) -> SpreadSummary:
+    """Reduce spreads to count/mean/sd/se.
 
-    Sums use compensated summation, so the result is independent of the
-    order of the inputs.
+    ``spreads`` is a sequence of values, or a mapping from each value to
+    how many times it occurs. The sums are exact and rounded once, as with
+    ``math.fsum`` over the values one by one, so the result does not depend
+    on the order of the inputs.
     """
-    values = [float(value) for value in spreads]
-    if not values:
+    if not isinstance(spreads, Mapping):
+        spreads = Counter(map(float, spreads))
+    counts = [(float(value), count) for value, count in spreads.items()
+              if _checked_int(count, "count", 0)]
+    if not counts:
         raise ValueError("cannot summarize an empty sequence of spreads")
-    count = len(values)
-    mean = math.fsum(values) / count
+    if not all(math.isfinite(value) for value, _ in counts):
+        raise ValueError("cannot summarize a non-finite spread")
+    count = sum(count for _, count in counts)
+    mean = _fsum_counts(counts) / count
     if count == 1:
         return SpreadSummary(count=count, mean=mean, sd=None, se=None)
-    variance = math.fsum((value - mean) ** 2 for value in values) / (count - 1)
-    sd = math.sqrt(variance)
+    sd = math.sqrt(_fsum_counts([((value - mean) ** 2, k) for value, k in counts]) / (count - 1))
     return SpreadSummary(count=count, mean=mean, sd=sd, se=sd / math.sqrt(count))
+
+
+def _fsum_counts(counts: Iterable[Tuple[float, int]]) -> float:
+    # math.fsum of each value repeated count times: the count is split into
+    # powers of two, and a float times a power of two is exact
+    return math.fsum(value * (1 << bit) for value, count in counts
+                     for bit in range(count.bit_length()) if count >> bit & 1)
 
 
 def compare(a: SpreadSummary, b: SpreadSummary) -> GroupComparison:
@@ -115,48 +135,64 @@ def bootstrap_se(
     replacement; the reported value is the standard deviation of the
     resample means. Deterministic given the seed.
     """
-    values = np.asarray([float(value) for value in spreads])
+    values = np.fromiter(spreads, dtype=float)
     if values.size < 2:
         raise ValueError("a bootstrap needs at least 2 observations")
     resamples = _checked_int(resamples, "resamples", 2)
     rng = _stream_rng(_as_seed_sequence(seed), "bootstrap")
     means = np.empty(resamples)
     chunk = max(1, _BOOTSTRAP_CELLS // values.size)
-    done = 0
-    while done < resamples:
-        take = min(chunk, resamples - done)
-        indices = rng.integers(0, values.size, size=(take, values.size))
-        means[done : done + take] = values[indices].mean(axis=1)
-        done += take
+    for done in range(0, resamples, chunk):
+        indices = rng.integers(0, values.size, size=(min(chunk, resamples - done), values.size))
+        means[done : done + chunk] = values[indices].mean(axis=1)
     return float(np.std(means, ddof=1))
 
 
-def _replication_spreads(
-    design: DesignConfig,
-    model: SubjectModel,
-    seed: np.random.SeedSequence,
-) -> Union[List[int], Tuple[List[int], List[int]]]:
-    if design.kind == "e0":
-        experimental: List[int] = []
-        control: List[int] = []
-        for record in iter_experiment(design, model, seed):
-            (experimental if record.arm == "experimental" else control).append(record.spread)
-        return experimental, control
-    return [record.spread for record in iter_experiment(design, model, seed)]
+class _SpreadTally:
+    """Spread value counts of one experiment, per (arm, consistent) cell.
+
+    Records are counted as they arrive, so the memory does not grow with
+    the number of subjects. With ``ordered`` the spreads are also kept in
+    subject order, in one integer array for the e3 bootstrap.
+    """
+
+    def __init__(self, records: Iterable[TrialRecord] = (), ordered: bool = False):
+        self.cells: Counter = Counter()
+        self.ordered = array("q") if ordered else None
+        for record in records:
+            self.add(record)
+
+    def add(self, record: TrialRecord) -> None:
+        self.cells[record.arm, record.consistent, record.spread] += 1
+        if self.ordered is not None:
+            self.ordered.append(record.spread)
+
+    def counts(self, arm: Optional[str] = None, consistent: Optional[bool] = None) -> Counter:
+        """Spread value counts over the cells that match the given arm and choice."""
+        counts: Counter = Counter()
+        for (cell_arm, cell_consistent, value), count in self.cells.items():
+            if arm in (None, cell_arm) and consistent in (None, cell_consistent):
+                counts[value] += count
+        return counts
+
+    def arms(self) -> Tuple[SpreadSummary, SpreadSummary, Optional[GroupComparison]]:
+        """The e0 arms' summaries and their comparison, None when it has no scale."""
+        experimental = summarize(self.counts(arm="experimental"))
+        control = summarize(self.counts(arm="control"))
+        try:
+            return experimental, control, compare(experimental, control)
+        except DegenerateComparisonError:
+            return experimental, control, None
 
 
-def _estimate(kind: str, spreads) -> Tuple[float, Optional[float]]:
+def _estimate(kind: str, tally: _SpreadTally) -> Tuple[float, Optional[float]]:
     # Mean spread (for e0 the experimental minus control difference) and its
     # standard error; the se is None or 0 when the run has no scale.
     if kind != "e0":
-        summary = summarize(spreads)
+        summary = summarize(tally.counts())
         return summary.mean, summary.se
-    experimental, control = summarize(spreads[0]), summarize(spreads[1])
-    try:
-        comparison = compare(experimental, control)
-    except DegenerateComparisonError:
-        return experimental.mean - control.mean, None
-    return comparison.difference, comparison.se
+    experimental, control, comparison = tally.arms()
+    return experimental.mean - control.mean, comparison.se if comparison else None
 
 
 def power_estimate(
@@ -186,7 +222,7 @@ def power_estimate(
     rejections = 0
     for replication in range(replications):
         seq = _stream_seed(root, "replication", replication)
-        mean, se = _estimate(design.kind, _replication_spreads(design, model, seq))
+        mean, se = _estimate(design.kind, _SpreadTally(iter_experiment(design, model, seq)))
         if se and mean / se > critical:
             rejections += 1
     return rejections / replications
@@ -207,13 +243,7 @@ def power_report(
     difference); the all-pairs-once design also reports a bootstrap
     standard error over the same run.
     """
-    rate = power_estimate(
-        design,
-        model,
-        replications=replications,
-        alpha=alpha,
-        seed=seed,
-    )
+    rate = power_estimate(design, model, replications=replications, alpha=alpha, seed=seed)
     report_seed = _stream_seed(_as_seed_sequence(seed), "report")
     report: Dict[str, object] = {
         "design": design.kind,
@@ -224,8 +254,9 @@ def power_report(
         "alpha": alpha,
         "rejection_rate": rate,
     }
-    spreads = _replication_spreads(design, model, report_seed)
-    report["mean"], report["se"] = _estimate(design.kind, spreads)
-    if design.kind == "e3":
-        report["se_bootstrap"] = bootstrap_se(spreads, seed=report_seed)
+    records = iter_experiment(design, model, report_seed)
+    tally = _SpreadTally(records, ordered=design.kind == "e3")
+    report["mean"], report["se"] = _estimate(design.kind, tally)
+    if tally.ordered is not None:
+        report["se_bootstrap"] = bootstrap_se(tally.ordered, seed=report_seed)
     return report

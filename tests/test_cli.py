@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -145,6 +146,24 @@ class TestSimulate:
         assert summary["se_bootstrap"] > 0
         assert 0.0 <= summary["consistent_fraction"] <= 1.0
         assert summary["spread_by_choice"]["consistent"]["count"] > 0
+
+    def test_memory_does_not_grow_with_subjects(self, tmp_path, capsys):
+        # the summary reads spread counts, so a tenfold run keeps no more
+        # memory; a list of 18,000 more spreads alone would add 144 KB
+        def peak(subjects):
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--design", "classic", "--model", "null", "--n", "6",
+                             "--pair", "2,5", "--subjects", str(subjects), "--p", "0.5",
+                             "--output", str(tmp_path / "t.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(200)  # warm-up: imports and caches
+        growth = peak(20_000) - peak(2_000)
+        capsys.readouterr()
+        assert growth < 32_000
 
     def test_jsonl_format(self, tmp_path):
         out = tmp_path / "trials.jsonl"
@@ -442,6 +461,36 @@ class TestErrors:
                      "--subjects", "10", "--p", "0.5",
                      "--output", str(tmp_path / "t.csv")]) == 2
         assert "--P" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, flags", [
+        ("null", ["--P", "0.9"]),
+        ("memory", ["--P", "0.9"]),
+        ("dissonance-shift", ["--P", "0.9"]),
+        ("null", ["--shift", "1"]),
+        ("two-param", ["--P", "0.9", "--threshold", "3"]),
+        ("memory", ["--shift", "2", "--threshold", "3"]),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "power"])
+    def test_ignored_model_parameter_rejected(self, tmp_path, capsys, model, flags, command):
+        out = tmp_path / "out"
+        extra = ["--replications", "3"] if command == "power" else []
+        assert main([command, "--design", "e2", "--model", model, "--n", "6",
+                     "--subjects", "10", "--p", "0.5", *flags, *extra,
+                     "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        ignored = [flag for flag in flags[::2] if not (model == "two-param" and flag == "--P")]
+        assert f"the {model} model does not take {' or '.join(ignored)}" in err
+        assert not out.exists()
+
+    def test_dissonance_shift_manifest_records_defaults(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--design", "e2", "--model", "dissonance-shift", "--n", "6",
+                     "--subjects", "10", "--p", "0.5", "--output", str(out)]) == 0
+        capsys.readouterr()
+        text = (tmp_path / "t.csv.manifest.json").read_text()
+        assert '"P": null,' in text
+        assert '"shift": 1,' in text
+        assert '"threshold": 3,' in text
 
     def test_negative_seed_is_named(self, tmp_path, capsys):
         assert main(["simulate", "--design", "e2", "--model", "null", "--n", "6",

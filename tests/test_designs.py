@@ -254,6 +254,18 @@ class TestRunSubject:
         )
         assert (record.i, record.j) == (2, 5)
 
+    def test_e3_pair_follows_pair_rule(self):
+        cfg = DesignConfig(kind="e3", n=5, subjects=10)
+        for bad in (PositionPair(4, 9), (1, 6), (2, 2), (4, 2), (1.0, 2), (1, 2, 3), "ab", 12):
+            with pytest.raises(ValueError):
+                run_subject(cfg, NullModel(p=0.3), 0, np.random.default_rng(0), pair=bad)
+        # a pair of positions is read as DesignConfig reads it
+        records = [
+            run_subject(cfg, NullModel(p=0.3), 0, np.random.default_rng(0), pair=pair)
+            for pair in ((2, 4), PositionPair(2, 4))
+        ]
+        assert records[0] == records[1]
+
     def test_pair_rejected_elsewhere(self):
         cfg = DesignConfig(kind="classic", n=6, subjects=4, pair=(1, 2))
         with pytest.raises(ValueError):

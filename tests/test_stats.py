@@ -2,9 +2,12 @@
 
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freechoice.designs import (
     DesignConfig,
@@ -61,6 +64,52 @@ class TestSummarize:
         values = [2, 5, -1, 4, 0, 3, 3, -2]
         summary = summarize(values)
         assert summary.se == pytest.approx(summary.sd / math.sqrt(len(values)), abs=1e-15)
+
+    def test_counts_read_as_values(self):
+        values = [3, -1, 3, 0, 3, -1, 7]
+        assert summarize(Counter(values)) == summarize(values)
+        assert summarize({3: 3, -1: 2, 0: 1, 7: 1, 5: 0}) == summarize(values)
+        with pytest.raises(ValueError):
+            summarize({1: 2, 2: -1})
+        with pytest.raises(ValueError):
+            summarize({1: 1.5})
+        with pytest.raises(ValueError):
+            summarize({4: 0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            summarize([1.0, bad, 2.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            summarize({bad: 1, 0.0: 3})
+
+
+def fsum_summary(values):
+    # The sequence-only reduction summarize replaced: compensated sums over
+    # the values one by one.
+    values = [float(value) for value in values]
+    count = len(values)
+    mean = math.fsum(values) / count
+    if count == 1:
+        return SpreadSummary(count=count, mean=mean, sd=None, se=None)
+    sd = math.sqrt(math.fsum((value - mean) ** 2 for value in values) / (count - 1))
+    return SpreadSummary(count=count, mean=mean, sd=sd, se=sd / math.sqrt(count))
+
+
+class TestSummarizeMatchesFsum:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=300))
+    def test_integer_spreads(self, values):
+        expected = fsum_summary(values)
+        assert summarize(values) == expected
+        assert summarize(Counter(values)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e100, 1e100, allow_subnormal=True), min_size=1, max_size=60))
+    def test_float_spreads(self, values):
+        expected = fsum_summary(values)
+        assert summarize(values) == expected
+        assert summarize(Counter(values)) == expected
 
 
 class TestCompare:
