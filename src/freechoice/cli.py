@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .core import PositionPair, _checked_int
@@ -225,19 +225,23 @@ def _json_line(r: TrialRecord) -> str:
     )
 
 
+def _written(records, handle, line) -> Iterator[TrialRecord]:
+    # the records, unchanged, each written to ``handle`` as it passes
+    for record in records:
+        handle.write(line(record))
+        yield record
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     design, model = _build_experiment(args)
     output = args.output or ("trials.csv" if args.format == "csv" else "trials.jsonl")
     summary_path = output + ".summary.json"
     records = iter_experiment(design, model, args.seed, truth_mode=args.truth_mode)
-    tally = _SpreadTally(ordered=design.kind == "e3")
     line = _csv_line if args.format == "csv" else _json_line
     with open(output, "w", newline="") as handle:
         if args.format == "csv":
             handle.write(",".join(TrialRecord._fields) + "\n")
-        for record in records:
-            handle.write(line(record))
-            tally.add(record)
+        tally = _SpreadTally(_written(records, handle, line), ordered=design.kind == "e3")
 
     spread = summarize(tally.counts())
     consistent, reversal = tally.counts(consistent=True), tally.counts(consistent=False)

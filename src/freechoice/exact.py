@@ -36,6 +36,7 @@ import numpy as np
 from . import core
 from .core import PositionPair, Ranking, _checked_int, _checked_pair, all_position_pairs
 from .noise import (
+    CapacityError,
     Weight,
     _check_weight,
     as_exact_weight,
@@ -62,10 +63,6 @@ __all__ = [
 ]
 
 TWO_PARAM_DESIGNS = ("e0-experimental", "e0-control", "e2", "e3", "e1-objects")
-
-
-class CapacityError(ValueError):
-    """An exact enumeration would exceed its supported problem size."""
 
 
 def round_half_away(value: Weight) -> str:
@@ -120,14 +117,21 @@ def _design_kernel(n: int, first: Weight, choice: Weight, final: Weight, exact: 
     ``first``, ``choice`` and ``final`` are the noise weights of the first
     ranking, the choice stage, and the ranking the spread compares against.
     """
-    c_vec = _applied_base(n, choice, "cons", exact)
-    g_final = _applied_base(n, final, "gap", exact)
-    bias = 2 * c_vec - 1
-    w1 = mix_apply(n, first, bias * g_final, exact=exact)
-    w2 = mix_apply(n, first, bias, exact=exact)
+    bias, w2 = _choice_bias(n, first, choice, exact)
+    w1 = mix_apply(n, first, bias * _applied_base(n, final, "gap", exact), exact=exact)
     w1.setflags(write=False)
-    w2.setflags(write=False)
     return w1, w2
+
+
+@lru_cache(maxsize=64)
+def _choice_bias(n: int, first: Weight, choice: Weight, exact: bool):
+    # bias = 2 M_choice cons - 1 and w2 = M_first bias. Neither depends on
+    # the final weight, so the e0 arms at one (p, P) share the w2 solve.
+    bias = 2 * _applied_base(n, choice, "cons", exact) - 1
+    w2 = mix_apply(n, first, bias, exact=exact)
+    for arr in (bias, w2):
+        arr.setflags(write=False)
+    return bias, w2
 
 
 @lru_cache(maxsize=32)

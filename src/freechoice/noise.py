@@ -23,6 +23,15 @@ words, value for value those of ``Generator.integers``.
 Two numeric backends are provided: 64-bit floats (default) and exact rational
 arithmetic, which certifies identities such as row sums being exactly 1.
 
+Q is never kept dense. Each n has one cached swap stencil: the distinct
+(row, column) entries of Q, read from the n - 1 swaps out of every row,
+and how many swaps lead to each. An entry of Q is the sequential sum of
+that many copies of 1/(n - 1), so the float backend writes I - pQ for
+each solve straight into one zero array, bit for bit equal to
+``np.eye(m) - p * Q``. Every dense m x m array comes from one allocator,
+which raises :class:`CapacityError` once two such arrays of doubles (the
+system and LAPACK's copy) would pass 256 MiB, that is for n > 64.
+
 The rational backend solves (I - pQ)x = (1 - p)v inside symmetry sectors. Q
 commutes with the label swap (a, b) -> (b, a) and the board reversal
 (a, b) -> (n + 1 - a, n + 1 - b), so v splits into four parts, one per sign
@@ -39,6 +48,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -46,6 +56,7 @@ import numpy as np
 from .core import Choice, ObjectPair, Ranking, _checked_int
 
 __all__ = [
+    "CapacityError",
     "state_row",
     "state_positions",
     "stage_weights",
@@ -58,6 +69,10 @@ __all__ = [
 ]
 
 Weight = Union[float, int, Fraction]
+
+
+class CapacityError(ValueError):
+    """A dense system or an exact enumeration would exceed its supported size."""
 
 
 def _check_weight(p: Weight, name: str, allow_one: bool = False) -> None:
@@ -120,27 +135,39 @@ def _successors(n: int) -> np.ndarray:
     return state_row(n, a, b)
 
 
-def _q(n: int, zeros: np.ndarray, unit) -> np.ndarray:
-    # Each entry is the sequential sum of ``unit`` = 1/(n - 1) over the swaps
-    # leading there, added to ``zeros`` in the order of the successor table.
-    rows = np.repeat(np.arange(len(zeros)), n - 1)
-    np.add.at(zeros, (rows, _successors(n).ravel()), unit)
-    zeros.setflags(write=False)
-    return zeros
+@lru_cache(maxsize=None)
+def _stencil(n: int) -> Tuple[np.ndarray, ...]:
+    # The distinct entries (rows, cols) of Q, row by row; how many of a row's
+    # n - 1 swaps lead to each (the runs of its sorted successors); and the
+    # float entry, the sequential sum of that many copies of 1/(n - 1), as
+    # adding one swap at a time gives it (count * (1/(n - 1)) differs in the
+    # last bit for many counts).
+    targets = np.sort(_successors(n), axis=1)
+    first = np.ones(targets.shape, dtype=bool)
+    first[:, 1:] = targets[:, 1:] != targets[:, :-1]
+    rows, k = np.nonzero(first)
+    counts = np.diff(np.flatnonzero(first), append=first.size)
+    sums = np.array(list(accumulate([1.0 / (n - 1)] * (n - 1))))
+    stencil = rows, targets[rows, k], counts, sums[counts - 1]
+    for part in stencil:
+        part.setflags(write=False)
+    return stencil
 
 
-@lru_cache(maxsize=8)
-def _q_float(n: int) -> np.ndarray:
-    # np.zeros rather than np.full: the pages of this sparse matrix that no
-    # swap reaches are never written, so they take no memory.
+_DENSE_BYTES = 256 * 2**20
+
+
+def _square(n: int, exact: bool = False) -> np.ndarray:
+    # A zero m x m array, m = n(n - 1): the one dense allocation behind Q, M
+    # and the float system I - pQ, refused where two of them pass
+    # _DENSE_BYTES (n > 64).
     m = n * (n - 1)
-    return _q(n, np.zeros((m, m)), 1.0 / (n - 1))
-
-
-@lru_cache(maxsize=8)
-def _q_fraction(n: int) -> np.ndarray:
-    m = n * (n - 1)
-    return _q(n, np.full((m, m), Fraction(0)), Fraction(1, n - 1))
+    if 2 * 8 * m * m > _DENSE_BYTES:
+        raise CapacityError(
+            f"a dense {m} x {m} system at n={n} needs {2 * 8 * m * m / 2**20:.0f} MiB; "
+            f"at most {_DENSE_BYTES // 2**20} MiB (n <= 64) is supported"
+        )
+    return np.full((m, m), Fraction(0)) if exact else np.zeros((m, m))
 
 
 def build_Q(n: int, exact: bool = False) -> np.ndarray:
@@ -151,7 +178,23 @@ def build_Q(n: int, exact: bool = False) -> np.ndarray:
     sums to 1.
     """
     n = _checked_int(n, "n", 2)
-    return _q_fraction(n) if exact else _q_float(n)
+    rows, cols, counts, entries = _stencil(n)
+    q = _square(n, exact)
+    q[rows, cols] = [Fraction(int(c), n - 1) for c in counts] if exact else entries
+    q.setflags(write=False)
+    return q
+
+
+def _system(n: int, p: float) -> np.ndarray:
+    # The float I - pQ, written into one zero array: 0 - p q at the stencil
+    # entries, then 1 added along the diagonal. Every entry, and the sign of
+    # every zero, is that of np.eye(m) - p * Q.
+    rows, cols, _, q = _stencil(n)
+    a = _square(n)
+    a[rows, cols] = 0.0 - p * q
+    diagonal = a.ravel()[:: len(a) + 1]
+    diagonal += 1.0
+    return a
 
 
 # The symmetries of Q: the label swap sigma(a, b) = (b, a), the board
@@ -300,8 +343,7 @@ def mix_apply(n: int, p: Weight, vectors: Sequence, exact: bool = False):
         return np.tile(means, (m, 1)).reshape(arr.shape)
     if p == 0:
         return arr.copy()
-    a = np.eye(m) - float(p) * _q_float(n)
-    return np.linalg.solve(a, (1.0 - float(p)) * arr)
+    return np.linalg.solve(_system(n, float(p)), (1.0 - float(p)) * arr)
 
 
 def build_M(n: int, p: Weight, exact: bool = False) -> np.ndarray:
@@ -314,7 +356,8 @@ def build_M(n: int, p: Weight, exact: bool = False) -> np.ndarray:
     matrix-vector products are needed.
     """
     n = _checked_int(n, "n", 2)
-    identity = np.eye(n * (n - 1), dtype=object if exact else float)
+    identity = _square(n, exact)
+    np.fill_diagonal(identity, 1)
     entries = mix_apply(n, p, identity, exact=exact)
     entries.setflags(write=False)
     return entries

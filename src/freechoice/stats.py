@@ -21,8 +21,9 @@ from array import array
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 from statistics import NormalDist
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -49,7 +50,10 @@ __all__ = [
     "summarize",
 ]
 
-_BOOTSTRAP_CELLS = 4_000_000
+# Indices per rng.integers block: 512 KiB of int64. numpy's bounded draws
+# below 2**32 carry their spare 32-bit half in the bit generator, so the
+# draws, and the resample means, do not depend on the block size.
+_BOOTSTRAP_CELLS = 2**16
 
 
 class DegenerateComparisonError(ValueError):
@@ -148,6 +152,17 @@ def bootstrap_se(
     return float(np.std(means, ddof=1))
 
 
+# (arm, consistent, spread) of a TrialRecord
+_CELL = itemgetter(1, 4, 5)
+
+
+def _kept_spreads(records: Iterable[TrialRecord], spreads: array) -> Iterator[TrialRecord]:
+    # the records, unchanged, appending each spread to ``spreads`` on the way
+    for record in records:
+        spreads.append(record.spread)
+        yield record
+
+
 class _SpreadTally:
     """Spread value counts of one experiment, per (arm, consistent) cell.
 
@@ -156,16 +171,11 @@ class _SpreadTally:
     subject order, in one integer array for the e3 bootstrap.
     """
 
-    def __init__(self, records: Iterable[TrialRecord] = (), ordered: bool = False):
-        self.cells: Counter = Counter()
+    def __init__(self, records: Iterable[TrialRecord], ordered: bool = False):
         self.ordered = array("q") if ordered else None
-        for record in records:
-            self.add(record)
-
-    def add(self, record: TrialRecord) -> None:
-        self.cells[record.arm, record.consistent, record.spread] += 1
         if self.ordered is not None:
-            self.ordered.append(record.spread)
+            records = _kept_spreads(records, self.ordered)
+        self.cells = Counter(map(_CELL, records))
 
     def counts(self, arm: Optional[str] = None, consistent: Optional[bool] = None) -> Counter:
         """Spread value counts over the cells that match the given arm and choice."""

@@ -168,7 +168,8 @@ class TestFactoredVsEnumerate:
         # n = 12.0 raises the integer rule's ValueError whether or not an
         # n = 12 kernel is already cached; numpy integers are accepted
         for cached in (exact_module._base_vectors, exact_module._applied_base,
-                       exact_module._design_kernel, exact_module._conditional_kernel):
+                       exact_module._design_kernel, exact_module._choice_bias,
+                       exact_module._conditional_kernel):
             cached.cache_clear()
         calls = [
             lambda n: expected_spread_positions(n, 0.8, (7, 9)),
@@ -226,6 +227,29 @@ class TestBruteForce:
 
 
 class TestTwoParam:
+    def test_e0_arms_share_one_solve(self, monkeypatch):
+        # one sweep point's seven queries need 11 distinct float solves: the
+        # table's four, e0-experimental's two (e2 and e3 reuse its kernel),
+        # e0-control's final-weight gap and w1, and the conditional three;
+        # the e0 arms share w2 = M_P(2 c_p - 1)
+        n, p, P, pair = 12, 0.4321, 0.8765, (3, 8)
+        calls = []
+        solve = exact_module.mix_apply
+
+        def spy(*args, **kwargs):
+            calls.append(args[:2])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(exact_module, "mix_apply", spy)
+        expected_spread_table(n, p)
+        for design in ("e0-experimental", "e0-control"):
+            expected_spread_two_param(n, p, P, design, pair=pair)
+        for design in ("e2", "e3"):
+            expected_spread_two_param(n, p, P, design)
+        for condition in ("consistent", "reversal"):
+            expected_spread_conditional(n, p, pair, condition)
+        assert len(calls) == 11
+
     def test_uniform_limit_benchmark_float(self):
         assert expected_spread_two_param(15, 0, 1, "e2") == pytest.approx(16 / 3, abs=1e-9)
         assert expected_spread_two_param(15, 0, 1, "e3") == pytest.approx(16 / 3, abs=1e-9)

@@ -1,5 +1,6 @@
 """Swap-process noise: state rows, Q and M matrices, samplers."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +95,26 @@ class TestQ:
         grid = q * 5
         assert np.allclose(grid, np.round(grid), atol=1e-12)
 
+    @pytest.mark.parametrize("n", [*range(2, 13), 20, 40])
+    def test_system_from_stencil_is_dense_system(self, n):
+        # I - pQ written into zeros from the stencil equals the dense
+        # expression entry for entry, signs of zeros included
+        m = n * (n - 1)
+        q = build_Q(n)
+        for p in (1e-4, 0.3, 0.5, 0.8, 0.97):
+            dense = np.eye(m) - p * q
+            system = noise._system(n, p)
+            assert np.array_equal(system, dense)
+            assert np.array_equal(np.signbit(system), np.signbit(dense))
+
+    @pytest.mark.parametrize("n", [2, 7, 20])
+    def test_mix_apply_is_dense_solve(self, n):
+        m = n * (n - 1)
+        v = np.random.default_rng(n).normal(size=(m, 2))
+        for p in (0.3, 0.8):
+            dense = np.linalg.solve(np.eye(m) - p * build_Q(n), (1 - p) * v)
+            assert np.array_equal(mix_apply(n, p, v), dense)
+
     def test_exact_backend_matches_float(self):
         exact = build_Q(4, exact=True)
         floats = build_Q(4)
@@ -173,6 +194,21 @@ class TestM:
             mix_apply(3.0, p, np.ones(6), exact=exact)
         v = np.arange(6)
         assert np.all(mix_apply(np.int64(3), p, v, exact=exact) == mix_apply(3, p, v, exact=exact))
+
+    def test_mix_apply_holds_one_dense_array(self):
+        # the system is the one m x m array a warm solve allocates; no dense
+        # Q is kept, and LAPACK's working copy is not traced
+        n, p = 30, 0.7
+        m = n * (n - 1)
+        v = np.linspace(-1.0, 1.0, m)
+        mix_apply(n, p, v)
+        tracemalloc.start()
+        try:
+            mix_apply(n, p, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * m * m
 
     def test_lumped_chain_matches_full_process(self):
         # tracking two objects through the full permutation process gives
@@ -266,6 +302,46 @@ class TestRationalSectors:
         v = np.random.default_rng(0).integers(-9, 10, size=(20, 2)).astype(object)
         with pytest.raises(ArithmeticError, match="exact residual"):
             mix_apply(5, Fraction(1, 2), v, True)
+
+
+class TestCapacity:
+    def test_one_error_class(self):
+        import freechoice
+        from freechoice import exact
+
+        assert exact.CapacityError is freechoice.CapacityError is noise.CapacityError
+        assert issubclass(noise.CapacityError, ValueError)
+
+    def test_dense_arrays_refused_before_allocating(self, monkeypatch):
+        # n = 100 would need two 9900 x 9900 doubles (1.5 GiB) per solve
+        def no_zeros(*args, **kwargs):
+            raise AssertionError("np.zeros called past the dense cap")
+
+        monkeypatch.setattr(np, "zeros", no_zeros)
+        calls = [
+            lambda: expected_spread_table(100, 0.8),
+            lambda: mix_apply(100, 0.8, np.ones(9900)),
+            lambda: build_M(100, 0.8),
+            lambda: build_Q(100),
+            lambda: build_Q(65, exact=True),
+        ]
+        for call in calls:
+            with pytest.raises(noise.CapacityError, match="n <= 64"):
+                call()
+
+    def test_cap_sits_between_64_and_65(self, monkeypatch):
+        # n = 64 (two 4032 x 4032 doubles, 248 MiB) reaches the allocation
+        class Allocated(Exception):
+            pass
+
+        def allocated(*args, **kwargs):
+            raise Allocated
+
+        monkeypatch.setattr(np, "zeros", allocated)
+        with pytest.raises(Allocated):
+            build_Q(64)
+        with pytest.raises(noise.CapacityError, match="264 MiB"):
+            build_Q(65)
 
 
 class TestSamplers:

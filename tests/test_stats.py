@@ -2,9 +2,11 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +15,12 @@ from freechoice.designs import (
     DesignConfig,
     DissonanceShiftModel,
     NullModel,
+    _as_seed_sequence,
+    _stream_rng,
+    iter_experiment,
 )
 from freechoice.stats import (
+    _SpreadTally,
     DegenerateComparisonError,
     GroupComparison,
     SpreadSummary,
@@ -165,6 +171,37 @@ class TestBootstrap:
     def test_constant_sample_gives_zero(self):
         assert bootstrap_se([2.0] * 50, seed=0) == 0.0
 
+    @pytest.mark.parametrize("size", [2, 3, 66, 13200])
+    @pytest.mark.parametrize("resamples", [2, 50, 1000])
+    def test_blocks_do_not_change_the_value(self, size, resamples):
+        # the same value as one block of up to 4,000,000 indices
+        def four_million_cells(values, resamples, seed):
+            values = np.fromiter(values, dtype=float)
+            rng = _stream_rng(_as_seed_sequence(seed), "bootstrap")
+            means = np.empty(resamples)
+            chunk = max(1, 4_000_000 // values.size)
+            for done in range(0, resamples, chunk):
+                shape = (min(chunk, resamples - done), values.size)
+                indices = rng.integers(0, values.size, size=shape)
+                means[done : done + chunk] = values[indices].mean(axis=1)
+            return float(np.std(means, ddof=1))
+
+        values = np.random.default_rng(size).integers(-20, 21, size=size).tolist()
+        assert bootstrap_se(values, resamples=resamples, seed=5) == four_million_cells(
+            values, resamples, 5
+        )
+
+    def test_memory_is_one_index_block(self):
+        values = np.random.default_rng(1).integers(-20, 21, size=20_000).tolist()
+        bootstrap_se(values, resamples=400, seed=3)
+        tracemalloc.start()
+        try:
+            bootstrap_se(values, resamples=400, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_validation(self):
         with pytest.raises(ValueError):
             bootstrap_se([1.0], seed=0)
@@ -247,6 +284,16 @@ class TestPowerEstimate:
         cfg = DesignConfig(kind="e0", n=6, subjects=40, pair=(2, 4))
         rate = power_estimate(cfg, NullModel(p=0.6), replications=60, seed=2)
         assert 0.0 <= rate <= 0.35
+
+
+class TestSpreadTally:
+    def test_cells_and_order(self):
+        cfg = DesignConfig(kind="e3", n=5, subjects=40)
+        records = list(iter_experiment(cfg, NullModel(p=0.5), 2))
+        tally = _SpreadTally(iter(records), ordered=True)
+        assert tally.cells == Counter((r.arm, r.consistent, r.spread) for r in records)
+        assert tally.ordered.tolist() == [r.spread for r in records]
+        assert _SpreadTally(iter(records)).ordered is None
 
 
 class TestPowerReport:
