@@ -137,19 +137,18 @@ def _build_experiment(args: argparse.Namespace) -> Tuple[DesignConfig, SubjectMo
     return design, model
 
 
+def _write_json(path: str, obj) -> None:
+    # indented, key-sorted JSON with a final newline
+    with open(path, "w", newline="") as handle:
+        json.dump(obj, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def _write_manifest(command: str, parameters: Dict[str, object], seed: Optional[int],
                     outputs: List[str]) -> str:
     path = outputs[0] + ".manifest.json"
-    manifest = {
-        "command": command,
-        "parameters": parameters,
-        "seed": seed,
-        "version": __version__,
-        "outputs": outputs,
-    }
-    with open(path, "w", newline="") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(path, {"command": command, "parameters": parameters, "seed": seed,
+                       "version": __version__, "outputs": outputs})
     return path
 
 
@@ -178,11 +177,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
     p = as_exact_weight(args.p) if args.exact_rational else float(args.p)
     table = expected_spread_table(args.n, p, exact=args.exact_rational)
     output = args.output or f"table_n{args.n}.{args.format}"
-    with open(output, "w", newline="") as handle:
-        if args.format == "csv":
+    if args.format == "csv":
+        with open(output, "w", newline="") as handle:
             table.write_csv(handle)
-        else:
-            table.write_json(handle)
+    else:
+        _write_json(output, table.to_json_obj())
     manifest = _write_manifest(
         "table",
         {
@@ -267,9 +266,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             summary["note"] = "both arms have zero variance; no comparison scale"
     if tally.ordered is not None:
         summary["se_bootstrap"] = bootstrap_se(tally.ordered, seed=args.seed)
-    with open(summary_path, "w", newline="") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(summary_path, summary)
 
     manifest = _write_manifest(
         "simulate",
@@ -290,9 +287,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
     report = power_report(design, model, replications=args.replications, alpha=args.alpha,
                           seed=args.seed)
     output = args.output or "power.json"
-    with open(output, "w", newline="") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(output, report)
     manifest = _write_manifest(
         "power",
         _experiment_parameters(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Iterable, Tuple
+from typing import Hashable, Tuple
 
 __all__ = [
     "Ranking",
@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class Ranking:
     """A strict total order of n objects.
 
@@ -35,21 +36,20 @@ class Ranking:
     Instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("entries",)
+    entries: Tuple[Hashable, ...]
 
-    def __init__(self, entries: Iterable[Hashable], validate: bool = True):
-        values = tuple(entries)
-        if validate:
-            if not values:
-                raise ValueError("a ranking needs at least one object")
-            if len(set(values)) != len(values):
-                raise ValueError("ranking entries must be distinct objects")
-        object.__setattr__(self, "entries", values)
+    def __post_init__(self):
+        entries = tuple(self.entries)
+        if not entries:
+            raise ValueError("a ranking needs at least one object")
+        if len(set(entries)) != len(entries):
+            raise ValueError("ranking entries must be distinct objects")
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def identity(cls, n: int) -> "Ranking":
         """The ranking that places object k at position k, for k in 1..n."""
-        return cls(range(1, _checked_int(n, "n", 1) + 1), validate=False)
+        return cls(range(1, _checked_int(n, "n", 1) + 1))
 
     @property
     def n(self) -> int:
@@ -67,20 +67,6 @@ class Ranking:
         if not 1 <= position <= len(self.entries):
             raise ValueError(f"position {position} out of range 1..{len(self.entries)}")
         return self.entries[position - 1]
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ranking is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Ranking):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"Ranking({self.entries!r})"
 
 
 @dataclass(frozen=True)

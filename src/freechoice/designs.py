@@ -23,20 +23,19 @@ Subject models plug in through a small hook interface: the noise weight of
 each stage (one triple from :func:`noise.stage_weights`), an optional
 post-choice modification of the true ranking, and an optional post-hoc edit
 of the final ranking. A subject runs on plain entry lists, so the hooks act
-on entries; ``adjusted_truth`` and ``finalize_ranking`` are their
-:class:`Ranking` forms.
+on entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import ClassVar, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .core import (
-    Choice,
     ObjectPair,
     PositionPair,
     Ranking,
@@ -81,6 +80,14 @@ _MAX_SUBJECTS = 2**32
 def pair_count(n: int) -> int:
     """Number of unordered position pairs, C(n, 2)."""
     return n * (n - 1) // 2
+
+
+def _pair_at(n: int, k: int) -> Tuple[int, int]:
+    # Positions (i, j) of pair k in the lexicographic order of
+    # all_position_pairs(n), without listing the C(n, 2) pairs. Counted from
+    # the end, the rows i..n - 1 hold (n - i)(n - i + 1)/2 pairs.
+    i = n - 1 - (isqrt(8 * (pair_count(n) - 1 - k) + 1) - 1) // 2
+    return i, k - (i - 1) * (2 * n - i) // 2 + i + 1
 
 
 @dataclass(frozen=True)
@@ -150,20 +157,13 @@ class _StageHooks:
         """Noise weights of the first ranking, the choice and the final ranking."""
         return stage_weights(self.p, self.p, arm)
 
-    def adjusted_truth(self, truth: Ranking, choice: Choice, gap: int) -> Ranking:
-        """The true ranking after ``choice`` between positions ``gap`` apart."""
-        entries = self._adjust(truth.entries, choice.chosen, choice.rejected, gap)
-        return Ranking(entries, validate=False)
-
-    def finalize_ranking(self, ranking: Ranking, choice: Choice) -> Ranking:
-        """The final ranking as the subject reports it after ``choice``."""
-        entries = self._finalize(ranking.entries, choice.chosen, choice.rejected)
-        return Ranking(entries, validate=False)
-
     def _adjust(self, truth: Sequence, chosen, rejected, gap: int) -> Sequence:
+        # the true ranking after choosing ``chosen`` over ``rejected``, the
+        # two positions ``gap`` apart in the first ranking
         return truth
 
     def _finalize(self, ranking: Sequence, chosen, rejected) -> Sequence:
+        # the final ranking as the subject reports it after the choice
         return ranking
 
 
@@ -309,17 +309,16 @@ def run_subject(
         arm = "experimental" if subject < design.subjects // 2 else "control"
 
     if design.kind == "e2":
-        pairs = all_position_pairs(n)
-        position_pair = pairs[draws.below(len(pairs), 1)[0]]
+        i, j = _pair_at(n, draws.below(pair_count(n), 1)[0])
     elif design.kind == "e3":
         if pair is None:
             raise ValueError("design 'e3' needs the driver-assigned pair; use run_experiment")
-        position_pair = pair
         # a PositionPair, as the loop passes, has passed the rule but for n
         if type(pair) is not PositionPair or pair.j > n:
-            position_pair = PositionPair(*_checked_pair(n, pair))
-    else:
-        position_pair = design.pair
+            pair = PositionPair(*_checked_pair(n, pair))
+        i, j = pair.i, pair.j
+    elif design.kind != "e1":
+        i, j = design.pair.i, design.pair.j
 
     # Each stage is a sequence of entries; x and y are the tracked objects.
     w_first, w_choice, w_final = model.stage_weights(arm)
@@ -329,7 +328,6 @@ def run_subject(
         a, b = first.index(x) + 1, first.index(y) + 1
         i, j = min(a, b), max(a, b)
     else:
-        i, j = position_pair.i, position_pair.j
         x, y = first[i - 1], first[j - 1]
 
     # the control arm ranks a second time before it chooses
@@ -494,7 +492,7 @@ def _iter_blocks(
         for subject, rng in zip(block, _subject_rngs(root, block)):
             truth = identity
             if random_truth:
-                truth = Ranking((rng.permutation(design.n) + 1).tolist(), validate=False)
+                truth = Ranking((rng.permutation(design.n) + 1).tolist())
             draws = _PCG64Draws(rng, fresh=not random_truth)
             pair = next(assignment) if assignment is not None else None
             yield run_subject(design, model, subject, draws, pair=pair, truth=truth)

@@ -24,7 +24,6 @@ value is rational and certified by its exact residual (see :mod:`noise`).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,39 +153,24 @@ def _pair_value(kernel, n: int, pair: PositionPair, exact: bool) -> Weight:
     return value if exact else float(value)
 
 
-def expected_spread_positions(
-    n: int,
-    p: Weight,
-    pair,
-    *,
-    method: str = "factored",
-    exact: bool = False,
-):
+def expected_spread_positions(n: int, p: Weight, pair, *, exact: bool = False):
     """Exact expected spread of a trial using comparison positions ``pair``.
 
-    ``method="factored"`` collapses the triple sum over outcome states using
-    the conditional independence of the choice-stage and final-stage states.
-    ``method="enumerate"`` keeps the full triple sum (float backend only,
-    n <= 20) and exists to verify the factored path.
+    The triple sum over outcome states collapses through the conditional
+    independence of the choice-stage and final-stage states.
     """
     n = _checked_int(n, "n", 2)
     pair = _as_pair(n, pair)
-    if method not in ("factored", "enumerate"):
-        raise ValueError(f"unknown method {method!r}")
     p = _checked_weight(p, exact)
-    if method == "enumerate":
-        if exact:
-            raise ValueError("the enumeration path supports the float backend only")
-        if n > 20:
-            raise CapacityError("the enumeration path supports n <= 20")
-        return _enumerate_value(n, float(p), pair)
     return _pair_value(_design_kernel(n, p, p, p, exact), n, pair, exact)
 
 
-def _enumerate_value(n: int, p: float, pair: PositionPair) -> float:
-    # Plain triple sum over (s1, s2, s3). The state-level spread is read from
-    # core.spread_simplified at call time so that verification can detect a
-    # corrupted sign convention.
+def _triple_sum(n: int, p: float, pair) -> float:
+    # The unfactored triple sum over (s1, s2, s3) on dense float M, the
+    # reference the factored engine is checked against. The state-level
+    # spread is read from core.spread_simplified at call time so that
+    # verification can detect a corrupted sign convention.
+    pair = _as_pair(n, pair)
     entries = build_M(n, p)
     states = np.column_stack(state_positions(n)).tolist()
     row = entries[state_row(n, pair.i, pair.j)]
@@ -235,6 +219,7 @@ class ExpectedSpreadTable:
             handle.write(f"{i},{j},{text},{display}\n")
 
     def to_json_obj(self) -> dict:
+        """The table as the JSON object that ``table --format json`` writes."""
         values = [
             {"i": i, "j": j, "expected_spread": text if self.exact else float(text), "rounded": display}
             for i, j, text, display in self._rows()
@@ -246,19 +231,18 @@ class ExpectedSpreadTable:
             "values": values,
         }
 
-    def write_json(self, handle) -> None:
-        """:meth:`to_json_obj` as indented JSON to the open text file ``handle``."""
-        json.dump(self.to_json_obj(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+
+def _table(kernel, n: int, p: Weight, exact: bool) -> ExpectedSpreadTable:
+    # The kernel's expected spread at every comparison pair.
+    values = {pair: _pair_value(kernel, n, pair, exact) for pair in all_position_pairs(n)}
+    return ExpectedSpreadTable(n=n, p=p, values=values, exact=exact)
 
 
 def expected_spread_table(n: int, p: Weight, *, exact: bool = False) -> ExpectedSpreadTable:
     """Expected spread for all C(n, 2) comparison pairs under the null model."""
     n = _checked_int(n, "n", 2)
     p = _checked_weight(p, exact)
-    kernel = _design_kernel(n, p, p, p, exact)
-    values = {pair: _pair_value(kernel, n, pair, exact) for pair in all_position_pairs(n)}
-    return ExpectedSpreadTable(n=n, p=p, values=values, exact=exact)
+    return _table(_design_kernel(n, p, p, p, exact), n, p, exact)
 
 
 def expected_spread_two_param(
@@ -287,12 +271,14 @@ def expected_spread_two_param(
     P = _checked_weight(P, exact, "P", allow_one=True)
     if p > P:
         raise ValueError(f"the pre-choice weight P must be at least p, got p={p} > P={P}")
-    if design in ("e0-experimental", "e0-control"):
-        if pair is None:
-            raise ValueError(f"design {design!r} needs a comparison position pair")
+    if design in ("e2", "e3"):
+        if pair is not None:
+            raise ValueError(f"design {design!r} takes no fixed pair")
+    elif pair is None:
+        needs = "the objects' true positions" if design == "e1-objects" else "a position pair"
+        raise ValueError(f"design {design!r} needs {needs}")
+    elif design != "e1-objects":
         pair = _as_pair(n, pair)
-    elif design in ("e2", "e3") and pair is not None:
-        raise ValueError(f"design {design!r} takes no fixed pair")
     first, choice, final = stage_weights(
         p, P, "control" if design == "e0-control" else "experimental"
     )
@@ -309,10 +295,8 @@ def expected_spread_two_param(
     if pair is not None:
         return _pair_value(kernel, n, pair, exact)
     # e2 and e3 average the per-pair expectation over all C(n, 2) pairs.
-    terms = [_pair_value(kernel, n, q, exact) for q in all_position_pairs(n)]
-    if exact:
-        return sum(terms, Fraction(0)) / len(terms)
-    return math.fsum(terms) / len(terms)
+    table = _table(kernel, n, p, exact)
+    return table.total() / len(table.values)
 
 
 def expected_spread_conditional(
@@ -358,22 +342,26 @@ def expected_spread_conditional(
 
 @lru_cache(maxsize=8)
 def _perm_tables(n: int):
+    # All rankings of 1..n (the identity first) and, for each adjacent swap
+    # s, the index of every ranking after that swap.
     perms = tuple(itertools.permutations(range(1, n + 1)))
     index = {perm: k for k, perm in enumerate(perms)}
-    m = len(perms)
-    pos = np.zeros((m, n + 1), dtype=np.int16)
-    for k, perm in enumerate(perms):
-        for position, obj in enumerate(perm, start=1):
-            pos[k, obj] = position
-    swaps = np.zeros((n - 1, m), dtype=np.int32)
+    swaps = np.zeros((n - 1, len(perms)), dtype=np.int32)
     for s in range(n - 1):
         for k, perm in enumerate(perms):
             entries = list(perm)
             entries[s], entries[s + 1] = entries[s + 1], entries[s]
             swaps[s, k] = index[tuple(entries)]
-    pos.setflags(write=False)
     swaps.setflags(write=False)
-    return perms, pos, swaps
+    return perms, swaps
+
+
+def _checked_ranking_size(n) -> int:
+    # Checked before any of the n! rankings is listed.
+    n = _checked_int(n, "n", 2)
+    if n > 6:
+        raise CapacityError("ranking distributions support n <= 6")
+    return n
 
 
 def swap_process_distribution(n: int, p: float) -> Tuple[Tuple[tuple, ...], np.ndarray]:
@@ -385,9 +373,7 @@ def swap_process_distribution(n: int, p: float) -> Tuple[Tuple[tuple, ...], np.n
     1e-12, so probabilities sum to 1 minus at most that. Supports n <= 6 and
     at most 10**5 mixture steps, about log(1e-12)/log(p): p <= 0.9997.
     """
-    n = _checked_int(n, "n", 2)
-    if n > 6:
-        raise CapacityError("the full-permutation distribution supports n <= 6")
+    n = _checked_ranking_size(n)
     p = float(p)
     _check_weight(p, "p")
     steps = math.log(1e-12) / math.log(p) if p > 0 else 0
@@ -398,7 +384,7 @@ def swap_process_distribution(n: int, p: float) -> Tuple[Tuple[tuple, ...], np.n
 
 @lru_cache(maxsize=16)
 def _swap_distribution(n: int, p: float) -> Tuple[Tuple[tuple, ...], np.ndarray]:
-    perms, _, swaps = _perm_tables(n)
+    perms, swaps = _perm_tables(n)
     current = np.zeros(len(perms))
     current[0] = 1.0  # itertools.permutations yields the identity first
     probs = (1.0 - p) * current
@@ -412,6 +398,16 @@ def _swap_distribution(n: int, p: float) -> Tuple[Tuple[tuple, ...], np.ndarray]
         tail *= p
     probs.setflags(write=False)
     return perms, probs
+
+
+def _rank_arrays(rankings) -> Tuple[np.ndarray, np.ndarray]:
+    # The rankings of 1..n as rows of entries, and their position table:
+    # ranking k puts object o at pos[k, o].
+    entries = np.array(rankings, dtype=np.int32)
+    m, n = entries.shape
+    pos = np.zeros((m, n + 1), dtype=np.int32)
+    pos[np.arange(m)[:, None], entries] = np.arange(1, n + 1)[None, :]
+    return entries, pos
 
 
 def _pair_spread(pos: np.ndarray, probs: np.ndarray, t1, t2, mass: float) -> float:
@@ -445,17 +441,8 @@ def brute_force_expected_spread(n: int, p: float, pair) -> float:
         raise CapacityError("the full-permutation oracle supports n <= 5")
     pair = _as_pair(n, pair)
     perms, probs = swap_process_distribution(n, p)
-    _, pos, _ = _perm_tables(n)
-    parr = np.array(perms, dtype=np.int32)
+    parr, pos = _rank_arrays(perms)
     return _pair_spread(pos, probs, parr[:, pair.i - 1], parr[:, pair.j - 1], probs.sum())
-
-
-def _checked_ranking_size(n) -> int:
-    # Checked before any of the n! rankings is listed.
-    n = _checked_int(n, "n", 2)
-    if n > 6:
-        raise CapacityError("ranking distributions support n <= 6")
-    return n
 
 
 @dataclass(frozen=True)
@@ -533,10 +520,8 @@ def expected_spread_oracle(
         raise ValueError(f"design {design!r} takes no fixed pair")
     n = dist.n
     keys, probs = dist.support()
-    parr = np.array(keys, dtype=np.int32)
+    parr, pos = _rank_arrays(keys)
     m = len(keys)
-    pos = np.zeros((m, n + 1), dtype=np.int32)
-    pos[np.arange(m)[:, None], parr] = np.arange(1, n + 1)[None, :]
     # the distribution is normalized, so its mass is taken as exactly 1
 
     if design == "e1":

@@ -447,7 +447,7 @@ def sample_noisy_ranking(truth: Ranking, p: float, rng: np.random.Generator) -> 
     """
     _check_weight(p, "noise weight")
     entries = _swapped(truth.entries, p, _Draws(rng))
-    return truth if entries is truth.entries else Ranking(entries, validate=False)
+    return truth if entries is truth.entries else Ranking(entries)
 
 
 def sample_choice(truth: Ranking, pair: ObjectPair, p: float, rng: np.random.Generator) -> Choice:

@@ -184,3 +184,16 @@ def test_every_package_export_is_documented():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     undocumented = [name for name in freechoice.__all__ if f"`{name}`" not in readme]
     assert undocumented == []
+
+
+def test_every_module_export_is_in_the_public_api_section():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Public API"):readme.index("## Command line")]
+    undocumented = [
+        f"{info.name}.{name}"
+        for info in pkgutil.iter_modules(freechoice.__path__)
+        if info.name != "__main__"
+        for name in importlib.import_module(f"freechoice.{info.name}").__all__
+        if f"`{name}`" not in section
+    ]
+    assert undocumented == []

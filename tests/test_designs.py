@@ -1,13 +1,14 @@
 """Experiment protocols and subject models, including Monte Carlo checks."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from freechoice import designs, noise
-from freechoice.core import Choice, ObjectPair, PositionPair, Ranking, spread
+from freechoice.core import Choice, ObjectPair, PositionPair, Ranking, all_position_pairs, spread
 from freechoice.designs import (
     DesignConfig,
     DissonanceShiftModel,
@@ -137,15 +138,15 @@ def stages(monkeypatch):
     Outside the e0 control arm a subject samples its first ranking, the
     ranking its choice is read from and its final ranking, in that order.
     The spy calls through to the real kernel, so the records are those of
-    an unspied run. The final ranking is the sampled one, before any
-    ``finalize_ranking`` edit.
+    an unspied run. The final ranking is the sampled one, before the
+    model's ``_finalize`` edit.
     """
     seen = []
     real = designs._swapped
 
     def wrapper(*args):
         result = real(*args)
-        seen.append(Ranking(result, validate=False))
+        seen.append(Ranking(result))
         return result
 
     monkeypatch.setattr(designs, "_swapped", wrapper)
@@ -175,7 +176,7 @@ class TestRunSubject:
         record = run_subject(cfg, model, 0, np.random.default_rng(1))
         assert (record.i, record.j) == (7, 9)
         assert record.spread == 2
-        shifted = model.adjusted_truth(Ranking.identity(15), Choice(7, 9), 2)
+        shifted = Ranking(model._adjust(Ranking.identity(15).entries, 7, 9, 2))
         assert shifted.position_of(7) == 6
         assert shifted.position_of(9) == 10
 
@@ -190,7 +191,7 @@ class TestRunSubject:
         model = DissonanceShiftModel(p=0.0, shift=4, threshold=6)
         record = run_subject(cfg, model, 0, np.random.default_rng(1))
         # chosen already sits at position 1; rejected clamps to position 6
-        shifted = model.adjusted_truth(Ranking.identity(6), Choice(1, 6), 5)
+        shifted = Ranking(model._adjust(Ranking.identity(6).entries, 1, 6, 5))
         assert shifted.position_of(1) == 1
         assert shifted.position_of(6) == 6
         assert record.spread == 0
@@ -209,9 +210,9 @@ class TestRunSubject:
             first_gap = record.j - record.i if record.consistent else record.i - record.j
             assert record.spread + first_gap > 0
         # a final ranking contradicting the choice swaps the two objects back
-        contradicting = Ranking((1, 5, 3, 4, 2, 6, 7, 8))
-        assert model.finalize_ranking(contradicting, Choice(2, 5)) == Ranking.identity(8)
-        assert model.finalize_ranking(contradicting, Choice(5, 2)) == contradicting
+        contradicting = (1, 5, 3, 4, 2, 6, 7, 8)
+        assert model._finalize(contradicting, 2, 5) == list(range(1, 9))
+        assert model._finalize(contradicting, 5, 2) == contradicting
 
     def test_consistency_flag_matches_first_ranking(self, stages, monkeypatch):
         cfg = DesignConfig(kind="classic", n=10, subjects=200, pair=(4, 7))
@@ -284,6 +285,25 @@ class TestRunSubject:
         wrong_size = Ranking.identity(4)
         with pytest.raises(ValueError):
             run_subject(cfg, NullModel(p=0.0), 0, np.random.default_rng(0), truth=wrong_size)
+
+    def test_e2_pair_index_follows_all_position_pairs(self):
+        # an e2 subject draws index k and reads pair k of all_position_pairs
+        for n in range(2, 80):
+            pairs = [designs._pair_at(n, k) for k in range(pair_count(n))]
+            assert pairs == [(q.i, q.j) for q in all_position_pairs(n)]
+
+    def test_e2_memory_does_not_grow_with_pair_count(self):
+        # C(1000, 2) = 499,500 pairs; listing them as PositionPairs takes
+        # about 60 MB, while each subject needs one pair
+        cfg = DesignConfig(kind="e2", n=1000, subjects=10)
+        tracemalloc.start()
+        try:
+            records = run_experiment(cfg, NullModel(p=0.5), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 10
+        assert peak < 2 * 2**20
 
 
 class TestRunExperiment:

@@ -115,30 +115,13 @@ class TestFactoredVsEnumerate:
     def test_all_pairs_small(self):
         for pair in all_position_pairs(4):
             fast = expected_spread_positions(4, 0.5, pair)
-            slow = expected_spread_positions(4, 0.5, pair, method="enumerate")
+            slow = exact_module._triple_sum(4, 0.5, pair)
             assert fast == pytest.approx(slow, abs=1e-12)
 
     def test_large_instance(self):
         fast = expected_spread_positions(12, 0.8, (7, 9))
-        slow = expected_spread_positions(12, 0.8, (7, 9), method="enumerate")
+        slow = exact_module._triple_sum(12, 0.8, (7, 9))
         assert fast == pytest.approx(slow, abs=1e-10)
-
-    def test_enumerate_is_float_only(self):
-        with pytest.raises(ValueError):
-            expected_spread_positions(4, Fraction(1, 2), (1, 2), method="enumerate", exact=True)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            expected_spread_positions(4, 0.5, (1, 2), method="magic")
-
-    def test_enumerate_size_checked_before_building(self, monkeypatch):
-        # n = 21 would build two dense 420 x 420 arrays; the cap fires first
-        def no_build(*args):
-            raise AssertionError("build_M called past the enumeration cap")
-
-        monkeypatch.setattr(exact_module, "build_M", no_build)
-        with pytest.raises(CapacityError, match="n <= 20"):
-            expected_spread_positions(21, 0.5, (1, 2), method="enumerate")
 
     def test_positions_reject_floats(self):
         # (7.9, 9.2) used to be truncated to (7, 9); the e1 objects' true
@@ -314,6 +297,8 @@ class TestTwoParam:
             expected_spread_two_param(12, 0.2, 0.5, "e0-experimental")
         with pytest.raises(ValueError):
             expected_spread_two_param(12, 0.2, 1.5, "e2")
+        with pytest.raises(ValueError, match="'e1-objects' needs the objects' true positions"):
+            expected_spread_two_param(12, 0.2, 0.5, "e1-objects")
 
 
 def _two_weight_brute(n, p, P, pair, design):
