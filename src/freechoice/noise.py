@@ -30,7 +30,16 @@ that many copies of 1/(n - 1), so the float backend writes I - pQ for
 each solve straight into one zero array, bit for bit equal to
 ``np.eye(m) - p * Q``. Every dense m x m array comes from one allocator,
 which raises :class:`CapacityError` once two such arrays of doubles (the
-system and LAPACK's copy) would pass 256 MiB, that is for n > 64.
+system and LAPACK's copy) would pass 256 MiB, that is for n > 64;
+:func:`build_M` writes four in full and stops at n > 54. A float array
+from it is a private anonymous mapping, whose pages stay the kernel's
+shared zero page until written. The stencil writes only the band of
+I - pQ, about 0.38 of its pages at n = 40, so LAPACK's copy is the one
+array a solve makes resident in full. Zeros from malloc cost more: once a
+freed system raises glibc's dynamic mmap threshold, later systems come
+from the heap, whose reused memory calloc clears by writing it and free
+keeps resident; and numpy madvises large arrays for huge pages, which
+make untouched pages resident once the kernel grants them.
 
 The rational backend solves (I - pQ)x = (1 - p)v inside symmetry sectors. Q
 commutes with the label swap (a, b) -> (b, a) and the board reversal
@@ -46,6 +55,7 @@ raises ``ArithmeticError``.
 from __future__ import annotations
 
 import math
+import mmap
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -156,18 +166,26 @@ def _stencil(n: int) -> Tuple[np.ndarray, ...]:
 
 _DENSE_BYTES = 256 * 2**20
 
+# POSIX mmap takes the mapping's flags; Windows has no such argument, and its
+# anonymous mapping is already private and demand-zero.
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
 
 def _square(n: int, exact: bool = False) -> np.ndarray:
     # A zero m x m array, m = n(n - 1): the one dense allocation behind Q, M
     # and the float system I - pQ, refused where two of them pass
-    # _DENSE_BYTES (n > 64).
+    # _DENSE_BYTES (n > 64). A float array is a private anonymous mapping,
+    # resident only where written (see the module docstring); a shared one
+    # would allocate the pages that LAPACK's copy merely reads.
     m = n * (n - 1)
     if 2 * 8 * m * m > _DENSE_BYTES:
         raise CapacityError(
             f"a dense {m} x {m} system at n={n} needs {2 * 8 * m * m / 2**20:.0f} MiB; "
             f"at most {_DENSE_BYTES // 2**20} MiB (n <= 64) is supported"
         )
-    return np.full((m, m), Fraction(0)) if exact else np.zeros((m, m))
+    if exact:
+        return np.full((m, m), Fraction(0))
+    return np.frombuffer(mmap.mmap(-1, 8 * m * m, **_PRIVATE), float).reshape(m, m)
 
 
 def build_Q(n: int, exact: bool = False) -> np.ndarray:
@@ -353,9 +371,20 @@ def build_M(n: int, p: Weight, exact: bool = False) -> np.ndarray:
     matrix is symmetric and doubly stochastic; p = 1 gives the uniform
     limit, 1/(n(n - 1)) everywhere. The exact backend solves one rational
     system per column, so prefer :func:`mix_apply` when only a few
-    matrix-vector products are needed.
+    matrix-vector products are needed. It writes four dense arrays in
+    full, so n > 54 raises :class:`CapacityError` before any allocation.
     """
     n = _checked_int(n, "n", 2)
+    # Four m x m arrays are written in full: (1 - p) I, LAPACK's copies of
+    # the system and of that right-hand side, and the result. The identity
+    # and the system stay mostly untouched zero pages.
+    m = n * (n - 1)
+    if 4 * 8 * m * m > _DENSE_BYTES:
+        raise CapacityError(
+            f"build_M at n={n} writes four dense {m} x {m} arrays, "
+            f"{4 * 8 * m * m / 2**20:.0f} MiB; at most {_DENSE_BYTES // 2**20} MiB "
+            f"(n <= 54) is supported, and mix_apply solves up to n <= 64"
+        )
     identity = _square(n, exact)
     np.fill_diagonal(identity, 1)
     entries = mix_apply(n, p, identity, exact=exact)

@@ -1,5 +1,6 @@
 """Swap-process noise: state rows, Q and M matrices, samplers."""
 
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -107,6 +108,26 @@ class TestQ:
             assert np.array_equal(system, dense)
             assert np.array_equal(np.signbit(system), np.signbit(dense))
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
+    def test_system_is_resident_only_where_written(self):
+        # the stencil writes the band of I - pQ, 0.377 of its pages at
+        # n = 40; the others stay the kernel's shared zero page, read or not
+        n = 40
+        m = n * (n - 1)
+        page = os.sysconf("SC_PAGE_SIZE")
+
+        def resident():
+            with open("/proc/self/statm") as statm:
+                return int(statm.read().split()[1]) * page
+
+        noise._system(n, 0.5)
+        before = resident()
+        system = noise._system(n, 0.5)
+        written = resident()
+        assert written - before < 0.5 * 8 * m * m
+        assert system.sum() == pytest.approx(m * 0.5)
+        assert resident() - written < 0.05 * 8 * m * m
+
     @pytest.mark.parametrize("n", [2, 7, 20])
     def test_mix_apply_is_dense_solve(self, n):
         m = n * (n - 1)
@@ -196,8 +217,10 @@ class TestM:
         assert np.all(mix_apply(np.int64(3), p, v, exact=exact) == mix_apply(3, p, v, exact=exact))
 
     def test_mix_apply_holds_one_dense_array(self):
-        # the system is the one m x m array a warm solve allocates; no dense
-        # Q is kept, and LAPACK's working copy is not traced
+        # the system is the one m x m array a warm solve allocates, and it is
+        # a mapping of zero pages, not a traced allocation; no dense Q is
+        # kept, and LAPACK's working copy is not traced either (measured
+        # 0.011 of one m x m array of doubles)
         n, p = 30, 0.7
         m = n * (n - 1)
         v = np.linspace(-1.0, 1.0, m)
@@ -208,7 +231,7 @@ class TestM:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * m * m
+        assert peak < 0.1 * 8 * m * m
 
     def test_lumped_chain_matches_full_process(self):
         # tracking two objects through the full permutation process gives
@@ -314,10 +337,14 @@ class TestCapacity:
 
     def test_dense_arrays_refused_before_allocating(self, monkeypatch):
         # n = 100 would need two 9900 x 9900 doubles (1.5 GiB) per solve
-        def no_zeros(*args, **kwargs):
-            raise AssertionError("np.zeros called past the dense cap")
+        def no_mapping(*args, **kwargs):
+            raise AssertionError("a dense array was mapped past the dense cap")
 
-        monkeypatch.setattr(np, "zeros", no_zeros)
+        def no_full(*args, **kwargs):
+            raise AssertionError("np.full called past the dense cap")
+
+        monkeypatch.setattr(noise.mmap, "mmap", no_mapping)
+        monkeypatch.setattr(np, "full", no_full)
         calls = [
             lambda: expected_spread_table(100, 0.8),
             lambda: mix_apply(100, 0.8, np.ones(9900)),
@@ -337,11 +364,28 @@ class TestCapacity:
         def allocated(*args, **kwargs):
             raise Allocated
 
-        monkeypatch.setattr(np, "zeros", allocated)
+        monkeypatch.setattr(noise.mmap, "mmap", allocated)
         with pytest.raises(Allocated):
             build_Q(64)
         with pytest.raises(noise.CapacityError, match="264 MiB"):
             build_Q(65)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_build_M_cap_counts_four_arrays(self, monkeypatch, exact):
+        # build_M writes four m x m arrays in full; n = 54 (250 MiB of them)
+        # reaches the allocation, n = 55 (269 MiB) is refused before it
+        class Allocated(Exception):
+            pass
+
+        def allocated(*args, **kwargs):
+            raise Allocated
+
+        monkeypatch.setattr(noise.mmap, "mmap", allocated)
+        monkeypatch.setattr(np, "full", allocated)
+        with pytest.raises(Allocated):
+            build_M(54, 0.8, exact=exact)
+        with pytest.raises(noise.CapacityError, match=r"four dense 2970 x 2970 arrays, 269 MiB.*n <= 54"):
+            build_M(55, 0.8, exact=exact)
 
 
 class TestSamplers:
