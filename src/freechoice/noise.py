@@ -27,19 +27,36 @@ Q is never kept dense. Each n has one cached swap stencil: the distinct
 (row, column) entries of Q, read from the n - 1 swaps out of every row,
 and how many swaps lead to each. An entry of Q is the sequential sum of
 that many copies of 1/(n - 1), so the float backend writes I - pQ for
-each solve straight into one zero array, bit for bit equal to
-``np.eye(m) - p * Q``. Every dense m x m array comes from one allocator,
-which raises :class:`CapacityError` once two such arrays of doubles (the
-system and LAPACK's copy) would pass 256 MiB, that is for n > 64;
-:func:`build_M` writes four in full and stops at n > 54. A float array
-from it is a private anonymous mapping, whose pages stay the kernel's
-shared zero page until written. The stencil writes only the band of
-I - pQ, about 0.38 of its pages at n = 40, so LAPACK's copy is the one
-array a solve makes resident in full. Zeros from malloc cost more: once a
-freed system raises glibc's dynamic mmap threshold, later systems come
-from the heap, whose reused memory calloc clears by writing it and free
-keeps resident; and numpy madvises large arrays for huge pages, which
-make untouched pages resident once the kernel grants them.
+each (n, p) straight into one zero array, bit for bit equal to
+``np.eye(m) - p * Q``. LAPACK's getrf factors that array in place (it is
+bitwise symmetric, so its C-order buffer is the column-major matrix LAPACK
+reads) and getrs solves each call's right-hand sides against the factors:
+the two routines that ``np.linalg.solve`` runs inside gesv. At one BLAS
+thread every product is therefore bit for bit that of ``np.linalg.solve``;
+with more threads OpenBLAS picks the thread counts of gesv and of getrf and
+getrs apart on small systems, and the last bit may move, as it does for
+``np.linalg.solve`` alone between thread counts. The factors of the last
+(n, p) are held, so a run of solves at one weight factors once, and a solve
+at another (n, p) drops them before its system is written: the float engine
+keeps at most one m x m array between calls or during one, fully resident
+(130 MB at n = 64). Where numpy's LAPACK exports no getrf and getrs (MKL or
+Accelerate builds) or a probe solve differs from ``np.linalg.solve`` in any
+bit, every solve is ``np.linalg.solve`` on a fresh system, of which LAPACK
+factors a copy.
+
+Every dense m x m array comes from one allocator, which raises
+:class:`CapacityError` once two such arrays of doubles (the held factors and
+one more, or the system and LAPACK's copy where ``np.linalg.solve`` runs)
+would pass 256 MiB, that is for n > 64; :func:`build_M` stops at n > 54,
+where ``np.linalg.solve`` writes four in full. A float array from it is a
+private anonymous mapping, whose pages stay the kernel's shared zero page
+until written. The stencil writes only the band of I - pQ, about 0.38 of
+its pages at n = 40, and getrf then writes the rest. Zeros from malloc
+cost more: once a freed system raises glibc's dynamic mmap threshold,
+later systems come from the heap, whose reused memory calloc clears by
+writing it and free keeps resident; and numpy madvises large arrays for
+huge pages, which make untouched pages resident once the kernel grants
+them.
 
 The rational backend solves (I - pQ)x = (1 - p)v inside symmetry sectors. Q
 commutes with the label swap (a, b) -> (b, a) and the board reversal
@@ -176,7 +193,8 @@ def _square(n: int, exact: bool = False) -> np.ndarray:
     # and the float system I - pQ, refused where two of them pass
     # _DENSE_BYTES (n > 64). A float array is a private anonymous mapping,
     # resident only where written (see the module docstring); a shared one
-    # would allocate the pages that LAPACK's copy merely reads.
+    # would allocate the pages that are merely read, such as those LAPACK
+    # copies where np.linalg.solve runs.
     m = n * (n - 1)
     if 2 * 8 * m * m > _DENSE_BYTES:
         raise CapacityError(
@@ -213,6 +231,84 @@ def _system(n: int, p: float) -> np.ndarray:
     diagonal = a.ravel()[:: len(a) + 1]
     diagonal += 1.0
     return a
+
+
+# The factors (n, p, lu, pivots) of the last float system, or None. A new
+# (n, p) empties the slot before its system is written, so one m x m array
+# at most is resident between solves and during one. Threads that race for
+# the slot each solve against the factors they read or made.
+_factors = None
+
+
+@lru_cache(maxsize=None)
+def _lapack():
+    # LAPACK's getrf and getrs, the two routines of the gesv that
+    # np.linalg.solve runs, from the library numpy's linalg module links,
+    # and their integer type; None where the symbols are missing or a probe
+    # solve differs from np.linalg.solve in any bit.
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    ilp64 = getattr(_umath_linalg, "_ilp64", False)
+    integer = ctypes.c_int64 if ilp64 else ctypes.c_int32
+    try:
+        library = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_", ""):
+        try:
+            getrf, getrs = (getattr(library, f"{prefix}dget{step}_{'64_' if ilp64 else ''}")
+                            for step in ("rf", "rs"))
+            break
+        except AttributeError:
+            pass
+    else:
+        return None
+    size, data = ctypes.POINTER(integer), ctypes.c_void_p
+    getrf.argtypes = [size, size, data, size, data, size]
+    getrs.argtypes = [ctypes.c_char_p, size, size, data, size, data, data, size, size,
+                      ctypes.c_size_t]
+    getrf.restype = getrs.restype = None
+    routines = getrf, getrs, integer
+    v = np.arange(12.0).reshape(6, 2) / 7
+    probe = _solve(routines, *_factor(routines, _system(3, 0.6)), np.multiply(0.4, v, order="F"))
+    return routines if np.array_equal(probe, np.linalg.solve(_system(3, 0.6), 0.4 * v)) else None
+
+
+def _factor(routines, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    # getrf on a in place. The system is bitwise symmetric, so its C-order
+    # buffer already is the column-major matrix LAPACK reads.
+    getrf, _, integer = routines
+    m, info = integer(len(a)), integer()
+    pivots = np.empty(len(a), dtype=np.dtype(integer))
+    getrf(m, m, a.ctypes.data, m, pivots.ctypes.data, info)
+    if info.value:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return a, pivots
+
+
+def _factored(n: int, p: float, routines) -> Tuple[np.ndarray, np.ndarray]:
+    # The factors of I - pQ: the slot's, or new ones published into it.
+    global _factors
+    held = _factors
+    if held is None or held[:2] != (n, p):
+        _factors = held = None
+        lu, pivots = _factor(routines, _system(n, p))
+        lu.setflags(write=False)
+        pivots.setflags(write=False)
+        held = _factors = (n, p, lu, pivots)
+    return held[2:]
+
+
+def _solve(routines, lu: np.ndarray, pivots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # getrs in place on x, a fresh column-major array with one right-hand
+    # side per column. The last argument is the length of the character
+    # argument "N", which a Fortran-built LAPACK reads.
+    _, getrs, integer = routines
+    m, columns, info = integer(len(lu)), integer(x.size // len(lu)), integer()
+    getrs(b"N", m, columns, lu.ctypes.data, m, pivots.ctypes.data, x.ctypes.data, m, info, 1)
+    return x
 
 
 # The symmetries of Q: the label swap sigma(a, b) = (b, a), the board
@@ -361,7 +457,11 @@ def mix_apply(n: int, p: Weight, vectors: Sequence, exact: bool = False):
         return np.tile(means, (m, 1)).reshape(arr.shape)
     if p == 0:
         return arr.copy()
-    return np.linalg.solve(_system(n, float(p)), (1.0 - float(p)) * arr)
+    routines = _lapack()
+    if routines is None:
+        return np.linalg.solve(_system(n, float(p)), (1.0 - float(p)) * arr)
+    lu, pivots = _factored(n, float(p), routines)
+    return _solve(routines, lu, pivots, np.multiply(1.0 - float(p), arr, order="F"))
 
 
 def build_M(n: int, p: Weight, exact: bool = False) -> np.ndarray:
@@ -371,17 +471,20 @@ def build_M(n: int, p: Weight, exact: bool = False) -> np.ndarray:
     matrix is symmetric and doubly stochastic; p = 1 gives the uniform
     limit, 1/(n(n - 1)) everywhere. The exact backend solves one rational
     system per column, so prefer :func:`mix_apply` when only a few
-    matrix-vector products are needed. It writes four dense arrays in
-    full, so n > 54 raises :class:`CapacityError` before any allocation.
+    matrix-vector products are needed. Its solve may write four dense
+    arrays in full, so n > 54 raises :class:`CapacityError` before any
+    allocation.
     """
     n = _checked_int(n, "n", 2)
-    # Four m x m arrays are written in full: (1 - p) I, LAPACK's copies of
-    # the system and of that right-hand side, and the result. The identity
-    # and the system stay mostly untouched zero pages.
+    # The cap counts the four m x m arrays np.linalg.solve writes in full
+    # where getrf and getrs are not found: (1 - p) I, LAPACK's copies of the
+    # system and of that right-hand side, and the result. Through the held
+    # factors it is two, the factors and the result, solved in place from
+    # (1 - p) I. The identity stays mostly untouched zero pages.
     m = n * (n - 1)
     if 4 * 8 * m * m > _DENSE_BYTES:
         raise CapacityError(
-            f"build_M at n={n} writes four dense {m} x {m} arrays, "
+            f"build_M at n={n} may write four dense {m} x {m} arrays, "
             f"{4 * 8 * m * m / 2**20:.0f} MiB; at most {_DENSE_BYTES // 2**20} MiB "
             f"(n <= 54) is supported, and mix_apply solves up to n <= 64"
         )

@@ -1,15 +1,24 @@
 """Swap-process noise: state rows, Q and M matrices, samplers."""
 
 import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from freechoice import exact as exact_module
 from freechoice import noise
 from freechoice.core import ObjectPair, Ranking
-from freechoice.exact import expected_spread_table, swap_process_distribution
+from freechoice.exact import (
+    expected_spread_conditional,
+    expected_spread_table,
+    expected_spread_two_param,
+    swap_process_distribution,
+)
 from freechoice.noise import (
     as_exact_weight,
     build_M,
@@ -107,6 +116,8 @@ class TestQ:
             system = noise._system(n, p)
             assert np.array_equal(system, dense)
             assert np.array_equal(np.signbit(system), np.signbit(dense))
+            # LAPACK reads the C-order buffer as the column-major matrix
+            assert np.array_equal(system, system.T)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
     def test_system_is_resident_only_where_written(self):
@@ -263,6 +274,119 @@ def _dense_mix(n, p, v):
     for i in range(m - 1, -1, -1):
         x[i] = (rows[i][m] - sum(rows[i][j] * x[j] for j in range(i + 1, m))) / rows[i][i]
     return x
+
+
+def _resident() -> int:
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+_FLOAT_BITS = """
+import numpy as np
+from freechoice import noise
+
+for n in (2, 7, 12, 20, 30):
+    m = n * (n - 1)
+    rng = np.random.default_rng(n)
+    for p in (0.3, 0.8, 0.3, 0.97):
+        for v in (rng.normal(size=m), rng.normal(size=(m, 2)), np.eye(m)):
+            dense = np.linalg.solve(noise._system(n, p), (1 - p) * v)
+            assert np.array_equal(noise.mix_apply(n, p, v), dense), (n, p, v.shape)
+"""
+
+
+class TestFactors:
+    def test_float_solves_are_dense_solves_bit_for_bit(self):
+        # One BLAS thread, as bench/run.py sets it: at two, OpenBLAS's gesv
+        # and its getrf and getrs pick their thread counts apart for small
+        # systems (4.4e-16 apart at n = 12), and np.linalg.solve alone moves
+        # by as much between one and two threads. Each weight runs 1-d,
+        # 2-column and m-column (build_M) right-hand sides, and the sequence
+        # 0.3, 0.8, 0.3 replaces the held factors and factors 0.3 again.
+        package_root = str(Path(noise.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        one = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        result = subprocess.run([sys.executable, "-c", _FLOAT_BITS],
+                                env={**os.environ, **one, "PYTHONPATH": path},
+                                capture_output=True, text=True, check=False)
+        assert result.returncode == 0, result.stderr
+
+    def test_one_factorization_per_run_of_equal_weights(self, monkeypatch):
+        # one sweep point: the table and the conditionals at p, the e0 arms
+        # at P (e2 and e3 reuse cached kernels), so 3 factorizations for 11
+        # solves; a repeated table solves nothing
+        routines = noise._lapack()
+        if routines is None:
+            pytest.skip("numpy's LAPACK exports no getrf and getrs")
+        getrf, getrs, integer = routines
+        factored = []
+
+        def counted(*args):
+            factored.append(None)
+            return getrf(*args)
+
+        monkeypatch.setattr(noise, "_lapack", lambda: (counted, getrs, integer))
+        monkeypatch.setattr(noise, "_factors", None)
+        for cached in (exact_module._applied_base, exact_module._design_kernel,
+                       exact_module._choice_bias, exact_module._conditional_kernel):
+            cached.cache_clear()
+        n, p, P = 12, 0.55, 0.85
+        counts = []
+        expected_spread_table(n, p)
+        counts.append(len(factored))
+        for design in ("e0-experimental", "e0-control"):
+            expected_spread_two_param(n, p, P, design, pair=(5, 8))
+        for design in ("e2", "e3"):
+            expected_spread_two_param(n, p, P, design)
+        counts.append(len(factored))
+        for condition in ("consistent", "reversal"):
+            expected_spread_conditional(n, p, (5, 8), condition)
+        counts.append(len(factored))
+        assert counts == [1, 2, 3]
+        expected_spread_table(n, p)
+        assert len(factored) == 3
+
+    def test_missing_routines_fall_back_to_dense_solve(self, monkeypatch):
+        monkeypatch.setattr(noise, "_lapack", lambda: None)
+        monkeypatch.setattr(noise, "_factors", None)
+        n, p = 12, 0.45
+        v = np.random.default_rng(5).normal(size=(n * (n - 1), 2))
+        dense = np.linalg.solve(noise._system(n, p), (1 - p) * v)
+        assert np.array_equal(mix_apply(n, p, v), dense)
+        assert noise._factors is None
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
+    def test_new_weight_drops_held_factors_first(self, monkeypatch):
+        # the factors of (40, 0.5) are one m x m array, resident in full;
+        # the solve at (40, 0.6) drops them before its system is written, so
+        # the resident peak, read as each factorization returns, stays one
+        # array above the start
+        routines = noise._lapack()
+        if routines is None:
+            pytest.skip("numpy's LAPACK exports no getrf and getrs")
+        getrf, getrs, integer = routines
+        peaks = []
+
+        def measured(*args):
+            info = getrf(*args)
+            peaks.append(_resident())
+            return info
+
+        n = 40
+        m = n * (n - 1)
+        v = np.linspace(-1.0, 1.0, m)
+        # a first solve at this size sizes LAPACK's own work buffers, and
+        # the n = 2 solve then drops its factors
+        mix_apply(n, 0.4, v)
+        mix_apply(2, 0.5, np.ones(2))
+        monkeypatch.setattr(noise, "_lapack", lambda: (measured, getrs, integer))
+        start = _resident()
+        mix_apply(n, 0.5, v)
+        held = _resident() - start
+        mix_apply(n, 0.6, v)
+        assert len(peaks) == 2
+        assert held > 0.9 * 8 * m * m
+        assert max(peaks) - start < 1.1 * 8 * m * m
 
 
 class TestRationalSectors:
