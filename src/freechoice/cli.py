@@ -30,7 +30,6 @@ from .designs import (
     iter_experiment,
 )
 from .exact import expected_spread_table
-from .noise import as_exact_weight
 # bench/tracer.py wraps summarize, compare and bootstrap_se under these names
 from .stats import _SpreadTally, bootstrap_se, compare, power_report, summarize  # noqa: F401
 from .verify import LEVELS, run_checks
@@ -174,7 +173,7 @@ def _experiment_parameters(args: argparse.Namespace, model: SubjectModel, output
 def _cmd_table(args: argparse.Namespace) -> int:
     if not 2 <= args.n <= 20:
         raise ValueError(f"--n must lie in 2..20, got {args.n}")
-    p = as_exact_weight(args.p) if args.exact_rational else float(args.p)
+    p = args.p if args.exact_rational else float(args.p)
     table = expected_spread_table(args.n, p, exact=args.exact_rational)
     output = args.output or f"table_n{args.n}.{args.format}"
     if args.format == "csv":

@@ -43,7 +43,7 @@ from .core import (
     _checked_pair,
     all_position_pairs,
 )
-from .noise import Weight, _check_weight, _Draws, _PCG64Draws, _swapped, stage_weights
+from .noise import Weight, _checked_weight, _Draws, _PCG64Draws, _swapped, stage_weights
 
 # A subject no longer calls these; bench/tracer.py wraps them as names of
 # this module, so they stay importable from here.
@@ -65,7 +65,11 @@ __all__ = [
     "run_subject",
 ]
 
-DESIGN_KINDS = ("classic", "e0", "e1", "e2", "e3")
+# What each design holds fixed across subjects: the compared positions, the
+# compared objects, or nothing (it assigns a position pair per subject).
+_FIXED_PAIR = {"classic": "position", "e0": "position", "e1": "object", "e2": None, "e3": None}
+
+DESIGN_KINDS = tuple(_FIXED_PAIR)
 
 TRUTH_MODES = ("identity", "random")
 
@@ -88,6 +92,23 @@ def _pair_at(n: int, k: int) -> Tuple[int, int]:
     # the end, the rows i..n - 1 hold (n - i)(n - i + 1)/2 pairs.
     i = n - 1 - (isqrt(8 * (pair_count(n) - 1 - k) + 1) - 1) // 2
     return i, k - (i - 1) * (2 * n - i) // 2 + i + 1
+
+
+def _fixed_pair(kind: str, n: int, pair, given: str) -> Union[PositionPair, ObjectPair, None]:
+    """``pair``, passed as a ``given`` ("position" or "object") pair, for design ``kind``.
+
+    A design needs the pair of the type it holds fixed and refuses any
+    other, so the result is None where ``given`` is not what ``kind``
+    fixes, and otherwise a ``PositionPair`` or ``ObjectPair`` read through
+    :func:`core._checked_pair`.
+    """
+    if _FIXED_PAIR[kind] != given:
+        if pair is not None:
+            raise ValueError(f"design {kind!r} takes no fixed pair of {given}s")
+        return None
+    if pair is None:
+        raise ValueError(f"design {kind!r} needs a fixed pair of {given}s")
+    return (PositionPair if given == "position" else ObjectPair)(*_checked_pair(n, pair, given))
 
 
 @dataclass(frozen=True)
@@ -118,24 +139,9 @@ class DesignConfig:
                 f"subjects must be at most 2**32, since each subject's stream key is one "
                 f"32-bit word; got {self.subjects}"
             )
-        if self.pair is not None:
-            object.__setattr__(self, "pair", PositionPair(*_checked_pair(self.n, self.pair)))
-        if self.object_pair is not None:
-            pair = _checked_pair(self.n, self.object_pair, "object")
-            object.__setattr__(self, "object_pair", ObjectPair(*pair))
-        if self.kind in ("classic", "e0"):
-            if self.pair is None:
-                raise ValueError(f"design {self.kind!r} needs a fixed position pair")
-            if self.object_pair is not None:
-                raise ValueError(f"design {self.kind!r} takes a position pair, not an object pair")
-        elif self.kind == "e1":
-            if self.object_pair is None:
-                raise ValueError("design 'e1' needs a fixed object pair")
-            if self.pair is not None:
-                raise ValueError("design 'e1' takes an object pair, not a position pair")
-        else:
-            if self.pair is not None or self.object_pair is not None:
-                raise ValueError(f"design {self.kind!r} assigns pairs itself; none may be fixed")
+        for field, given in (("pair", "position"), ("object_pair", "object")):
+            pair = _fixed_pair(self.kind, self.n, getattr(self, field), given)
+            object.__setattr__(self, field, pair)
         if self.kind == "e0" and (self.subjects % 2 or self.subjects < 4):
             raise ValueError("design 'e0' needs an even subject count of at least 4 (2 per arm)")
         if self.kind == "e3" and self.subjects % pair_count(self.n):
@@ -151,7 +157,7 @@ class _StageHooks:
     """Default subject behavior: every stage is fresh noise around the truth."""
 
     def __post_init__(self):
-        _check_weight(self.p, "model noise weight")
+        _checked_weight(self.p, "model noise weight")
 
     def stage_weights(self, arm: str) -> Tuple[Weight, Weight, Weight]:
         """Noise weights of the first ranking, the choice and the final ranking."""
@@ -189,8 +195,7 @@ class TwoParamModel(_StageHooks):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.p <= self.P < 1:
-            raise ValueError(f"need p <= P < 1, got p={self.p}, P={self.P}")
+        _checked_weight(self.P, "P", low=self.p)
 
     def stage_weights(self, arm: str) -> Tuple[Weight, Weight, Weight]:
         return stage_weights(self.p, self.P, arm)

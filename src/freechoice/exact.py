@@ -15,7 +15,7 @@ everything after it; :func:`noise.stage_weights` assigns the weights, as it
 does for the simulator.
 
 Two independent oracles guard the engine: a full-permutation enumeration of
-the swap process for n <= 5, and an exact enumeration of arbitrary ranking
+the swap process for n <= 6, and an exact enumeration of arbitrary ranking
 distributions for n <= 6 that checks the zero-expectation property of the
 control-group-free designs. With ``exact=True`` every mix solve behind a
 value is rational and certified by its exact residual (see :mod:`noise`).
@@ -34,11 +34,11 @@ import numpy as np
 
 from . import core
 from .core import PositionPair, Ranking, _checked_int, _checked_pair, all_position_pairs
+from .designs import _FIXED_PAIR, _fixed_pair
 from .noise import (
     CapacityError,
     Weight,
-    _check_weight,
-    as_exact_weight,
+    _checked_weight,
     build_M,
     mix_apply,
     stage_weights,
@@ -63,6 +63,9 @@ __all__ = [
 
 TWO_PARAM_DESIGNS = ("e0-experimental", "e0-control", "e2", "e3", "e1-objects")
 
+# The design kind behind each of them, whose fixed pair it takes.
+_TWO_PARAM_KINDS = dict(zip(TWO_PARAM_DESIGNS, ("e0", "e0", "e2", "e3", "e1")))
+
 
 def round_half_away(value: Weight) -> str:
     """Format a number with three decimals, rounding ties away from zero.
@@ -75,14 +78,6 @@ def round_half_away(value: Weight) -> str:
     sign = "-" if f < 0 and units > 0 else ""
     whole, frac = divmod(units, 1000)
     return f"{sign}{whole}.{frac:03d}"
-
-
-def _checked_weight(p: Weight, exact: bool, name: str = "p", allow_one: bool = False) -> Weight:
-    # The weight in the backend's number type, after its range check.
-    if exact:
-        p = as_exact_weight(p)
-    _check_weight(p, name, allow_one)
-    return p
 
 
 def _as_pair(n: int, pair) -> PositionPair:
@@ -159,10 +154,7 @@ def expected_spread_positions(n: int, p: Weight, pair, *, exact: bool = False):
     The triple sum over outcome states collapses through the conditional
     independence of the choice-stage and final-stage states.
     """
-    n = _checked_int(n, "n", 2)
-    pair = _as_pair(n, pair)
-    p = _checked_weight(p, exact)
-    return _pair_value(_design_kernel(n, p, p, p, exact), n, pair, exact)
+    return expected_spread_two_param(n, p, p, "e0-experimental", pair, exact=exact)
 
 
 def _triple_sum(n: int, p: float, pair) -> float:
@@ -241,7 +233,7 @@ def _table(kernel, n: int, p: Weight, exact: bool) -> ExpectedSpreadTable:
 def expected_spread_table(n: int, p: Weight, *, exact: bool = False) -> ExpectedSpreadTable:
     """Expected spread for all C(n, 2) comparison pairs under the null model."""
     n = _checked_int(n, "n", 2)
-    p = _checked_weight(p, exact)
+    p = _checked_weight(p, "p", exact=exact)
     return _table(_design_kernel(n, p, p, p, exact), n, p, exact)
 
 
@@ -267,24 +259,16 @@ def expected_spread_two_param(
     n = _checked_int(n, "n", 2)
     if design not in TWO_PARAM_DESIGNS:
         raise ValueError(f"unknown design {design!r}; expected one of {TWO_PARAM_DESIGNS}")
-    p = _checked_weight(p, exact)
-    P = _checked_weight(P, exact, "P", allow_one=True)
-    if p > P:
-        raise ValueError(f"the pre-choice weight P must be at least p, got p={p} > P={P}")
-    if design in ("e2", "e3"):
-        if pair is not None:
-            raise ValueError(f"design {design!r} takes no fixed pair")
-    elif pair is None:
-        needs = "the objects' true positions" if design == "e1-objects" else "a position pair"
-        raise ValueError(f"design {design!r} needs {needs}")
-    elif design != "e1-objects":
-        pair = _as_pair(n, pair)
+    p = _checked_weight(p, "p", exact=exact)
+    P = _checked_weight(P, "P", exact=exact, allow_one=True, low=p)
+    kind = _TWO_PARAM_KINDS[design]
+    pair = _fixed_pair(kind, n, pair, _FIXED_PAIR[kind] or "position")
     first, choice, final = stage_weights(
         p, P, "control" if design == "e0-control" else "experimental"
     )
 
-    if design == "e1-objects":
-        k = state_row(n, *_checked_pair(n, pair))
+    if kind == "e1":
+        k = state_row(n, pair.first, pair.second)
         c_vec = _applied_base(n, choice, "cons", exact)
         g_first = _applied_base(n, first, "gap", exact)
         g_final = _applied_base(n, final, "gap", exact)
@@ -317,7 +301,7 @@ def expected_spread_conditional(
     if condition not in ("consistent", "reversal"):
         raise ValueError(f"condition must be 'consistent' or 'reversal', got {condition!r}")
     pair = _as_pair(n, pair)
-    p = _checked_weight(p, exact)
+    p = _checked_weight(p, "p", exact=exact)
     cw1, cw2, g2 = _conditional_kernel(n, p, exact)
     k = state_row(n, pair.i, pair.j)
     delta = pair.delta
@@ -360,7 +344,7 @@ def _checked_ranking_size(n) -> int:
     # Checked before any of the n! rankings is listed.
     n = _checked_int(n, "n", 2)
     if n > 6:
-        raise CapacityError("ranking distributions support n <= 6")
+        raise CapacityError(f"the n! rankings are enumerated for n <= 6 only, got n={n}")
     return n
 
 
@@ -374,8 +358,7 @@ def swap_process_distribution(n: int, p: float) -> Tuple[Tuple[tuple, ...], np.n
     at most 10**5 mixture steps, about log(1e-12)/log(p): p <= 0.9997.
     """
     n = _checked_ranking_size(n)
-    p = float(p)
-    _check_weight(p, "p")
+    p = _checked_weight(p, "p")
     steps = math.log(1e-12) / math.log(p) if p > 0 else 0
     if steps > 10**5:
         raise CapacityError(f"p={p} needs {steps:.3g} swap steps; at most 1e5 are supported")
@@ -434,11 +417,9 @@ def brute_force_expected_spread(n: int, p: float, pair) -> float:
     and the simplified spread formula at once. The final ranking is
     independent of the first two stages, so it is averaged out exactly, not
     lumped: a sum over pairs of rankings of expected final positions.
-    Supports n <= 5.
+    Supports n <= 6.
     """
-    n = _checked_int(n, "n", 2)
-    if n > 5:
-        raise CapacityError("the full-permutation oracle supports n <= 5")
+    n = _checked_ranking_size(n)
     pair = _as_pair(n, pair)
     perms, probs = swap_process_distribution(n, p)
     parr, pos = _rank_arrays(perms)
@@ -475,8 +456,7 @@ class RankingDistribution:
 
     @classmethod
     def uniform(cls, n: int) -> "RankingDistribution":
-        n = _checked_ranking_size(n)
-        perms = list(itertools.permutations(range(1, n + 1)))
+        perms = _perm_tables(_checked_ranking_size(n))[0]
         weight = 1.0 / len(perms)
         return cls(n, {perm: weight for perm in perms})
 
@@ -487,8 +467,7 @@ class RankingDistribution:
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "RankingDistribution":
-        n = _checked_ranking_size(n)
-        perms = list(itertools.permutations(range(1, n + 1)))
+        perms = _perm_tables(_checked_ranking_size(n))[0]
         weights = rng.dirichlet(np.ones(len(perms)))
         return cls(n, dict(zip(perms, (float(w) for w in weights))))
 
@@ -516,21 +495,17 @@ def expected_spread_oracle(
     """
     if design not in ("e1", "e2", "e3"):
         raise ValueError(f"oracle designs are 'e1', 'e2', 'e3'; got {design!r}")
-    if design != "e1" and object_pair is not None:
-        raise ValueError(f"design {design!r} takes no fixed pair")
-    n = dist.n
+    object_pair = _fixed_pair(design, dist.n, object_pair, "object")
     keys, probs = dist.support()
     parr, pos = _rank_arrays(keys)
     m = len(keys)
     # the distribution is normalized, so its mass is taken as exactly 1
 
-    if design == "e1":
-        if object_pair is None:
-            raise ValueError("design 'e1' needs the fixed object pair")
-        first, second = _checked_pair(n, object_pair, "object")
-        return _pair_spread(pos, probs, np.full(m, first), np.full(m, second), 1)
+    if object_pair is not None:
+        first, second = np.full(m, object_pair.first), np.full(m, object_pair.second)
+        return _pair_spread(pos, probs, first, second, 1)
 
-    pairs = all_position_pairs(n)
+    pairs = all_position_pairs(dist.n)
     total = math.fsum(
         _pair_spread(pos, probs, parr[:, q.i - 1], parr[:, q.j - 1], 1) for q in pairs
     )

@@ -102,14 +102,6 @@ class CapacityError(ValueError):
     """A dense system or an exact enumeration would exceed its supported size."""
 
 
-def _check_weight(p: Weight, name: str, allow_one: bool = False) -> None:
-    """Reject a noise weight outside [0, 1), or outside [0, 1] with ``allow_one``."""
-    top_ok = p <= 1 if allow_one else p < 1
-    if not (0 <= p and top_ok):
-        bound = "[0, 1]" if allow_one else "[0, 1)"
-        raise ValueError(f"{name} must lie in {bound}, got {p}")
-
-
 _ARMS = ("none", "experimental", "control")
 
 
@@ -132,6 +124,29 @@ def as_exact_weight(p: Weight) -> Fraction:
     exactly 4/5. Strings such as ``"0.8"`` or ``"4/5"`` are accepted too.
     """
     return Fraction(str(p)) if isinstance(p, float) else Fraction(p)
+
+
+def _checked_weight(p: Weight, name: str, *, exact: bool = False, allow_one: bool = False,
+                    low: Weight = 0) -> Weight:
+    """The weight ``p`` in the backend's number type, once it lies in [low, 1).
+
+    The rational backend reads ``p`` with :func:`as_exact_weight` and returns
+    a ``Fraction``; the float backend takes real numbers only and returns a
+    float. ``allow_one`` admits 1, the uniform limit; ``low = p`` gives the
+    two-weight rule that the pre-choice weight P is at least p. A weight that
+    cannot be read or compared, or lies out of range, raises ``ValueError``
+    naming it.
+    """
+    value = None
+    if exact or isinstance(p, (int, float, Fraction, np.integer, np.floating)):
+        try:
+            value = as_exact_weight(p) if exact else float(p)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    if value is None or not (low <= value and (value <= 1 if allow_one else value < 1)):
+        raise ValueError(f"{name} must be a number in [{low}, 1{']' if allow_one else ')'}, "
+                         f"got {p!r}")
+    return value
 
 
 def state_row(n: int, a, b):
@@ -432,24 +447,23 @@ def mix_apply(n: int, p: Weight, vectors: Sequence, exact: bool = False):
     where every output entry is the mean of the corresponding input vector.
     """
     n = _checked_int(n, "n", 2)
-    _check_weight(p, "noise weight", allow_one=True)
+    p = _checked_weight(p, "noise weight", exact=exact, allow_one=True)
     m = n * (n - 1)
     arr = np.asarray(vectors, dtype=object if exact else float)
     if arr.ndim not in (1, 2) or arr.shape[0] != m:
         raise ValueError(f"vectors must have {m} rows for n = {n}, got shape {arr.shape}")
     if exact:
-        pf = as_exact_weight(p)
         cols = arr.reshape(m, -1)
         out = np.empty_like(cols)
         for c in range(cols.shape[1]):
             col = [Fraction(v) for v in cols[:, c]]
-            if pf == 1:
+            if p == 1:
                 mean = sum(col, Fraction(0)) / m
                 solved = [mean] * m
-            elif pf == 0:
+            elif p == 0:
                 solved = col
             else:
-                solved = _sector_solve(n, pf, col)
+                solved = _sector_solve(n, p, col)
             out[:, c] = solved
         return out.reshape(arr.shape)
     if p == 1:
@@ -459,9 +473,9 @@ def mix_apply(n: int, p: Weight, vectors: Sequence, exact: bool = False):
         return arr.copy()
     routines = _lapack()
     if routines is None:
-        return np.linalg.solve(_system(n, float(p)), (1.0 - float(p)) * arr)
-    lu, pivots = _factored(n, float(p), routines)
-    return _solve(routines, lu, pivots, np.multiply(1.0 - float(p), arr, order="F"))
+        return np.linalg.solve(_system(n, p), (1.0 - p) * arr)
+    lu, pivots = _factored(n, p, routines)
+    return _solve(routines, lu, pivots, np.multiply(1.0 - p, arr, order="F"))
 
 
 def build_M(n: int, p: Weight, exact: bool = False) -> np.ndarray:
@@ -577,7 +591,7 @@ def sample_noisy_ranking(truth: Ranking, p: float, rng: np.random.Generator) -> 
     cancelling swaps are allowed. p = 1 would never stop swapping, so the
     weight must lie in [0, 1).
     """
-    _check_weight(p, "noise weight")
+    p = _checked_weight(p, "noise weight")
     entries = _swapped(truth.entries, p, _Draws(rng))
     return truth if entries is truth.entries else Ranking(entries)
 

@@ -238,20 +238,27 @@ def _check_reference_table() -> str:
     return "engine reproduces all 66 frozen reference entries"
 
 
-def _check_design_oracle() -> str:
-    uniform = RankingDistribution.uniform(3)
-    rng = np.random.default_rng(7)
-    random_dist = RankingDistribution.random(4, rng)
+def _worst_oracle_value(cases) -> float:
+    # The largest |expected spread| of designs e1, e2 and e3 over the
+    # (distribution, e1 object pair) cases, each of which must vanish.
     worst = 0.0
-    for dist in (uniform, random_dist):
+    for dist, object_pair in cases:
         for design in ("e1", "e2", "e3"):
-            kwargs = {"object_pair": (1, dist.n)} if design == "e1" else {}
-            value = expected_spread_oracle(dist, design, **kwargs)
+            value = expected_spread_oracle(
+                dist, design, object_pair=object_pair if design == "e1" else None
+            )
             worst = max(worst, abs(value))
             if abs(value) > 1e-10:
                 raise AssertionError(
                     f"design {design} expected spread should vanish, got {value} at n={dist.n}"
                 )
+    return worst
+
+
+def _check_design_oracle() -> str:
+    cases = [(RankingDistribution.uniform(3), (1, 3)),
+             (RankingDistribution.random(4, np.random.default_rng(7)), (1, 4))]
+    worst = _worst_oracle_value(cases)
     return f"design expectations vanish for uniform and random distributions (worst {worst:.1e})"
 
 
@@ -341,15 +348,7 @@ def _check_equivariance() -> str:
 
 def _check_random_distributions() -> str:
     rng = np.random.default_rng(123)
-    worst = 0.0
-    for _ in range(100):
-        dist = RankingDistribution.random(4, rng)
-        for design in ("e1", "e2", "e3"):
-            kwargs = {"object_pair": (2, 4)} if design == "e1" else {}
-            value = expected_spread_oracle(dist, design, **kwargs)
-            worst = max(worst, abs(value))
-            if abs(value) > 1e-10:
-                raise AssertionError(f"nonzero design expectation {value} for {design}")
+    worst = _worst_oracle_value((RankingDistribution.random(4, rng), (2, 4)) for _ in range(100))
     return f"100 random distributions give vanishing expectations (worst {worst:.1e})"
 
 

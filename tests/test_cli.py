@@ -147,6 +147,7 @@ class TestSimulate:
         assert 0.0 <= summary["consistent_fraction"] <= 1.0
         assert summary["spread_by_choice"]["consistent"]["count"] > 0
 
+    @pytest.mark.own_process
     def test_memory_does_not_grow_with_subjects(self, tmp_path, capsys):
         # the summary reads spread counts, so a tenfold run keeps no more
         # memory; a list of 36,864 more spreads alone would add 295 KB
@@ -312,8 +313,9 @@ class TestPower:
 
 
 class TestVerifyCommand:
-    def test_quick_level_passes(self, capsys):
-        assert main(["verify", "--level", "quick"]) == 0
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_quick_level_passes(self, capsys, level):
+        assert main(["verify", "--level", level]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS ") >= 10

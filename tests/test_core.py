@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
@@ -197,3 +198,32 @@ def test_every_module_export_is_in_the_public_api_section():
         if f"`{name}`" not in section
     ]
     assert undocumented == []
+
+
+def test_public_api_bullets_match_every_all():
+    # Each "- `module`:" bullet of the README's Public API lists its module's
+    # __all__, and the package exports a name exactly when some bullet lists
+    # it before "Module only" (the phrase may wrap).
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Public API"):readme.index("## Command line")]
+    bullets = dict(re.findall(r"^- `(\w+)`:(.*?)(?=^- |\n\n)", section, re.M | re.S))
+    exports = {
+        info.name: importlib.import_module(f"freechoice.{info.name}").__all__
+        for info in pkgutil.iter_modules(freechoice.__path__)
+        if info.name != "__main__"
+    }
+    assert sorted(bullets) == sorted(exports)
+    unlisted = [
+        f"{module}.{name}"
+        for module, names in exports.items()
+        for name in names
+        if f"`{name}`" not in bullets[module]
+    ]
+    assert unlisted == []
+    public = {name for names in exports.values() for name in names}
+    listed = {
+        name
+        for text in bullets.values()
+        for name in re.findall(r"`(\w+)`", re.split(r"module\s+only:", text, flags=re.I)[0])
+    }
+    assert sorted(set(freechoice.__all__) - {"__version__"}) == sorted(listed & public)

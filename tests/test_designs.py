@@ -292,6 +292,7 @@ class TestRunSubject:
             pairs = [designs._pair_at(n, k) for k in range(pair_count(n))]
             assert pairs == [(q.i, q.j) for q in all_position_pairs(n)]
 
+    @pytest.mark.own_process
     def test_e2_memory_does_not_grow_with_pair_count(self):
         # C(1000, 2) = 499,500 pairs; listing them as PositionPairs takes
         # about 60 MB, while each subject needs one pair

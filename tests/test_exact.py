@@ -171,7 +171,7 @@ class TestFactoredVsEnumerate:
 
 
 class TestBruteForce:
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("p", [0.3, 0.8])
     def test_engine_matches_brute_force(self, n, p):
         table = expected_spread_table(n, p)
@@ -189,7 +189,7 @@ class TestBruteForce:
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            brute_force_expected_spread(6, 0.5, (1, 2))
+            brute_force_expected_spread(7, 0.5, (1, 2))
         with pytest.raises(CapacityError):
             swap_process_distribution(7, 0.5)
         # p near 1 needs about log(1e-12)/log(p) swap steps: 2.8e10 here
@@ -297,7 +297,7 @@ class TestTwoParam:
             expected_spread_two_param(12, 0.2, 0.5, "e0-experimental")
         with pytest.raises(ValueError):
             expected_spread_two_param(12, 0.2, 1.5, "e2")
-        with pytest.raises(ValueError, match="'e1-objects' needs the objects' true positions"):
+        with pytest.raises(ValueError, match="'e1' needs a fixed pair of objects"):
             expected_spread_two_param(12, 0.2, 0.5, "e1-objects")
 
 

@@ -1,5 +1,6 @@
 """Swap-process noise: state rows, Q and M matrices, samplers."""
 
+import math
 import os
 import subprocess
 import sys
@@ -13,8 +14,10 @@ import pytest
 from freechoice import exact as exact_module
 from freechoice import noise
 from freechoice.core import ObjectPair, Ranking
+from freechoice.designs import DissonanceShiftModel, MemoryModel, NullModel, TwoParamModel
 from freechoice.exact import (
     expected_spread_conditional,
+    expected_spread_positions,
     expected_spread_table,
     expected_spread_two_param,
     swap_process_distribution,
@@ -50,6 +53,55 @@ class TestWeights:
         assert stage_weights(Fraction(1, 2), 1, "control") == (1, Fraction(1, 2), 1)
         with pytest.raises(ValueError):
             stage_weights(0.5, 0.9, "placebo")
+
+
+# Every entry point that takes a noise weight: its call on one weight (the
+# result as a plain comparable value), whether it has a rational backend,
+# and whether it admits the uniform limit 1.
+_WEIGHT_ENTRY_POINTS = {
+    "mix_apply": (lambda w, exact: mix_apply(3, w, np.arange(6), exact=exact).tolist(), True, True),
+    "build_M": (lambda w, exact: build_M(3, w, exact=exact).tolist(), True, True),
+    "table": (lambda w, exact: expected_spread_table(3, w, exact=exact).values, True, False),
+    "positions": (lambda w, exact: expected_spread_positions(3, w, (1, 3), exact=exact),
+                  True, False),
+    "two_param p": (lambda w, exact: expected_spread_two_param(3, w, 0.75, "e2", exact=exact),
+                    True, False),
+    "two_param P": (lambda w, exact: expected_spread_two_param(3, 0.25, w, "e2", exact=exact),
+                    True, True),
+    "conditional": (lambda w, exact: expected_spread_conditional(3, w, (1, 3), "consistent",
+                                                                 exact=exact), True, False),
+    "NullModel": (lambda w, exact: NullModel(p=w).stage_weights("none"), False, False),
+    "TwoParamModel p": (lambda w, exact: TwoParamModel(p=w, P=0.75).stage_weights("control"),
+                        False, False),
+    "TwoParamModel P": (lambda w, exact: TwoParamModel(p=0.25, P=w).stage_weights("control"),
+                        False, False),
+    "MemoryModel": (lambda w, exact: MemoryModel(p=w).stage_weights("none"), False, False),
+    "DissonanceShiftModel": (lambda w, exact: DissonanceShiftModel(p=w).stage_weights("none"),
+                             False, False),
+    "swap_process_distribution": (lambda w, exact: swap_process_distribution(3, w)[1].tolist(),
+                                  False, False),
+    "sample_noisy_ranking": (lambda w, exact: sample_noisy_ranking(
+        Ranking.identity(6), w, np.random.default_rng(5)).entries, False, False),
+}
+
+
+@pytest.mark.parametrize("entry, exact", [
+    (entry, exact) for entry, (_, rational, _) in _WEIGHT_ENTRY_POINTS.items()
+    for exact in ((False, True) if rational else (False,))
+])
+def test_every_weight_follows_one_rule(entry, exact):
+    # One reading of a weight everywhere: real numbers on both backends,
+    # strings on the rational one only, and ValueError, never TypeError, for
+    # anything unreadable or out of range.
+    call, _, admits_one = _WEIGHT_ENTRY_POINTS[entry]
+    half = call(Fraction(1, 2), exact)
+    accepted = [0.5, np.float64(0.5)] + (["1/2", "0.5"] if exact else [])
+    for weight in accepted:
+        assert call(weight, exact) == half, weight
+    refused = [None, "abc", math.nan, -0.1] + ([] if exact else ["1/2", "0.5"])
+    for weight in refused + ([] if admits_one else [1.0]):
+        with pytest.raises(ValueError):
+            call(weight, exact)
 
 
 class TestStateSpace:
@@ -120,6 +172,7 @@ class TestQ:
             assert np.array_equal(system, system.T)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
+    @pytest.mark.own_process
     def test_system_is_resident_only_where_written(self):
         # the stencil writes the band of I - pQ, 0.377 of its pages at
         # n = 40; the others stay the kernel's shared zero page, read or not
@@ -227,6 +280,7 @@ class TestM:
         v = np.arange(6)
         assert np.all(mix_apply(np.int64(3), p, v, exact=exact) == mix_apply(3, p, v, exact=exact))
 
+    @pytest.mark.own_process
     def test_mix_apply_holds_one_dense_array(self):
         # the system is the one m x m array a warm solve allocates, and it is
         # a mapping of zero pages, not a traced allocation; no dense Q is
@@ -356,6 +410,7 @@ class TestFactors:
         assert noise._factors is None
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
+    @pytest.mark.own_process
     def test_new_weight_drops_held_factors_first(self, monkeypatch):
         # the factors of (40, 0.5) are one m x m array, resident in full;
         # the solve at (40, 0.6) drops them before its system is written, so

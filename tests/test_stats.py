@@ -191,6 +191,7 @@ class TestBootstrap:
             values, resamples, 5
         )
 
+    @pytest.mark.own_process
     def test_memory_is_one_index_block(self):
         values = np.random.default_rng(1).integers(-20, 21, size=20_000).tolist()
         bootstrap_se(values, resamples=400, seed=3)
