@@ -225,8 +225,13 @@ class ExpectedSpreadTable:
 
 
 def _table(kernel, n: int, p: Weight, exact: bool) -> ExpectedSpreadTable:
-    # The kernel's expected spread at every comparison pair.
-    values = {pair: _pair_value(kernel, n, pair, exact) for pair in all_position_pairs(n)}
+    # The kernel's expected spread at every comparison pair, by _pair_value's
+    # operations over all pairs at once; triu_indices lists (i - 1, j - 1)
+    # in the order of all_position_pairs.
+    w1, w2 = kernel
+    i, j = np.triu_indices(n, 1)
+    rows = state_row(n, i + 1, j + 1)
+    values = dict(zip(all_position_pairs(n), (w1[rows] - (j - i) * w2[rows]).tolist()))
     return ExpectedSpreadTable(n=n, p=p, values=values, exact=exact)
 
 

@@ -39,10 +39,19 @@ getrs apart on small systems, and the last bit may move, as it does for
 (n, p) are held, so a run of solves at one weight factors once, and a solve
 at another (n, p) drops them before its system is written: the float engine
 keeps at most one m x m array between calls or during one, fully resident
-(130 MB at n = 64). Where numpy's LAPACK exports no getrf and getrs (MKL or
-Accelerate builds) or a probe solve differs from ``np.linalg.solve`` in any
-bit, every solve is ``np.linalg.solve`` on a fresh system, of which LAPACK
-factors a copy.
+once getrf has written it (130 MB at n = 64). The factors of the (n, p)
+before are kept as a band, so a return to that weight, as when a two-weight
+model alternates p and P, factors nothing. In :func:`state_row` order
+I - pQ has half-bandwidth n - 1, and where getrf swaps no rows its L and U
+stay inside that band: every entry outside it is +0.0. The band holds the
+2n - 1 diagonals (0.94 MB at n = 40, 3.9 MB at n = 64), and is kept only
+when getrf returned identity pivots and the band holds every nonzero bit
+of the factors. A return to the weight writes the band into a fresh zero
+array, so getrs reads the very bytes getrf wrote; beside the held array
+sit at most two bands, and both only while the leaving factors are packed.
+Where numpy's LAPACK exports no getrf and getrs (MKL or Accelerate builds)
+or a probe solve differs from ``np.linalg.solve`` in any bit, every solve
+is ``np.linalg.solve`` on a fresh system, of which LAPACK factors a copy.
 
 Every dense m x m array comes from one allocator, which raises
 :class:`CapacityError` once two such arrays of doubles (the held factors and
@@ -248,11 +257,16 @@ def _system(n: int, p: float) -> np.ndarray:
     return a
 
 
-# The factors (n, p, lu, pivots) of the last float system, or None. A new
-# (n, p) empties the slot before its system is written, so one m x m array
-# at most is resident between solves and during one. Threads that race for
-# the slot each solve against the factors they read or made.
+# The factors (n, p, lu, pivots) of the last float system, or None, and the
+# band (n, p, band, pivots) of the factors before them, or None: band row
+# n - 1 + d holds diagonal d of lu. A new (n, p) takes the band if it is
+# that weight's, packs the held factors into the band slot and empties the
+# factor slot before it unpacks or writes its system, so one m x m array at
+# most is resident between solves and during one, next to at most two
+# bands. Threads that race for the slots each solve against the factors
+# they read or made; a band lost in the race costs one more factorization.
 _factors = None
+_band = None
 
 
 @lru_cache(maxsize=None)
@@ -303,13 +317,47 @@ def _factor(routines, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return a, pivots
 
 
+def _packed(n: int, p: float, lu: np.ndarray, pivots: np.ndarray):
+    # The band (n, p, band, pivots) of held factors, or None unless getrf
+    # swapped no rows and the 2n - 1 diagonals hold every nonzero bit of lu.
+    m = len(lu)
+    if not np.array_equal(pivots, np.arange(1, m + 1)):
+        return None
+    band = np.zeros((2 * n - 1, m))
+    for d in range(1 - n, n):
+        band[n - 1 + d, : m - abs(d)] = lu.diagonal(d)
+    if np.count_nonzero(band.view(np.uint64)) != np.count_nonzero(lu.view(np.uint64)):
+        return None
+    band.setflags(write=False)
+    return n, p, band, pivots
+
+
+def _unpacked(n: int, band: np.ndarray) -> np.ndarray:
+    # The factors a band was packed from, written into a fresh zero array:
+    # diagonal d starts at flat index d above the main one, |d| m below it.
+    m = band.shape[1]
+    lu = _square(n)
+    flat = lu.reshape(-1)
+    for d in range(1 - n, n):
+        flat[d if d >= 0 else -d * m :: m + 1][: m - abs(d)] = band[n - 1 + d, : m - abs(d)]
+    return lu
+
+
 def _factored(n: int, p: float, routines) -> Tuple[np.ndarray, np.ndarray]:
-    # The factors of I - pQ: the slot's, or new ones published into it.
-    global _factors
-    held = _factors
+    # The factors of I - pQ: the slot's, the band's unpacked, or new ones,
+    # published into the slot.
+    global _factors, _band
+    held, band = _factors, _band
     if held is None or held[:2] != (n, p):
+        if band is not None and band[:2] != (n, p):
+            band = None
+        if held is not None:
+            _band = _packed(*held)
         _factors = held = None
-        lu, pivots = _factor(routines, _system(n, p))
+        if band is None:
+            lu, pivots = _factor(routines, _system(n, p))
+        else:
+            lu, pivots = _unpacked(n, band[2]), band[3]
         lu.setflags(write=False)
         pivots.setflags(write=False)
         held = _factors = (n, p, lu, pivots)

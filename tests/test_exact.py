@@ -70,6 +70,22 @@ class TestTable:
         assert table.total() == 0
         assert all(isinstance(v, Fraction) for v in table.values.values())
 
+    @pytest.mark.parametrize("n, p, exact", [(2, 0.5, False), (7, 0.3, False), (20, 0.85, False),
+                                             (6, Fraction(4, 5), True)])
+    def test_table_reads_each_pair_as_pair_value(self, n, p, exact):
+        # the whole-table read-out is _pair_value pair by pair, bit for bit
+        kernel = exact_module._design_kernel(n, p, p, p, exact)
+        table = exact_module._table(kernel, n, p, exact)
+        pairs = all_position_pairs(n)
+        expected = [exact_module._pair_value(kernel, n, pair, exact) for pair in pairs]
+        assert list(table.values) == list(pairs)
+        assert [type(v) for v in table.values.values()] == [type(v) for v in expected]
+        if exact:
+            assert list(table.values.values()) == expected
+        else:
+            assert np.array_equal(np.array(list(table.values.values())).view(np.uint64),
+                                  np.array(expected).view(np.uint64))
+
     def test_exact_matches_float_after_rounding(self):
         exact = expected_spread_table(9, Fraction(3, 10), exact=True).rounded()
         floats = expected_spread_table(9, 0.3).rounded()

@@ -330,6 +330,28 @@ def _dense_mix(n, p, v):
     return x
 
 
+def _counted_factorizations(monkeypatch) -> list:
+    # A list that grows by one entry per getrf call, from empty factor and
+    # band slots and empty kernel caches of the exact engine.
+    routines = noise._lapack()
+    if routines is None:
+        pytest.skip("numpy's LAPACK exports no getrf and getrs")
+    getrf, getrs, integer = routines
+    factored = []
+
+    def counted(*args):
+        factored.append(None)
+        return getrf(*args)
+
+    monkeypatch.setattr(noise, "_lapack", lambda: (counted, getrs, integer))
+    monkeypatch.setattr(noise, "_factors", None)
+    monkeypatch.setattr(noise, "_band", None)
+    for cached in (exact_module._applied_base, exact_module._design_kernel,
+                   exact_module._choice_bias, exact_module._conditional_kernel):
+        cached.cache_clear()
+    return factored
+
+
 def _resident() -> int:
     with open("/proc/self/statm") as statm:
         return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
@@ -342,7 +364,7 @@ from freechoice import noise
 for n in (2, 7, 12, 20, 30):
     m = n * (n - 1)
     rng = np.random.default_rng(n)
-    for p in (0.3, 0.8, 0.3, 0.97):
+    for p in (0.3, 0.8, 0.3, 0.8, 0.97, 0.3, 0.97):
         for v in (rng.normal(size=m), rng.normal(size=(m, 2)), np.eye(m)):
             dense = np.linalg.solve(noise._system(n, p), (1 - p) * v)
             assert np.array_equal(noise.mix_apply(n, p, v), dense), (n, p, v.shape)
@@ -355,8 +377,10 @@ class TestFactors:
         # and its getrf and getrs pick their thread counts apart for small
         # systems (4.4e-16 apart at n = 12), and np.linalg.solve alone moves
         # by as much between one and two threads. Each weight runs 1-d,
-        # 2-column and m-column (build_M) right-hand sides, and the sequence
-        # 0.3, 0.8, 0.3 replaces the held factors and factors 0.3 again.
+        # 2-column and m-column (build_M) right-hand sides. In the sequence
+        # 0.3, 0.8, 0.3, 0.8, 0.97, 0.3, 0.97 the returns to 0.3 and 0.8
+        # solve against unpacked bands, 0.97 evicts the band of 0.3, which
+        # is then factored again, and 0.97 returns to its band.
         package_root = str(Path(noise.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         one = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -366,24 +390,10 @@ class TestFactors:
         assert result.returncode == 0, result.stderr
 
     def test_one_factorization_per_run_of_equal_weights(self, monkeypatch):
-        # one sweep point: the table and the conditionals at p, the e0 arms
-        # at P (e2 and e3 reuse cached kernels), so 3 factorizations for 11
-        # solves; a repeated table solves nothing
-        routines = noise._lapack()
-        if routines is None:
-            pytest.skip("numpy's LAPACK exports no getrf and getrs")
-        getrf, getrs, integer = routines
-        factored = []
-
-        def counted(*args):
-            factored.append(None)
-            return getrf(*args)
-
-        monkeypatch.setattr(noise, "_lapack", lambda: (counted, getrs, integer))
-        monkeypatch.setattr(noise, "_factors", None)
-        for cached in (exact_module._applied_base, exact_module._design_kernel,
-                       exact_module._choice_bias, exact_module._conditional_kernel):
-            cached.cache_clear()
+        # one sweep point: the table at p, the e0 arms at P and p (e2 and e3
+        # reuse cached kernels), the conditionals at p from the band, so 2
+        # factorizations for 11 solves; a repeated table solves nothing
+        factored = _counted_factorizations(monkeypatch)
         n, p, P = 12, 0.55, 0.85
         counts = []
         expected_spread_table(n, p)
@@ -396,18 +406,55 @@ class TestFactors:
         for condition in ("consistent", "reversal"):
             expected_spread_conditional(n, p, (5, 8), condition)
         counts.append(len(factored))
-        assert counts == [1, 2, 3]
+        assert counts == [1, 2, 2]
         expected_spread_table(n, p)
+        assert len(factored) == 2
+
+    def test_cold_two_weight_call_factors_each_weight_once(self, monkeypatch):
+        # e2 solves at p, P, p and P in turn; each return reads the band
+        factored = _counted_factorizations(monkeypatch)
+        expected_spread_two_param(12, 0.55, 0.85, "e2")
+        assert len(factored) == 2
+
+    @pytest.mark.parametrize("n", [*range(2, 13), 20, 30, 40])
+    def test_band_round_trip_is_bitwise(self, n):
+        # every nonzero bit of identity-pivot factors lies in the 2n - 1
+        # diagonals, negative zeros of the subnormal weight included
+        routines = noise._lapack()
+        if routines is None:
+            pytest.skip("numpy's LAPACK exports no getrf and getrs")
+        for p in (5e-324, 0.3, 0.8, 0.97, 0.999999):
+            lu, pivots = noise._factor(routines, noise._system(n, p))
+            packed = noise._packed(n, p, lu, pivots)
+            assert packed is not None, p
+            assert packed[2].nbytes == (2 * n - 1) * len(lu) * 8
+            unpacked = noise._unpacked(n, packed[2])
+            assert np.array_equal(unpacked.view(np.uint64), lu.view(np.uint64)), p
+
+    def test_pivoted_factors_keep_no_band(self, monkeypatch):
+        # at this weight getrf swaps the last two rows, so the factors leave
+        # the band: none is kept and a return factors again
+        factored = _counted_factorizations(monkeypatch)
+        n, p = 40, 0.9999999999999999
+        m = n * (n - 1)
+        v = np.linspace(-1.0, 1.0, m)
+        first = mix_apply(n, p, v)
+        assert not np.array_equal(noise._factors[3], np.arange(1, m + 1))
+        mix_apply(n, 0.5, v)
+        assert noise._band is None
+        again = mix_apply(n, p, v)
         assert len(factored) == 3
+        assert np.array_equal(again.view(np.uint64), first.view(np.uint64))
 
     def test_missing_routines_fall_back_to_dense_solve(self, monkeypatch):
         monkeypatch.setattr(noise, "_lapack", lambda: None)
         monkeypatch.setattr(noise, "_factors", None)
+        monkeypatch.setattr(noise, "_band", None)
         n, p = 12, 0.45
         v = np.random.default_rng(5).normal(size=(n * (n - 1), 2))
         dense = np.linalg.solve(noise._system(n, p), (1 - p) * v)
         assert np.array_equal(mix_apply(n, p, v), dense)
-        assert noise._factors is None
+        assert noise._factors is None and noise._band is None
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
     @pytest.mark.own_process
@@ -442,6 +489,28 @@ class TestFactors:
         assert len(peaks) == 2
         assert held > 0.9 * 8 * m * m
         assert max(peaks) - start < 1.1 * 8 * m * m
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
+    @pytest.mark.own_process
+    def test_held_band_is_its_diagonals_and_spares_a_factorization(self, monkeypatch):
+        # the switch from (40, 0.5) to (40, 0.6) replaces one fully resident
+        # m x m array with another and keeps the band of 0.5 beside it; the
+        # return to 0.5 reads that band and calls no getrf
+        factored = _counted_factorizations(monkeypatch)
+        n = 40
+        m = n * (n - 1)
+        v = np.linspace(-1.0, 1.0, m)
+        # a first solve at n = 40 sizes LAPACK's work buffers, and the n = 2
+        # solve leaves no band of n = 40 behind
+        mix_apply(n, 0.4, v)
+        mix_apply(2, 0.5, np.ones(2))
+        expected = mix_apply(n, 0.5, v)
+        start = _resident()
+        mix_apply(n, 0.6, v)
+        assert _resident() - start < 1.1 * (2 * n - 1) * m * 8
+        again = mix_apply(n, 0.5, v)
+        assert len(factored) == 4
+        assert np.array_equal(again.view(np.uint64), expected.view(np.uint64))
 
 
 class TestRationalSectors:
