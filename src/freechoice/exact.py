@@ -111,8 +111,12 @@ def _design_kernel(n: int, first: Weight, choice: Weight, final: Weight, exact: 
     ``first``, ``choice`` and ``final`` are the noise weights of the first
     ranking, the choice stage, and the ranking the spread compares against.
     """
+    # The solves at the choice and final weights come first, so that the
+    # solves at the first weight run on one factorization.
+    _applied_base(n, choice, "cons", exact)
+    g_final = _applied_base(n, final, "gap", exact)
     bias, w2 = _choice_bias(n, first, choice, exact)
-    w1 = mix_apply(n, first, bias * _applied_base(n, final, "gap", exact), exact=exact)
+    w1 = mix_apply(n, first, bias * g_final, exact=exact)
     w1.setflags(write=False)
     return w1, w2
 
@@ -239,7 +243,11 @@ def expected_spread_table(n: int, p: Weight, *, exact: bool = False) -> Expected
     """Expected spread for all C(n, 2) comparison pairs under the null model."""
     n = _checked_int(n, "n", 2)
     p = _checked_weight(p, "p", exact=exact)
-    return _table(_design_kernel(n, p, p, p, exact), n, p, exact)
+    kernel = _design_kernel(n, p, p, p, exact)
+    if not exact:
+        # the conditionals at p solve now, against the factors held for p
+        _conditional_kernel(n, p, exact)
+    return _table(kernel, n, p, exact)
 
 
 def expected_spread_two_param(
@@ -274,9 +282,10 @@ def expected_spread_two_param(
 
     if kind == "e1":
         k = state_row(n, pair.first, pair.second)
+        # the first weight's solve last, as in _design_kernel
         c_vec = _applied_base(n, choice, "cons", exact)
-        g_first = _applied_base(n, first, "gap", exact)
         g_final = _applied_base(n, final, "gap", exact)
+        g_first = _applied_base(n, first, "gap", exact)
         value = (2 * c_vec[k] - 1) * (g_final[k] - g_first[k])
         return value if exact else float(value)
 

@@ -39,19 +39,12 @@ getrs apart on small systems, and the last bit may move, as it does for
 (n, p) are held, so a run of solves at one weight factors once, and a solve
 at another (n, p) drops them before its system is written: the float engine
 keeps at most one m x m array between calls or during one, fully resident
-once getrf has written it (130 MB at n = 64). The factors of the (n, p)
-before are kept as a band, so a return to that weight, as when a two-weight
-model alternates p and P, factors nothing. In :func:`state_row` order
-I - pQ has half-bandwidth n - 1, and where getrf swaps no rows its L and U
-stay inside that band: every entry outside it is +0.0. The band holds the
-2n - 1 diagonals (0.94 MB at n = 40, 3.9 MB at n = 64), and is kept only
-when getrf returned identity pivots and the band holds every nonzero bit
-of the factors. A return to the weight writes the band into a fresh zero
-array, so getrs reads the very bytes getrf wrote; beside the held array
-sit at most two bands, and both only while the leaving factors are packed.
-Where numpy's LAPACK exports no getrf and getrs (MKL or Accelerate builds)
-or a probe solve differs from ``np.linalg.solve`` in any bit, every solve
-is ``np.linalg.solve`` on a fresh system, of which LAPACK factors a copy.
+once getrf has written it (19.5 MB at n = 40, 130 MB at n = 64). The exact
+engine orders its solves by weight, so a two-weight value factors each
+weight once. Where numpy's LAPACK exports no getrf and getrs (MKL or
+Accelerate builds) or a probe solve differs from ``np.linalg.solve`` in any
+bit, every solve is ``np.linalg.solve`` on a fresh system, of which LAPACK
+factors a copy.
 
 Every dense m x m array comes from one allocator, which raises
 :class:`CapacityError` once two such arrays of doubles (the held factors and
@@ -59,13 +52,14 @@ one more, or the system and LAPACK's copy where ``np.linalg.solve`` runs)
 would pass 256 MiB, that is for n > 64; :func:`build_M` stops at n > 54,
 where ``np.linalg.solve`` writes four in full. A float array from it is a
 private anonymous mapping, whose pages stay the kernel's shared zero page
-until written. The stencil writes only the band of I - pQ, about 0.38 of
-its pages at n = 40, and getrf then writes the rest. Zeros from malloc
-cost more: once a freed system raises glibc's dynamic mmap threshold,
-later systems come from the heap, whose reused memory calloc clears by
-writing it and free keeps resident; and numpy madvises large arrays for
-huge pages, which make untouched pages resident once the kernel grants
-them.
+until written, so Q and the identity of :func:`build_M` are resident only
+where their entries lie. The system is different: getrf writes all of it,
+so its mapping is advised for transparent huge pages where the platform
+has ``MADV_HUGEPAGE``, and one fault then maps 2 MiB instead of 4 KiB. In
+one bench ``sweep`` pass (n = 12 to 40) that cut the minor faults from
+83k to 9.5k and the system CPU from 0.13-0.20 s to 0.03-0.07 s. Where the
+kernel grants no huge pages, or refuses the advice, only that saving is
+lost.
 
 The rational backend solves (I - pQ)x = (1 - p)v inside symmetry sectors. Q
 commutes with the label swap (a, b) -> (b, a) and the board reversal
@@ -212,13 +206,14 @@ _DENSE_BYTES = 256 * 2**20
 _PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
 
 
-def _square(n: int, exact: bool = False) -> np.ndarray:
+def _square(n: int, exact: bool = False, huge: bool = False) -> np.ndarray:
     # A zero m x m array, m = n(n - 1): the one dense allocation behind Q, M
     # and the float system I - pQ, refused where two of them pass
     # _DENSE_BYTES (n > 64). A float array is a private anonymous mapping,
     # resident only where written (see the module docstring); a shared one
     # would allocate the pages that are merely read, such as those LAPACK
-    # copies where np.linalg.solve runs.
+    # copies where np.linalg.solve runs. ``huge`` advises it for huge pages,
+    # for an array that is written in full.
     m = n * (n - 1)
     if 2 * 8 * m * m > _DENSE_BYTES:
         raise CapacityError(
@@ -227,7 +222,13 @@ def _square(n: int, exact: bool = False) -> np.ndarray:
         )
     if exact:
         return np.full((m, m), Fraction(0))
-    return np.frombuffer(mmap.mmap(-1, 8 * m * m, **_PRIVATE), float).reshape(m, m)
+    mapping = mmap.mmap(-1, 8 * m * m, **_PRIVATE)
+    if huge and hasattr(mmap, "MADV_HUGEPAGE"):
+        try:
+            mapping.madvise(mmap.MADV_HUGEPAGE)
+        except OSError:
+            pass  # the advice is a speed-up only
+    return np.frombuffer(mapping, float).reshape(m, m)
 
 
 def build_Q(n: int, exact: bool = False) -> np.ndarray:
@@ -248,25 +249,20 @@ def build_Q(n: int, exact: bool = False) -> np.ndarray:
 def _system(n: int, p: float) -> np.ndarray:
     # The float I - pQ, written into one zero array: 0 - p q at the stencil
     # entries, then 1 added along the diagonal. Every entry, and the sign of
-    # every zero, is that of np.eye(m) - p * Q.
+    # every zero, is that of np.eye(m) - p * Q. getrf writes the whole array.
     rows, cols, _, q = _stencil(n)
-    a = _square(n)
+    a = _square(n, huge=True)
     a[rows, cols] = 0.0 - p * q
     diagonal = a.ravel()[:: len(a) + 1]
     diagonal += 1.0
     return a
 
 
-# The factors (n, p, lu, pivots) of the last float system, or None, and the
-# band (n, p, band, pivots) of the factors before them, or None: band row
-# n - 1 + d holds diagonal d of lu. A new (n, p) takes the band if it is
-# that weight's, packs the held factors into the band slot and empties the
-# factor slot before it unpacks or writes its system, so one m x m array at
-# most is resident between solves and during one, next to at most two
-# bands. Threads that race for the slots each solve against the factors
-# they read or made; a band lost in the race costs one more factorization.
+# The factors (n, p, lu, pivots) of the last float system, or None. A new
+# (n, p) empties the slot before it writes its system, so one m x m array at
+# most is resident between solves and during one. Threads that race for the
+# slot each solve against the factors they read or made.
 _factors = None
-_band = None
 
 
 @lru_cache(maxsize=None)
@@ -317,47 +313,13 @@ def _factor(routines, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return a, pivots
 
 
-def _packed(n: int, p: float, lu: np.ndarray, pivots: np.ndarray):
-    # The band (n, p, band, pivots) of held factors, or None unless getrf
-    # swapped no rows and the 2n - 1 diagonals hold every nonzero bit of lu.
-    m = len(lu)
-    if not np.array_equal(pivots, np.arange(1, m + 1)):
-        return None
-    band = np.zeros((2 * n - 1, m))
-    for d in range(1 - n, n):
-        band[n - 1 + d, : m - abs(d)] = lu.diagonal(d)
-    if np.count_nonzero(band.view(np.uint64)) != np.count_nonzero(lu.view(np.uint64)):
-        return None
-    band.setflags(write=False)
-    return n, p, band, pivots
-
-
-def _unpacked(n: int, band: np.ndarray) -> np.ndarray:
-    # The factors a band was packed from, written into a fresh zero array:
-    # diagonal d starts at flat index d above the main one, |d| m below it.
-    m = band.shape[1]
-    lu = _square(n)
-    flat = lu.reshape(-1)
-    for d in range(1 - n, n):
-        flat[d if d >= 0 else -d * m :: m + 1][: m - abs(d)] = band[n - 1 + d, : m - abs(d)]
-    return lu
-
-
 def _factored(n: int, p: float, routines) -> Tuple[np.ndarray, np.ndarray]:
-    # The factors of I - pQ: the slot's, the band's unpacked, or new ones,
-    # published into the slot.
-    global _factors, _band
-    held, band = _factors, _band
+    # The factors of I - pQ: the slot's, or new ones, published into the slot.
+    global _factors
+    held = _factors
     if held is None or held[:2] != (n, p):
-        if band is not None and band[:2] != (n, p):
-            band = None
-        if held is not None:
-            _band = _packed(*held)
         _factors = held = None
-        if band is None:
-            lu, pivots = _factor(routines, _system(n, p))
-        else:
-            lu, pivots = _unpacked(n, band[2]), band[3]
+        lu, pivots = _factor(routines, _system(n, p))
         lu.setflags(write=False)
         pivots.setflags(write=False)
         held = _factors = (n, p, lu, pivots)

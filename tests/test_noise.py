@@ -1,6 +1,8 @@
 """Swap-process noise: state rows, Q and M matrices, samplers."""
 
+import errno
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -174,23 +176,64 @@ class TestQ:
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
     @pytest.mark.own_process
     def test_system_is_resident_only_where_written(self):
-        # the stencil writes the band of I - pQ, 0.377 of its pages at
-        # n = 40; the others stay the kernel's shared zero page, read or not
+        # Q keeps the 4 KiB demand-zero pages that the system I - pQ gives
+        # up for huge pages: the stencil writes the band of Q, 0.377 of its
+        # pages at n = 40, and the others stay the kernel's shared zero
+        # page, read or not
         n = 40
         m = n * (n - 1)
-        page = os.sysconf("SC_PAGE_SIZE")
-
-        def resident():
-            with open("/proc/self/statm") as statm:
-                return int(statm.read().split()[1]) * page
-
-        noise._system(n, 0.5)
-        before = resident()
-        system = noise._system(n, 0.5)
-        written = resident()
+        build_Q(n)
+        before = _resident()
+        q = build_Q(n)
+        written = _resident()
         assert written - before < 0.5 * 8 * m * m
-        assert system.sum() == pytest.approx(m * 0.5)
-        assert resident() - written < 0.05 * 8 * m * m
+        assert q.sum() == pytest.approx(m)
+        assert _resident() - written < 0.05 * 8 * m * m
+
+    @pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="no MADV_HUGEPAGE")
+    def test_only_the_system_is_advised_for_huge_pages(self, monkeypatch):
+        # Q and the identity of build_M stay mostly zero pages; the system,
+        # which getrf writes in full, is advised once
+        if noise._lapack() is None:
+            pytest.skip("numpy's LAPACK exports no getrf and getrs")
+        mappings, advised = [], []
+
+        class Recorded(mmap.mmap):
+            def __init__(self, *args, **kwargs):
+                mappings.append(self)
+
+            def madvise(self, option, *args):
+                advised.append((mappings.index(self), option))
+                return super().madvise(option, *args)
+
+        monkeypatch.setattr(noise.mmap, "mmap", Recorded)
+        monkeypatch.setattr(noise, "_factors", None)
+        build_Q(6)
+        build_M(6, 0.5)
+        assert len(mappings) == 3
+        assert np.shares_memory(noise._factors[2], np.frombuffer(mappings[2], float))
+        assert advised == [(2, mmap.MADV_HUGEPAGE)]
+
+    def test_refused_advice_leaves_solves_bitwise(self, monkeypatch):
+        # a madvise that fails, or a platform without MADV_HUGEPAGE, gives
+        # the same bits on 4 KiB pages
+        n, p = 20, 0.7
+        v = np.random.default_rng(9).normal(size=(n * (n - 1), 2))
+        monkeypatch.setattr(noise, "_factors", None)
+        advised = mix_apply(n, p, v)
+
+        class Refused(mmap.mmap):
+            def madvise(self, *args):
+                raise OSError(errno.EINVAL, "advice refused")
+
+        monkeypatch.setattr(noise.mmap, "mmap", Refused)
+        monkeypatch.setattr(noise, "_factors", None)
+        refused = mix_apply(n, p, v)
+        assert np.array_equal(refused.view(np.uint64), advised.view(np.uint64))
+        monkeypatch.delattr(noise.mmap, "MADV_HUGEPAGE", raising=False)
+        monkeypatch.setattr(noise, "_factors", None)
+        unadvised = mix_apply(n, p, v)
+        assert np.array_equal(unadvised.view(np.uint64), advised.view(np.uint64))
 
     @pytest.mark.parametrize("n", [2, 7, 20])
     def test_mix_apply_is_dense_solve(self, n):
@@ -330,9 +373,16 @@ def _dense_mix(n, p, v):
     return x
 
 
+def _cold_exact_caches():
+    # Empties every lru-cached kernel of the exact engine.
+    for cached in vars(exact_module).values():
+        if hasattr(cached, "cache_clear") and cached.__module__ == exact_module.__name__:
+            cached.cache_clear()
+
+
 def _counted_factorizations(monkeypatch) -> list:
-    # A list that grows by one entry per getrf call, from empty factor and
-    # band slots and empty kernel caches of the exact engine.
+    # A list that grows by one entry per getrf call, from an empty factor
+    # slot and empty kernel caches of the exact engine.
     routines = noise._lapack()
     if routines is None:
         pytest.skip("numpy's LAPACK exports no getrf and getrs")
@@ -345,10 +395,7 @@ def _counted_factorizations(monkeypatch) -> list:
 
     monkeypatch.setattr(noise, "_lapack", lambda: (counted, getrs, integer))
     monkeypatch.setattr(noise, "_factors", None)
-    monkeypatch.setattr(noise, "_band", None)
-    for cached in (exact_module._applied_base, exact_module._design_kernel,
-                   exact_module._choice_bias, exact_module._conditional_kernel):
-        cached.cache_clear()
+    _cold_exact_caches()
     return factored
 
 
@@ -378,9 +425,8 @@ class TestFactors:
         # systems (4.4e-16 apart at n = 12), and np.linalg.solve alone moves
         # by as much between one and two threads. Each weight runs 1-d,
         # 2-column and m-column (build_M) right-hand sides. In the sequence
-        # 0.3, 0.8, 0.3, 0.8, 0.97, 0.3, 0.97 the returns to 0.3 and 0.8
-        # solve against unpacked bands, 0.97 evicts the band of 0.3, which
-        # is then factored again, and 0.97 returns to its band.
+        # 0.3, 0.8, 0.3, 0.8, 0.97, 0.3, 0.97 every change of weight factors
+        # again, so a weight's later factors must equal its first ones.
         package_root = str(Path(noise.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         one = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -390,9 +436,10 @@ class TestFactors:
         assert result.returncode == 0, result.stderr
 
     def test_one_factorization_per_run_of_equal_weights(self, monkeypatch):
-        # one sweep point: the table at p, the e0 arms at P and p (e2 and e3
-        # reuse cached kernels), the conditionals at p from the band, so 2
-        # factorizations for 11 solves; a repeated table solves nothing
+        # one sweep point: the table at p, which also solves the
+        # conditionals at p, then the e0 arms at P (e2 and e3 reuse cached
+        # kernels), so 2 factorizations for 11 solves; a repeated table
+        # solves nothing
         factored = _counted_factorizations(monkeypatch)
         n, p, P = 12, 0.55, 0.85
         counts = []
@@ -411,50 +458,43 @@ class TestFactors:
         assert len(factored) == 2
 
     def test_cold_two_weight_call_factors_each_weight_once(self, monkeypatch):
-        # e2 solves at p, P, p and P in turn; each return reads the band
+        # e2 solves at p twice (choice and final), then twice at P
         factored = _counted_factorizations(monkeypatch)
         expected_spread_two_param(12, 0.55, 0.85, "e2")
         assert len(factored) == 2
 
-    @pytest.mark.parametrize("n", [*range(2, 13), 20, 30, 40])
-    def test_band_round_trip_is_bitwise(self, n):
-        # every nonzero bit of identity-pivot factors lies in the 2n - 1
-        # diagonals, negative zeros of the subnormal weight included
-        routines = noise._lapack()
-        if routines is None:
-            pytest.skip("numpy's LAPACK exports no getrf and getrs")
-        for p in (5e-324, 0.3, 0.8, 0.97, 0.999999):
-            lu, pivots = noise._factor(routines, noise._system(n, p))
-            packed = noise._packed(n, p, lu, pivots)
-            assert packed is not None, p
-            assert packed[2].nbytes == (2 * n - 1) * len(lu) * 8
-            unpacked = noise._unpacked(n, packed[2])
-            assert np.array_equal(unpacked.view(np.uint64), lu.view(np.uint64)), p
-
-    def test_pivoted_factors_keep_no_band(self, monkeypatch):
-        # at this weight getrf swaps the last two rows, so the factors leave
-        # the band: none is kept and a return factors again
+    @pytest.mark.parametrize("design, pair", [("e0-control", (5, 8)), ("e1-objects", (3, 9))])
+    def test_cold_design_value_factors_each_weight_once(self, monkeypatch, design, pair):
+        # the e0 control arm solves the choice at p, then its final ranking
+        # and first ranking at P; e1 solves the choice and final at p, then
+        # the first ranking at P
         factored = _counted_factorizations(monkeypatch)
-        n, p = 40, 0.9999999999999999
-        m = n * (n - 1)
-        v = np.linspace(-1.0, 1.0, m)
-        first = mix_apply(n, p, v)
-        assert not np.array_equal(noise._factors[3], np.arange(1, m + 1))
-        mix_apply(n, 0.5, v)
-        assert noise._band is None
-        again = mix_apply(n, p, v)
-        assert len(factored) == 3
-        assert np.array_equal(again.view(np.uint64), first.view(np.uint64))
+        expected_spread_two_param(12, 0.55, 0.85, design, pair=pair)
+        assert len(factored) == 2
+
+    def test_rational_table_solves_no_conditionals(self, monkeypatch):
+        # the four kernel solves, one sector solve each; the float table's
+        # conditional solves are not made on the rational backend
+        solved = []
+        sector_solve = noise._sector_solve
+
+        def counted(*args):
+            solved.append(None)
+            return sector_solve(*args)
+
+        monkeypatch.setattr(noise, "_sector_solve", counted)
+        _cold_exact_caches()
+        expected_spread_table(6, Fraction(4, 5), exact=True)
+        assert len(solved) == 4
 
     def test_missing_routines_fall_back_to_dense_solve(self, monkeypatch):
         monkeypatch.setattr(noise, "_lapack", lambda: None)
         monkeypatch.setattr(noise, "_factors", None)
-        monkeypatch.setattr(noise, "_band", None)
         n, p = 12, 0.45
         v = np.random.default_rng(5).normal(size=(n * (n - 1), 2))
         dense = np.linalg.solve(noise._system(n, p), (1 - p) * v)
         assert np.array_equal(mix_apply(n, p, v), dense)
-        assert noise._factors is None and noise._band is None
+        assert noise._factors is None
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
     @pytest.mark.own_process
@@ -489,29 +529,6 @@ class TestFactors:
         assert len(peaks) == 2
         assert held > 0.9 * 8 * m * m
         assert max(peaks) - start < 1.1 * 8 * m * m
-
-    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
-    @pytest.mark.own_process
-    def test_held_band_is_its_diagonals_and_spares_a_factorization(self, monkeypatch):
-        # the switch from (40, 0.5) to (40, 0.6) replaces one fully resident
-        # m x m array with another and keeps the band of 0.5 beside it; the
-        # return to 0.5 reads that band and calls no getrf
-        factored = _counted_factorizations(monkeypatch)
-        n = 40
-        m = n * (n - 1)
-        v = np.linspace(-1.0, 1.0, m)
-        # a first solve at n = 40 sizes LAPACK's work buffers, and the n = 2
-        # solve leaves no band of n = 40 behind
-        mix_apply(n, 0.4, v)
-        mix_apply(2, 0.5, np.ones(2))
-        expected = mix_apply(n, 0.5, v)
-        start = _resident()
-        mix_apply(n, 0.6, v)
-        assert _resident() - start < 1.1 * (2 * n - 1) * m * 8
-        again = mix_apply(n, 0.5, v)
-        assert len(factored) == 4
-        assert np.array_equal(again.view(np.uint64), expected.view(np.uint64))
-
 
 class TestRationalSectors:
     @pytest.mark.parametrize("n", range(2, 8))
