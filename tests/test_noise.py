@@ -1,6 +1,7 @@
 """Swap-process noise: state rows, Q and M matrices, samplers."""
 
 import errno
+import hashlib
 import math
 import mmap
 import os
@@ -471,6 +472,44 @@ class TestFactors:
         factored = _counted_factorizations(monkeypatch)
         expected_spread_two_param(12, 0.55, 0.85, design, pair=pair)
         assert len(factored) == 2
+
+    @pytest.mark.parametrize("n", [*range(2, 13), 20, 30, 40])
+    def test_band_round_trip_is_bitwise(self, monkeypatch, n):
+        # every nonzero bit of identity-pivot factors lies in the 2n - 1
+        # diagonals, negative zeros of the subnormal weight included; no band
+        # of them is kept, so a round trip through the other weights factors
+        # each weight again, to the same bits
+        routines = noise._lapack()
+        if routines is None:
+            pytest.skip("numpy's LAPACK exports no getrf and getrs")
+        monkeypatch.setattr(noise, "_factors", None)
+        m = n * (n - 1)
+        weights = (5e-324, 0.3, 0.8, 0.97, 0.999999)
+        digests = {}
+        for p in weights + weights:
+            lu, pivots = noise._factored(n, p, routines)
+            assert np.array_equal(pivots, np.arange(1, m + 1)), p
+            assert not np.triu(lu, n).view(np.uint64).any(), p
+            assert not np.tril(lu, -n).view(np.uint64).any(), p
+            digest = hashlib.sha256(lu.tobytes() + pivots.tobytes()).digest()
+            assert digests.setdefault(p, digest) == digest, p
+        assert not hasattr(noise, "_band")
+
+    def test_pivoted_factors_keep_no_band(self, monkeypatch):
+        # at this weight getrf swaps the last two rows, so the factors leave
+        # the band: none is kept of these or any factors, and a return
+        # factors again, to the same bits
+        factored = _counted_factorizations(monkeypatch)
+        n, p = 40, 0.9999999999999999
+        m = n * (n - 1)
+        v = np.linspace(-1.0, 1.0, m)
+        first = mix_apply(n, p, v)
+        assert not np.array_equal(noise._factors[3], np.arange(1, m + 1))
+        mix_apply(n, 0.5, v)
+        assert noise._factors[:2] == (n, 0.5) and not hasattr(noise, "_band")
+        again = mix_apply(n, p, v)
+        assert len(factored) == 3
+        assert np.array_equal(again.view(np.uint64), first.view(np.uint64))
 
     def test_rational_table_solves_no_conditionals(self, monkeypatch):
         # the four kernel solves, one sector solve each; the float table's
