@@ -14,7 +14,9 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import __version__
 from .core import PositionPair, _checked_int
@@ -27,8 +29,12 @@ from .designs import (
     SubjectModel,
     TrialRecord,
     TwoParamModel,
-    iter_experiment,
+    _as_seed_sequence,
+    _experiment_blocks,
+    _fields,
 )
+# bench/tracer.py wraps this name of the module
+from .designs import iter_experiment  # noqa: F401
 from .exact import expected_spread_table
 # bench/tracer.py wraps summarize, compare and bootstrap_se under these names
 from .stats import _SpreadTally, bootstrap_se, compare, power_report, summarize  # noqa: F401
@@ -209,37 +215,36 @@ def _print_rounded_triangle(table) -> None:
         print(f"{f'j={j}':>5}{cells}")
 
 
-# One template per trial record. The bytes equal those of csv.writer with
-# "\n" line ends and of json.dump(record._asdict(), sort_keys=True): the arm
-# is a bare word, and the other fields are ints and a bool.
-def _csv_line(r: TrialRecord) -> str:
-    return f"{r.subject},{r.arm},{r.i},{r.j},{'true' if r.consistent else 'false'},{r.spread}\n"
+# One template per trial record, filled with its six fields in order and
+# the flag as a word. The bytes equal those of csv.writer with "\n" line
+# ends and of json.dump(record._asdict(), sort_keys=True): the arm is a bare
+# word, and the other fields are ints and a bool.
+_csv_line = "{},{},{},{},{},{}\n".format
+_json_line = ('{{"arm": "{1}", "consistent": {4}, "i": {2}, "j": {3}, "spread": {5}, '
+              '"subject": {0}}}\n').format
 
 
-def _json_line(r: TrialRecord) -> str:
-    return (
-        f'{{"arm": "{r.arm}", "consistent": {"true" if r.consistent else "false"}, '
-        f'"i": {r.i}, "j": {r.j}, "spread": {r.spread}, "subject": {r.subject}}}\n'
-    )
-
-
-def _written(records, handle, line) -> Iterator[TrialRecord]:
-    # the records, unchanged, each written to ``handle`` as it passes
-    for record in records:
-        handle.write(line(record))
-        yield record
+def _lines(block, line) -> str:
+    # the records of a block of columns, written in one string
+    subject, arm, i, j, consistent, spread = _fields(block)
+    flags = [("false", "true")[flag] for flag in consistent]
+    return "".join(map(line, subject, arm, i, j, flags, spread))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     design, model = _build_experiment(args)
     output = args.output or ("trials.csv" if args.format == "csv" else "trials.jsonl")
     summary_path = output + ".summary.json"
-    records = iter_experiment(design, model, args.seed, truth_mode=args.truth_mode)
+    blocks = _experiment_blocks(design, model, _as_seed_sequence(args.seed),
+                                random_truth=args.truth_mode == "random")
     line = _csv_line if args.format == "csv" else _json_line
+    tally = _SpreadTally(design.n, ordered=design.kind == "e3")
     with open(output, "w", newline="") as handle:
         if args.format == "csv":
             handle.write(",".join(TrialRecord._fields) + "\n")
-        tally = _SpreadTally(_written(records, handle, line), ordered=design.kind == "e3")
+        for block in blocks:
+            handle.write(_lines(block, line))
+            tally.add(block)
 
     spread = summarize(tally.counts())
     consistent, reversal = tally.counts(consistent=True), tally.counts(consistent=False)
@@ -264,7 +269,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if comparison is None:
             summary["note"] = "both arms have zero variance; no comparison scale"
     if tally.ordered is not None:
-        summary["se_bootstrap"] = bootstrap_se(tally.ordered, seed=args.seed)
+        summary["se_bootstrap"] = bootstrap_se(np.concatenate(tally.ordered), seed=args.seed)
     _write_json(summary_path, summary)
 
     manifest = _write_manifest(

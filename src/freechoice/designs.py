@@ -15,25 +15,26 @@ stage order.
 * ``e3``: each block of C(n, 2) subjects covers every position pair exactly
   once, in an order drawn from the experiment-level stream.
 
-An experiment runs its subjects one after another in one loop; each
-subject draws from its own stream, and each e3 cover is drawn when the
-loop reaches it.
+Each subject draws from its own stream, as :func:`run_subject` defines on
+a numpy Generator. An experiment runs its subjects in blocks of up to
+1,024 on arrays (noise._Streams replays the Generator's draws), with
+power replications sharing blocks, and each e3 cover is drawn when its
+first subject is reached.
 
 Subject models plug in through a small hook interface: the noise weight of
 each stage (one triple from :func:`noise.stage_weights`), an optional
-post-choice modification of the true ranking, and an optional post-hoc edit
-of the final ranking. A subject runs on plain entry lists, so the hooks act
-on entries.
+post-choice move of the compared objects in the true ranking, and an
+optional post-hoc edit of their places in the final ranking. The hooks act
+on places, as ints for run_subject and as arrays for a block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from itertools import islice, starmap
 from typing import ClassVar, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .core import (
     ObjectPair,
@@ -41,13 +42,21 @@ from .core import (
     Ranking,
     _checked_int,
     _checked_pair,
-    all_position_pairs,
 )
-from .noise import Weight, _checked_weight, _Draws, _PCG64Draws, _swapped, stage_weights
+from .noise import (
+    _ARMS,
+    CapacityError,
+    Weight,
+    _checked_weight,
+    _Streams,
+    _swapped,
+    _swap_rows,
+    stage_weights,
+)
 
 # A subject no longer calls these; bench/tracer.py wraps them as names of
 # this module, so they stay importable from here.
-from .core import spread  # noqa: F401
+from .core import all_position_pairs, spread  # noqa: F401
 from .noise import sample_choice, sample_noisy_ranking  # noqa: F401
 
 __all__ = [
@@ -75,7 +84,11 @@ TRUTH_MODES = ("identity", "random")
 
 Seed = Union[int, np.random.SeedSequence]
 
-_CHUNK = 1024
+_BLOCK = 1024
+
+# A run whose expected number of adjacent swaps passes this is refused before
+# its first draw.
+_SWAP_BUDGET = 10**10
 
 # Subject indices enter their stream's spawn key as one 32-bit word.
 _MAX_SUBJECTS = 2**32
@@ -86,11 +99,17 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _pair_at(n: int, k: int) -> Tuple[int, int]:
-    # Positions (i, j) of pair k in the lexicographic order of
-    # all_position_pairs(n), without listing the C(n, 2) pairs. Counted from
-    # the end, the rows i..n - 1 hold (n - i)(n - i + 1)/2 pairs.
-    i = n - 1 - (isqrt(8 * (pair_count(n) - 1 - k) + 1) - 1) // 2
+def _pair_at(n: int, k):
+    # Positions (i, j) of pair k (an int or an integer array) in the
+    # lexicographic order of all_position_pairs(n), without listing the
+    # C(n, 2) pairs. Counted from the end, the rows i..n - 1 hold
+    # (n - i)(n - i + 1)/2 pairs; the float root is corrected to isqrt.
+    k = np.asarray(k, dtype=np.int64)
+    x = 8 * (pair_count(n) - 1 - k) + 1
+    root = np.sqrt(x).astype(np.int64)
+    root -= root * root > x
+    root += (root + 1) * (root + 1) <= x
+    i = n - 1 - (root - 1) // 2
     return i, k - (i - 1) * (2 * n - i) // 2 + i + 1
 
 
@@ -163,14 +182,15 @@ class _StageHooks:
         """Noise weights of the first ranking, the choice and the final ranking."""
         return stage_weights(self.p, self.p, arm)
 
-    def _adjust(self, truth: Sequence, chosen, rejected, gap: int) -> Sequence:
-        # the true ranking after choosing ``chosen`` over ``rejected``, the
-        # two positions ``gap`` apart in the first ranking
-        return truth
+    # The model's two hooks act on the places (from 0) of the chosen and the
+    # rejected object, ints or integer arrays over the subjects of a block.
+    def _moved(self, chosen, rejected, gap, n: int):
+        # their true places after the choice, the first ranking gap apart
+        return chosen, rejected
 
-    def _finalize(self, ranking: Sequence, chosen, rejected) -> Sequence:
-        # the final ranking as the subject reports it after the choice
-        return ranking
+    def _kept(self, chosen, rejected):
+        # their places in the final ranking as the subject reports it
+        return chosen, rejected
 
 
 @dataclass(frozen=True)
@@ -213,13 +233,8 @@ class MemoryModel(_StageHooks):
     p: float
     kind: ClassVar[str] = "memory"
 
-    def _finalize(self, ranking: Sequence, chosen, rejected) -> Sequence:
-        pos_chosen, pos_rejected = ranking.index(chosen), ranking.index(rejected)
-        if pos_chosen < pos_rejected:
-            return ranking
-        entries = list(ranking)
-        entries[pos_chosen], entries[pos_rejected] = rejected, chosen
-        return entries
+    def _kept(self, chosen, rejected):
+        return np.minimum(chosen, rejected), np.maximum(chosen, rejected)
 
 
 @dataclass(frozen=True)
@@ -243,18 +258,16 @@ class DissonanceShiftModel(_StageHooks):
         object.__setattr__(self, "shift", _checked_int(self.shift, "shift", 0))
         object.__setattr__(self, "threshold", _checked_int(self.threshold, "threshold", 1))
 
-    def _adjust(self, truth: Sequence, chosen, rejected, gap: int) -> Sequence:
-        if gap > self.threshold or self.shift == 0:
-            return truth
-        # 0-based target places, clamped to the board
-        target_chosen = max(0, truth.index(chosen) - self.shift)
-        target_rejected = min(len(truth) - 1, truth.index(rejected) + self.shift)
-        entries = list(truth)
-        entries.remove(chosen)
-        entries.insert(target_chosen, chosen)
-        entries.remove(rejected)
-        entries.insert(target_rejected, rejected)
-        return entries
+    def _moved(self, chosen, rejected, gap, n: int):
+        # The chosen object is taken out and put back ``shift`` places up,
+        # then the rejected one ``shift`` places below its old place; the
+        # chosen one's place shifts as the rejected one leaves and returns.
+        shifted = (gap <= self.threshold) & (self.shift > 0)
+        up = np.maximum(0, chosen - self.shift)
+        down = np.minimum(n - 1, rejected + self.shift)
+        up -= up > rejected + ((up <= rejected) & (rejected < chosen))
+        up += up >= down
+        return np.where(shifted, up, chosen), np.where(shifted, down, rejected)
 
 
 SubjectModel = Union[NullModel, TwoParamModel, MemoryModel, DissonanceShiftModel]
@@ -284,7 +297,7 @@ def run_subject(
     design: DesignConfig,
     model: SubjectModel,
     subject: int,
-    rng: Union[np.random.Generator, _Draws],
+    rng: np.random.Generator,
     *,
     pair: Optional[PositionPair] = None,
     truth: Optional[Ranking] = None,
@@ -306,7 +319,6 @@ def run_subject(
         truth = Ranking.identity(n)
     elif truth.n != n:
         raise ValueError(f"true ranking has {truth.n} objects but the design has {n}")
-    draws = rng if isinstance(rng, _Draws) else _Draws(rng)
     truth_entries = truth.entries
 
     arm = "none"
@@ -314,7 +326,7 @@ def run_subject(
         arm = "experimental" if subject < design.subjects // 2 else "control"
 
     if design.kind == "e2":
-        i, j = _pair_at(n, draws.below(pair_count(n), 1)[0])
+        i, j = map(int, _pair_at(n, rng.integers(0, pair_count(n), size=1)[0]))
     elif design.kind == "e3":
         if pair is None:
             raise ValueError("design 'e3' needs the driver-assigned pair; use run_experiment")
@@ -327,7 +339,7 @@ def run_subject(
 
     # Each stage is a sequence of entries; x and y are the tracked objects.
     w_first, w_choice, w_final = model.stage_weights(arm)
-    first = _swapped(truth_entries, w_first, draws)
+    first = _swapped(truth_entries, w_first, rng)
     if design.kind == "e1":
         x, y = design.object_pair.first, design.object_pair.second
         a, b = first.index(x) + 1, first.index(y) + 1
@@ -337,18 +349,23 @@ def run_subject(
 
     # the control arm ranks a second time before it chooses
     if arm == "control":
-        final = _swapped(truth_entries, w_final, draws)
-    noisy = _swapped(truth_entries, w_choice, draws)
+        final = _swapped(truth_entries, w_final, rng)
+    noisy = _swapped(truth_entries, w_choice, rng)
     chosen, rejected = (x, y) if noisy.index(x) < noisy.index(y) else (y, x)
     if arm != "control":
-        adjusted = model._adjust(truth_entries, chosen, rejected, j - i)
-        final = _swapped(adjusted, w_final, draws)
-        final = model._finalize(final, chosen, rejected)
+        places = model._moved(truth_entries.index(chosen), truth_entries.index(rejected), j - i, n)
+        adjusted = [entry for entry in truth_entries if entry not in (chosen, rejected)]
+        for place, entry in sorted(zip(map(int, places), (chosen, rejected))):
+            adjusted.insert(place, entry)
+        final = _swapped(adjusted, w_final, rng)
+    final_chosen, final_rejected = final.index(chosen), final.index(rejected)
+    if arm != "control":
+        final_chosen, final_rejected = map(int, model._kept(final_chosen, final_rejected))
 
     # core.spread on the entry lists: the chosen object's climb plus the
     # rejected object's fall from the first ranking to the final one
     first_chosen, first_rejected = first.index(chosen), first.index(rejected)
-    moved = first_chosen - final.index(chosen) + final.index(rejected) - first_rejected
+    moved = first_chosen - final_chosen + final_rejected - first_rejected
     return TrialRecord(subject, arm, i, j, first_chosen < first_rejected, moved)
 
 
@@ -375,10 +392,10 @@ def _stream_rng(root: np.random.SeedSequence, stream: str, *index: int) -> np.ra
 
 # numpy's SeedSequence hash constants; numpy keeps them fixed so that seeded
 # streams stay reproducible across its versions.
-_MASK32 = 0xFFFFFFFF
+_MASK32 = np.uint64(0xFFFFFFFF)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
 
 
 def _word_count(value) -> int:
@@ -391,74 +408,187 @@ def _word_count(value) -> int:
     return sum(map(_word_count, value))
 
 
-def _hash(words: np.ndarray, hash_const: int, mult: int) -> Tuple[np.ndarray, int]:
+def _hash(words: np.ndarray, hash_const: np.ndarray, mult: int) -> Tuple[np.ndarray, np.ndarray]:
     # One step of SeedSequence's hash on uint32 values held in uint64 arrays:
     # xor the constant, advance it, multiply by it and fold the high half.
-    advanced = hash_const * mult & _MASK32
+    advanced = hash_const * np.uint64(mult) & _MASK32
     words = (words ^ hash_const) * advanced & _MASK32
-    return words ^ words >> 16, advanced
+    return words ^ words >> np.uint64(16), advanced
 
 
-def _subject_states(root: np.random.SeedSequence, subjects: Sequence[int]) -> np.ndarray:
-    """PCG64 seeds of the subject streams, one row of 4 uint64 per subject.
+def _subject_states(roots: Sequence[np.random.SeedSequence], experiment: Sequence[int],
+                    subjects: Sequence[int]) -> np.ndarray:
+    """PCG64 seeds of subject streams, one row of 4 uint64 per subject.
 
-    Row k equals ``_stream_seed(root, "subject", subjects[k]).generate_state(4,
-    np.uint64)``, computed for all subjects in one array pass. SeedSequence
-    mixes its entropy words in order, so numpy mixes the shared prefix (the
-    root's entropy and spawn key plus the subject stream key) once. Its hash
-    constant has then advanced pool_size times per prefix word; each
-    subject index, one word below 2**32, is mixed into every pool word, and
-    the state is hashed from the pool.
+    Row k equals ``_stream_seed(roots[experiment[k]], "subject",
+    subjects[k]).generate_state(4, np.uint64)``, computed for all rows in
+    one array pass. SeedSequence mixes its entropy words in order, so numpy
+    mixes each shared prefix (a root's entropy and spawn key plus the
+    subject stream key) once. Its hash constant has then advanced pool_size
+    times per prefix word; each subject index, one word below 2**32, is
+    mixed into every pool word, and the state is hashed from the pool.
     """
-    prefix = _stream_seed(root, "subject")
-    pool_size = prefix.pool_size
+    prefixes = [_stream_seed(root, "subject") for root in roots]
+    pool_size = prefixes[0].pool_size
     # a non-empty spawn key pads the entropy to at least pool_size words
-    prefix_words = max(_word_count(prefix.entropy), pool_size) + _word_count(prefix.spawn_key)
-    hash_const = _INIT_A * pow(_MULT_A, pool_size * prefix_words, 2**32) & _MASK32
+    hash_const = np.array([
+        _INIT_A * pow(_MULT_A, pool_size * (max(_word_count(prefix.entropy), pool_size)
+                                            + _word_count(prefix.spawn_key)), 2**32) % 2**32
+        for prefix in prefixes], dtype=np.uint64)[experiment]
+    words = np.array([prefix.pool for prefix in prefixes], dtype=np.uint64)[experiment]
     index = np.asarray(subjects, dtype=np.uint64)
     pool = []
-    for word in prefix.pool.tolist():
+    for word in words.T:
         mixed, hash_const = _hash(index, hash_const, _MULT_A)
         mixed = (_MIX_MULT_L * word - _MIX_MULT_R * mixed) & _MASK32
-        pool.append(mixed ^ mixed >> 16)
-    hash_const = _INIT_B
+        pool.append(mixed ^ mixed >> np.uint64(16))
+    hash_const = np.full(len(index), _INIT_B, dtype=np.uint64)
     state = []
     for k in range(8):
         word, hash_const = _hash(pool[k % pool_size], hash_const, _MULT_B)
         state.append(word)
-    return np.stack([state[2 * k] | state[2 * k + 1] << 32 for k in range(4)], axis=1)
+    return np.stack([state[2 * k] | state[2 * k + 1] << np.uint64(32) for k in range(4)], axis=1)
 
 
-class _PresetSeed(ISeedSequence):
-    """A seed source holding the four words PCG64 asks it for."""
+class _Columns(NamedTuple):
+    """A block's records, one array per TrialRecord field, ``arm`` indexing
+    noise._ARMS, with the index of each record's experiment in its run."""
 
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a preset subject seed holds only 4 uint64 words")
-        return self.state
-
-
-def _subject_rngs(
-    root: np.random.SeedSequence, subjects: Sequence[int]
-) -> Iterator[np.random.Generator]:
-    """``_stream_rng(root, "subject", s)`` for each s in ``subjects``, in order."""
-    for state in _subject_states(root, subjects):
-        yield np.random.Generator(np.random.PCG64(_PresetSeed(state)))
+    experiment: np.ndarray
+    subject: np.ndarray
+    arm: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    consistent: np.ndarray
+    spread: np.ndarray
 
 
-def _e3_assignment(design: DesignConfig, root: np.random.SeedSequence) -> Iterator[PositionPair]:
-    """Pair per subject: a fresh random cover of all pairs for every block.
+def _fields(block: _Columns) -> List[list]:
+    # the TrialRecord fields of a block, one list each
+    return [block.subject.tolist(), [_ARMS[arm] for arm in block.arm.tolist()],
+            *(field.tolist() for field in block[3:])]
 
-    Each cover is drawn when the first of its subjects is reached.
-    """
-    pairs = all_position_pairs(design.n)
+
+def _records(block: _Columns) -> Iterator[TrialRecord]:
+    return starmap(TrialRecord, zip(*_fields(block)))
+
+
+def _check_swap_budget(design: DesignConfig, model: SubjectModel, experiments: int) -> None:
+    # subjects x 3 stages x p/(1 - p) swaps expected at the model's largest
+    # weight (the control arm's weights are P, p and P)
+    weight = max(float(w) for w in model.stage_weights("control"))
+    expected = 3 * design.subjects * experiments * weight / (1 - weight)
+    if expected > _SWAP_BUDGET:
+        raise CapacityError(
+            f"{design.subjects * experiments} subjects at noise weight {weight} draw about "
+            f"{expected:.3g} adjacent swaps; at most {_SWAP_BUDGET:.0e} are supported"
+        )
+
+
+def _covers(n: int, root: np.random.SeedSequence) -> Iterator[int]:
+    # the pair index of each e3 subject, a cover of all pairs drawn as it is reached
     rng = _stream_rng(root, "e3-assignment")
-    for _ in range(design.subjects // len(pairs)):
-        for index in rng.permutation(len(pairs)):
-            yield pairs[int(index)]
+    while True:
+        yield from rng.permutation(pair_count(n)).tolist()
+
+
+def _experiment_blocks(design: DesignConfig, model: SubjectModel, root: np.random.SeedSequence,
+                       *, replications: int = 0, random_truth: bool = False) -> Iterator[_Columns]:
+    """The records of the experiment seeded by ``root``, in blocks of _BLOCK subjects.
+
+    With ``replications``, of that many experiments one after another, the
+    r-th seeded by the stream ("replication", r) under ``root``; a block
+    then may hold subjects of several. The expected swap count is checked
+    at call time, before the first draw.
+    """
+    experiments, size = replications or 1, design.subjects
+    _check_swap_budget(design, model, experiments)
+
+    def blocks() -> Iterator[_Columns]:
+        covers = {}  # the e3 pair indices of the experiment under way
+        for start in range(0, experiments * size, _BLOCK):
+            rows = np.arange(start, min(start + _BLOCK, experiments * size))
+            experiment, subject = np.divmod(rows, size)
+            first = int(experiment[0])
+            seeds = [_stream_seed(root, "replication", e) if replications else root
+                     for e in range(first, int(experiment[-1]) + 1)]
+            pair = [] if design.kind == "e3" else None
+            for e, seed in enumerate(seeds, first):
+                if pair is not None:
+                    covers = covers if e in covers else {e: _covers(design.n, seed)}
+                    pair.extend(islice(covers[e], int(np.count_nonzero(experiment == e))))
+            streams = _Streams(_subject_states(seeds, experiment - first, subject))
+            yield _run_block(design, model, streams, experiment, subject, pair, random_truth)
+
+    return blocks()
+
+
+def _stage(streams: _Streams, rows: np.ndarray, weights: np.ndarray,
+           ranking: np.ndarray) -> np.ndarray:
+    # _swap_rows over rows that may differ in weight, one call per weight
+    out = np.empty_like(ranking)
+    for weight in np.unique(weights).tolist():
+        at = weights == weight
+        out[at] = _swap_rows(streams, rows[at], weight, ranking[at])
+    return out
+
+
+def _followed(streams: _Streams, rows: np.ndarray, weights: np.ndarray, n: int,
+              places: np.ndarray) -> np.ndarray:
+    # the places of two objects (rows 0 and 1 of ``places``) after a stage:
+    # the stage swaps a ranking that marks them 0 and 1
+    marks = np.full((len(rows), n), -1)
+    for mark, place in enumerate(places):
+        marks[np.arange(len(rows)), place] = mark
+    marks = _stage(streams, rows, weights, marks)
+    return np.stack([(marks == mark).argmax(axis=1) for mark in range(2)])
+
+
+def _run_block(design, model, streams, experiment, subject, pair, random_truth) -> _Columns:
+    """run_subject for each row of a block, its stream a row of ``streams``.
+
+    The draws are those of run_subject on each subject's Generator, stage
+    by stage over the block: the whole first ranking, then the places of
+    the compared two objects. Objects and places count from 0 here.
+    """
+    n, rows = design.n, np.arange(len(subject))
+    arm = np.zeros(len(rows), dtype=np.intp)
+    if design.kind == "e0":
+        arm += 1 + (subject >= design.subjects // 2)
+    weights = np.array([[float(w) for w in model.stage_weights(name)] for name in _ARMS])[arm]
+    # ranking[r, c] is the object at place c, truth[r, c] the true place of object c
+    ranking = np.tile(np.arange(n), (len(rows), 1))
+    truth = ranking.copy()
+    if random_truth:
+        ranking = streams.permutations(rows, n)
+        np.put_along_axis(truth, ranking, truth.copy(), axis=1)
+    if design.kind == "e2":
+        pair = streams.below(rows, pair_count(n), np.ones_like(rows))
+    first = _stage(streams, rows, weights[:, 0], ranking)
+    if design.kind == "e1":
+        x, y = design.object_pair.first - 1, design.object_pair.second - 1
+        places = np.stack([(first == obj).argmax(axis=1) for obj in (x, y)])
+        i, j = places.min(axis=0) + 1, places.max(axis=0) + 1
+    else:
+        fixed = _pair_at(n, pair) if pair is not None else (design.pair.i, design.pair.j)
+        i, j = (np.broadcast_to(place, rows.shape) for place in fixed)
+        places = np.stack((i - 1, j - 1))
+        x, y = first[rows, i - 1], first[rows, j - 1]
+    true = np.stack((truth[rows, x], truth[rows, y]))
+    # the control arm ranks a second time before it chooses
+    control = arm == 2
+    final = np.empty_like(true)
+    final[:, control] = _followed(streams, rows[control], weights[control, 2], n, true[:, control])
+    noisy = _followed(streams, rows, weights[:, 1], n, true)
+    # from here on, row 0 of each pair of places is the chosen object's
+    flip = noisy[0] > noisy[1]
+    for both in (places, true, final):
+        both[:, flip] = both[::-1, flip]
+    rest = ~control
+    moved = np.stack(model._moved(true[0, rest], true[1, rest], (j - i)[rest], n))
+    final[:, rest] = model._kept(*_followed(streams, rows[rest], weights[rest, 2], n, moved))
+    spread = places[0] - final[0] + final[1] - places[1]
+    return _Columns(experiment, subject, arm, i, j, places[0] < places[1], spread)
 
 
 def iter_experiment(
@@ -473,34 +603,17 @@ def iter_experiment(
     Deterministic given the master seed: each subject consumes an own
     random stream derived from (seed, subject index). The true ranking is
     the identity, or with ``truth_mode="random"`` a fresh one per subject
-    drawn from the subject's stream. Records are produced lazily, with the
-    subject streams seeded a block at a time and each e3 cover drawn as it
-    is reached, so million-subject runs can be consumed without holding
-    them all; the arguments are checked at call time, before the first
-    record is asked for.
+    drawn from the subject's stream. Records are produced lazily, a block
+    of subjects at a time with each e3 cover drawn as it is reached, so
+    million-subject runs can be consumed without holding them all; the
+    arguments, and the expected swap count against its budget, are checked
+    at call time, before the first record is asked for.
     """
     if truth_mode not in TRUTH_MODES:
         raise ValueError(f"unknown truth mode {truth_mode!r}; expected one of {TRUTH_MODES}")
-    return _iter_blocks(design, model, _as_seed_sequence(master_seed), truth_mode == "random")
-
-
-def _iter_blocks(
-    design: DesignConfig,
-    model: SubjectModel,
-    root: np.random.SeedSequence,
-    random_truth: bool,
-) -> Iterator[TrialRecord]:
-    identity = Ranking.identity(design.n)
-    assignment = _e3_assignment(design, root) if design.kind == "e3" else None
-    for start in range(0, design.subjects, _CHUNK):
-        block = range(start, min(start + _CHUNK, design.subjects))
-        for subject, rng in zip(block, _subject_rngs(root, block)):
-            truth = identity
-            if random_truth:
-                truth = Ranking((rng.permutation(design.n) + 1).tolist())
-            draws = _PCG64Draws(rng, fresh=not random_truth)
-            pair = next(assignment) if assignment is not None else None
-            yield run_subject(design, model, subject, draws, pair=pair, truth=truth)
+    blocks = _experiment_blocks(design, model, _as_seed_sequence(master_seed),
+                                random_truth=truth_mode == "random")
+    return (record for block in blocks for record in _records(block))
 
 
 def run_experiment(

@@ -16,9 +16,11 @@ Every stage of a trial (first ranking, choice, final ranking) runs this one
 process; stages differ only in their weight, which :func:`stage_weights`
 assigns.
 
-One swap kernel samples every stage on plain entry sequences. The subject
-streams of :mod:`designs` feed it bounded draws replayed on raw PCG64
-words, value for value those of ``Generator.integers``.
+One swap kernel, :func:`_swapped`, samples a stage of one subject from a
+numpy Generator. :func:`_swap_rows` runs the same draws for a block of
+subjects at once: :class:`_Streams` replays numpy's PCG64, bounded
+integer, permutation and geometric draws on uint64 arrays, one stream per
+row, and hands each draw it cannot replay to numpy itself.
 
 Two numeric backends are provided: 64-bit floats (default) and exact rational
 arithmetic, which certifies identities such as row sums being exactly 1.
@@ -79,7 +81,7 @@ import mmap
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import List, Sequence, Tuple, Union
+from typing import Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -519,77 +521,277 @@ def build_M(n: int, p: Weight, exact: bool = False) -> np.ndarray:
     return entries
 
 
-class _Draws:
-    """A Generator's geometric and bounded-integer draws, through numpy."""
-
-    __slots__ = ("geometric", "_integers")
-
-    def __init__(self, rng: np.random.Generator):
-        self.geometric = rng.geometric
-        self._integers = rng.integers
-
-    def below(self, bound: int, k: int) -> List[int]:
-        """``k`` integers uniform on 0..bound - 1, as ``rng.integers(0, bound, size=k)``."""
-        return self._integers(0, bound, size=k).tolist()
+# numpy's PCG64 draws replayed on arrays, one subject stream per row. Every
+# constant is an explicit np.uint64, so that no array is cast under the
+# promotion rules of numpy 1.x, which NEP 50 changed in numpy 2.
+_U = np.uint64
+_LOW = _U(0xFFFFFFFF)
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit multiplier
+_JUMPS = 256  # most words drawn from one row at once
+_SLICE = 2**14  # most swap steps expanded at once in one block
 
 
-_HALF_RANGE = 2**32
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # high word of the 128-bit products a * b, by 32-bit halves
+    a0, a1, b0, b1 = a & _LOW, a >> _U(32), b & _LOW, b >> _U(32)
+    t = a0 * b0
+    u = a1 * b0 + (t >> _U(32))
+    v = a0 * b1 + (u & _LOW)
+    return a1 * b1 + (u >> _U(32)) + (v >> _U(32))
 
 
-class _PCG64Draws(_Draws):
-    """The same draws from a PCG64 Generator, bounded ones replayed on raw words.
+def _mul(ah, al, bh, bl):
+    # (a * b) mod 2**128 on (high, low) words
+    return _mulhi(al, bl) + al * bh + ah * bl, al * bl
 
-    numpy draws an integer below ``bound <= 2**32`` by Lemire's multiply-shift
-    (Lemire 2019, ACM TOMACS 29(1)) on 32-bit halves of PCG64's 64-bit
-    words: a fresh word gives its low half and carries its high half to the
-    next 32-bit draw. With m = x * bound for a half x, the draw is m >> 32
-    unless m mod 2**32 falls below (2**32 - bound) mod bound, which redraws.
-    Replaying that in Python skips numpy's per-call overhead; larger bounds
-    go to ``integers``, whose 64-bit path leaves the carried half alone.
-    ``fresh`` says that nothing has been drawn from ``rng`` yet, so no half
-    is carried; otherwise the carried half is read from the state.
+
+def _add(ah, al, bh, bl):
+    low = al + bl
+    return ah + bh + (low < al), low
+
+
+@lru_cache(maxsize=None)
+def _jumps() -> Tuple[np.ndarray, ...]:
+    # (A_j, C_j), j = 0.._JUMPS, as (high, low) words: j steps of PCG64 take
+    # the state s to A_j s + C_j inc, mod 2**128
+    a, c = [1], [0]
+    for _ in range(_JUMPS):
+        a.append(a[-1] * _MULT % 2**128)
+        c.append((c[-1] * _MULT + 1) % 2**128)
+    return tuple((part(np.array(v, dtype=object))).astype(_U) for v in (a, c)
+                 for part in (lambda w: w >> 64, lambda w: w & (2**64 - 1)))
+
+
+def _output(h: np.ndarray, low: np.ndarray) -> np.ndarray:
+    # PCG64's XSL-RR output of the states (h, low)
+    v, r = h ^ low, h >> _U(58)
+    return v >> r | v << ((_U(64) - r) & _U(63))
+
+
+@lru_cache(maxsize=None)
+def _search_sums(p: float) -> np.ndarray:
+    # numpy's geometric(p), p >= 1/3, is the first X with U <= S_X, the pmf's
+    # running sums as it adds them; past the last that grows it never stops
+    q, prod, sums = 1.0 - p, p, [p]
+    while sums[-1] + prod * q != sums[-1]:
+        prod *= q
+        sums.append(sums[-1] + prod)
+    return np.array(sums)
+
+
+@lru_cache(maxsize=None)
+def _ziggurat() -> Tuple[np.ndarray, np.ndarray]:
+    """numpy's exponential ziggurat tables ``ke`` and ``we``, read back from its own draws.
+
+    numpy draws a standard exponential from a word w as ri = w >> 11 on
+    strip i = (w >> 3) & 255, and returns ri * we[i] at once when ri < ke[i]
+    (Marsaglia & Tsang 2000). A crafted PCG64 state makes numpy's next two
+    words w and 0, and the state afterwards tells whether it took one. So
+    we[i] is the value drawn at ri = 1 (strip 1, which never returns at
+    once, accepts it on its second word), and ke[i] the least ri that takes
+    a second word, searched near 2**53 we[i - 1] / we[i] as the tables are
+    built. About 1,800 draws.
+    """
+    gen, inverse, top = np.random.Generator(np.random.PCG64(0)), pow(_MULT, -1, 2**128), 2**53
+
+    def draw(ri: int, strip: int) -> Tuple[float, bool]:
+        word = (ri << 8 | strip) << 3
+        inc = -word * _MULT % 2**128  # the state after ``word`` is 0, whose output is 0
+        gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": (word - inc) * inverse % 2**128, "inc": inc}}
+        return gen.standard_exponential(), gen.bit_generator.state["state"]["state"] == word
+
+    we, ke = [draw(1, strip)[0] for strip in range(256)], []
+    for strip in range(256):
+        guess = 0 if strip == 1 else int(we[strip - 1] / we[strip] * 2.0**53)
+        lo, hi = max(0, guess - 4), min(top, guess + 4)
+        if not ((lo == 0 or draw(lo - 1, strip)[1]) and (hi == top or not draw(hi, strip)[1])):
+            lo, hi = 0, top
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if draw(mid, strip)[1] else (lo, mid)
+        ke.append(lo)
+    return np.array(ke, dtype=_U), np.array(we)
+
+
+class _Streams:
+    """numpy's draws from a block of PCG64 streams, replayed on arrays.
+
+    Row k holds one stream's 128-bit state and increment as (high, low)
+    uint64 words, and the 32-bit half numpy carries to that stream's next
+    32-bit draw. Each method draws for the given rows as the ``Generator``
+    method it names would, and advances only those rows. A draw the arrays
+    do not replay (a ziggurat slow path, a Lemire rejection, a bound above
+    2**32) is made by numpy itself on a scratch PCG64 set to that row's
+    exact state, and the row goes on from the state numpy leaves.
     """
 
-    __slots__ = ("_raw", "_carry")
+    def __init__(self, seeds: np.ndarray):
+        # seeds: one row of 4 uint64 per stream, as PCG64 asks its
+        # SeedSequence for them; seeding is PCG's srandom(state, seq)
+        s0, s1, i0, i1 = np.asarray(seeds, dtype=_U).T
+        self.ih, self.il = i0 << _U(1) | i1 >> _U(63), i1 << _U(1) | _U(1)
+        self.sh, self.sl = _add(s0, s1, self.ih, self.il)
+        self.carry, self.carried = np.zeros(len(s0), dtype=_U), np.zeros(len(s0), dtype=bool)
+        self._gen = None
+        self.words(np.arange(len(s0)), np.ones(len(s0), dtype=np.intp))
 
-    def __init__(self, rng: np.random.Generator, fresh: bool = True):
-        super().__init__(rng)
-        self._raw = rng.bit_generator.random_raw
-        self._carry = None
-        if not fresh:
-            state = rng.bit_generator.state
-            if state["has_uint32"]:
-                self._carry = state["uinteger"]
+    def state(self, row: int, saved: tuple = None) -> dict:
+        """The ``PCG64.state`` of one row, or of the row's state in ``saved``."""
+        sh, sl, carried, carry = map(int, saved or self._saved(row))
+        return {"bit_generator": "PCG64", "has_uint32": carried, "uinteger": carry, "state": {
+            "state": sh << 64 | sl, "inc": int(self.ih[row]) << 64 | int(self.il[row])}}
 
-    def below(self, bound: int, k: int) -> List[int]:
-        if bound > _HALF_RANGE:
-            return super().below(bound, k)
+    def _set(self, row: int, state: dict) -> None:
+        (sh, sl), (ih, il) = (divmod(state["state"][key], 2**64) for key in ("state", "inc"))
+        self.sh[row], self.sl[row], self.ih[row], self.il[row] = sh, sl, ih, il
+        self.carried[row], self.carry[row] = state["has_uint32"], state["uinteger"]
+
+    def _saved(self, rows) -> tuple:
+        return self.sh[rows], self.sl[rows], self.carried[rows], self.carry[rows]
+
+    def _redo(self, rows: np.ndarray, saved: tuple, redo: np.ndarray, draw) -> Iterator:
+        # (k, numpy's own draw(gen, k)) for each k in ``redo``, on a scratch
+        # PCG64 in row rows[k]'s saved state; the row goes on from where it ends
+        self._gen = self._gen or np.random.Generator(np.random.PCG64(0))
+        for k in redo.tolist():
+            self._gen.bit_generator.state = self.state(rows[k], [part[k] for part in saved])
+            yield k, draw(self._gen, k)
+            self._set(rows[k], self._gen.bit_generator.state)
+
+    def words(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """``counts[k]`` (at most _JUMPS) raw 64-bit words of row ``rows[k]``, row after row."""
+        owner, ends = np.repeat(rows, counts), np.cumsum(counts)
+        jump = np.arange(1, owner.size + 1) - np.repeat(ends - counts, counts)
+        ah, al, ch, cl = (table[jump] for table in _jumps())
+        h, low = _add(*_mul(ah, al, self.sh[owner], self.sl[owner]),
+                      *_mul(ch, cl, self.ih[owner], self.il[owner]))
+        last = ends[counts > 0] - 1
+        self.sh[owner[last]], self.sl[owner[last]] = h[last], low[last]
+        return _output(h, low)
+
+    def halves(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """``counts[k]`` 32-bit draws of row ``rows[k]``, row after row.
+
+        numpy's next_uint32 takes the low half of a fresh word and carries
+        the high half to the next 32-bit draw; 64-bit draws leave it.
+        """
+        carried = self.carried[rows] & (counts > 0)
+        words = (counts - carried + 1) // 2
+        drawn = self.words(rows, words)
+        # each row's carried half, then the low and high halves of its words
+        drawn = np.insert(np.stack((drawn & _LOW, drawn >> _U(32)), axis=1).ravel(),
+                          2 * (np.cumsum(words) - words)[carried], self.carry[rows[carried]])
+        spare = carried + 2 * words > counts
+        last = (np.cumsum(carried + 2 * words) - 1)[spare]
+        self.carried[rows[counts > 0]] = False
+        self.carried[rows[spare]], self.carry[rows[spare]] = True, drawn[last]
+        return np.delete(drawn, last)
+
+    def below(self, rows: np.ndarray, bound: int, counts: np.ndarray) -> np.ndarray:
+        """``integers(0, bound, size=counts[k])`` on row ``rows[k]``, row after row.
+
+        Below 2**32 numpy uses Lemire's multiply-shift (Lemire 2019, ACM
+        TOMACS 29(1)) on 32-bit draws x: m = x * bound gives m >> 32 unless
+        m mod 2**32 falls below 2**32 mod bound, which draws again.
+        """
+        out = np.zeros(int(counts.sum()), dtype=np.intp)
         if bound == 1:
-            return [0] * k  # numpy draws nothing from a range of one value
-        threshold = _HALF_RANGE % bound
-        raw, carry = self._raw, self._carry
-        out: List[int] = []
-        while len(out) < k:
-            if carry is None:
-                word = raw()
-                half, carry = word & (_HALF_RANGE - 1), word >> 32
-            else:
-                half, carry = carry, None
-            m = half * bound
-            if m & (_HALF_RANGE - 1) >= threshold:
-                out.append(m >> 32)
-        self._carry = carry
+            return out  # numpy draws nothing from a range of one value
+        saved, start = self._saved(rows), np.cumsum(counts) - counts
+        redo = np.flatnonzero(counts)
+        if bound <= 2**32:
+            m = self.halves(rows, counts) * _U(bound)
+            out[:] = m >> _U(32)
+            rejected = (m & _LOW) < _U(2**32 % bound)
+            redo = np.unique(np.repeat(np.arange(len(rows)), counts)[rejected])
+        for k, values in self._redo(rows, saved, redo,
+                                    lambda gen, k: gen.integers(0, bound, size=counts[k])):
+            out[start[k]:start[k] + counts[k]] = values
         return out
 
+    def geometric(self, rows: np.ndarray, p: float) -> np.ndarray:
+        """``geometric(1 - p) - 1``, at least 0, on each row: a stage's swap count at weight p.
 
-def _swapped(entries: Sequence, p: float, draws: _Draws) -> Sequence:
-    # The swap kernel of every stage: ``entries`` after a geometric number of
-    # uniform adjacent swaps at weight p; ``entries`` itself when none is drawn.
-    k = draws.geometric(1.0 - p) - 1
-    if k == 0:
+        For a success probability 1 - p >= 1/3 numpy searches the running
+        pmf sums, and otherwise takes ceil(-E / log1p(-(1 - p))) of a
+        ziggurat exponential E.
+        """
+        saved, word = self._saved(rows), self.words(rows, np.ones_like(rows))
+        success = 1.0 - p
+        if success >= 1 / 3:
+            sums = _search_sums(success)
+            k = np.searchsorted(sums, (word >> _U(11)).astype(float) * 2.0**-53)
+            redo = np.flatnonzero(k == len(sums))
+        else:
+            ke, we = _ziggurat()
+            ri, strip = word >> _U(11), (word >> _U(3) & _U(255)).astype(np.intp)
+            redo = np.flatnonzero(ri >= ke[strip])
+            k = np.ceil(-(ri.astype(float) * we[strip]) / math.log1p(-success)).astype(np.intp) - 1
+        for r, value in self._redo(rows, saved, redo, lambda gen, r: gen.geometric(success)):
+            k[r] = value - 1
+        return np.maximum(k, 0)
+
+    def permutations(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """``permutation(n)`` on each row, one row of the result per stream.
+
+        numpy's shuffle swaps place i, from n - 1 down, with a place drawn
+        by masked 32-bit draws below i + 1, redrawing any above i.
+        """
+        perm, every = np.tile(np.arange(n), (len(rows), 1)), np.arange(len(rows))
+        for i in range(n - 1, 0, -1):
+            mask, place, todo = _U((1 << i.bit_length()) - 1), np.empty_like(every), every
+            while todo.size:
+                value = self.halves(rows[todo], np.ones_like(todo)) & mask
+                place[todo[value <= _U(i)]] = value[value <= _U(i)]
+                todo = todo[value > _U(i)]
+            perm[every, i], perm[every, place] = perm[every, place], perm[every, i]
+        return perm
+
+
+def _swap_rows(streams: _Streams, rows: np.ndarray, p: float, ranking: np.ndarray) -> np.ndarray:
+    """The swap kernel on arrays: each row of ``ranking`` after one stage of swaps.
+
+    Row k takes the swaps that :func:`_swapped` would draw from stream
+    ``rows[k]`` at weight p, step by step over the block. Rows run with the
+    most swaps first, so the rows taking step t lead the block, and the
+    steps are expanded in slices of at most _SLICE, so that the memory does
+    not grow with the swap count.
+    """
+    k = streams.geometric(rows, p)
+    order = np.argsort(-k, kind="stable")
+    k, rows, out = k[order], rows[order], ranking[order]
+    flat, n, done = out.reshape(-1), out.shape[1], 0
+    while k.size and done < k[0]:
+        live = int(np.count_nonzero(k > done))
+        width = min(int(k[0]) - done, max(1, _SLICE // live), 2 * _JUMPS - 2)
+        counts = np.minimum(k[:live] - done, width)
+        # the flat places swapped at step t, by the rows that take it, in order
+        owner = np.repeat(np.arange(live), counts)
+        bounds = np.cumsum(np.concatenate(([0], (counts > np.arange(width)[:, None]).sum(axis=1))))
+        at = np.empty(owner.size, dtype=np.intp)
+        step = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        at[bounds[step] + owner] = streams.below(rows[:live], n - 1, counts) + owner * n
+        after, bounds = at + 1, bounds.tolist()
+        for a, b in zip(bounds, bounds[1:]):
+            left = flat.take(at[a:b])
+            flat.put(at[a:b], flat.take(after[a:b]))
+            flat.put(after[a:b], left)
+        done += width
+    ranking = np.empty_like(out)
+    ranking[order] = out
+    return ranking
+
+
+def _swapped(entries: Sequence, p: float, rng: np.random.Generator) -> Sequence:
+    # The swap kernel of one subject: ``entries`` after a geometric number of
+    # uniform adjacent swaps at weight p; ``entries`` itself when none is drawn
+    # (numpy's geometric gives 0, not 1, for an exponential draw of exactly 0).
+    k = rng.geometric(1.0 - p) - 1
+    if k <= 0:
         return entries
     entries = list(entries)
-    for pos in draws.below(len(entries) - 1, k):
+    for pos in rng.integers(0, len(entries) - 1, size=k).tolist():
         entries[pos], entries[pos + 1] = entries[pos + 1], entries[pos]
     return entries
 
@@ -602,7 +804,7 @@ def sample_noisy_ranking(truth: Ranking, p: float, rng: np.random.Generator) -> 
     weight must lie in [0, 1).
     """
     p = _checked_weight(p, "noise weight")
-    entries = _swapped(truth.entries, p, _Draws(rng))
+    entries = _swapped(truth.entries, p, rng)
     return truth if entries is truth.entries else Ranking(entries)
 
 

@@ -17,11 +17,9 @@ is the only reduction that keeps the spreads themselves, in subject order.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from operator import itemgetter
 from statistics import NormalDist
 from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
@@ -32,12 +30,17 @@ from .designs import (
     DesignConfig,
     Seed,
     SubjectModel,
-    TrialRecord,
     _as_seed_sequence,
+    _check_swap_budget,
+    _Columns,
+    _experiment_blocks,
     _stream_rng,
     _stream_seed,
-    iter_experiment,
 )
+from .noise import _ARMS
+
+# bench/tracer.py wraps this name of the module
+from .designs import iter_experiment  # noqa: F401
 
 __all__ = [
     "DegenerateComparisonError",
@@ -152,38 +155,37 @@ def bootstrap_se(
     return float(np.std(means, ddof=1))
 
 
-# (arm, consistent, spread) of a TrialRecord
-_CELL = itemgetter(1, 4, 5)
-
-
-def _kept_spreads(records: Iterable[TrialRecord], spreads: array) -> Iterator[TrialRecord]:
-    # the records, unchanged, appending each spread to ``spreads`` on the way
-    for record in records:
-        spreads.append(record.spread)
-        yield record
-
-
 class _SpreadTally:
     """Spread value counts of one experiment, per (arm, consistent) cell.
 
-    Records are counted as they arrive, so the memory does not grow with
-    the number of subjects. With ``ordered`` the spreads are also kept in
-    subject order, in one integer array for the e3 bootstrap.
+    Blocks of records are counted as they arrive, with one ``np.bincount``
+    each, so the memory does not grow with the number of subjects. With
+    ``ordered`` the spreads are also kept in subject order, one integer
+    array per block, for the e3 bootstrap.
     """
 
-    def __init__(self, records: Iterable[TrialRecord], ordered: bool = False):
-        self.ordered = array("q") if ordered else None
-        if self.ordered is not None:
-            records = _kept_spreads(records, self.ordered)
-        self.cells = Counter(map(_CELL, records))
+    def __init__(self, n: int, ordered: bool = False):
+        # spreads lie in -2(n - 1)..2(n - 1)
+        self.offset = 2 * (n - 1)
+        self.table = np.zeros((len(_ARMS), 2, 2 * self.offset + 1), dtype=np.int64)
+        self.ordered = [] if ordered else None
 
-    def counts(self, arm: Optional[str] = None, consistent: Optional[bool] = None) -> Counter:
+    def add(self, block: _Columns, rows=slice(None)) -> None:
+        """Count the records of ``block`` (those at ``rows``)."""
+        cells = ((block.arm[rows] * 2 + block.consistent[rows]) * self.table.shape[2]
+                 + block.spread[rows] + self.offset)
+        self.table += np.bincount(cells, minlength=self.table.size).reshape(self.table.shape)
+        if self.ordered is not None:
+            self.ordered.append(block.spread[rows])
+
+    def counts(self, arm: Optional[str] = None,
+               consistent: Optional[bool] = None) -> Dict[int, int]:
         """Spread value counts over the cells that match the given arm and choice."""
-        counts: Counter = Counter()
-        for (cell_arm, cell_consistent, value), count in self.cells.items():
-            if arm in (None, cell_arm) and consistent in (None, cell_consistent):
-                counts[value] += count
-        return counts
+        table = self.table[slice(None) if arm is None else _ARMS.index(arm)]
+        table = table[..., slice(None) if consistent is None else int(consistent), :]
+        table = table.reshape(-1, table.shape[-1]).sum(axis=0)
+        values = np.flatnonzero(table)
+        return dict(zip((values - self.offset).tolist(), table[values].tolist()))
 
     def arms(self) -> Tuple[SpreadSummary, SpreadSummary, Optional[GroupComparison]]:
         """The e0 arms' summaries and their comparison, None when it has no scale."""
@@ -193,6 +195,20 @@ class _SpreadTally:
             return experimental, control, compare(experimental, control)
         except DegenerateComparisonError:
             return experimental, control, None
+
+
+def _tallies(blocks: Iterable[_Columns], n: int) -> Iterator[_SpreadTally]:
+    # one tally per experiment of a run, each once its last record has passed
+    tally, current = None, None
+    for block in blocks:
+        for experiment in range(block.experiment[0], block.experiment[-1] + 1):
+            if experiment != current:
+                if tally is not None:
+                    yield tally
+                tally, current = _SpreadTally(n), experiment
+            tally.add(block, block.experiment == experiment)
+    if tally is not None:
+        yield tally
 
 
 def _estimate(kind: str, tally: _SpreadTally) -> Tuple[float, Optional[float]]:
@@ -228,11 +244,10 @@ def power_estimate(
     if design.subjects < 2:
         raise ValueError("a power estimate needs at least 2 subjects per replication")
     critical = NormalDist().inv_cdf(1 - alpha)
-    root = _as_seed_sequence(seed)
+    blocks = _experiment_blocks(design, model, _as_seed_sequence(seed), replications=replications)
     rejections = 0
-    for replication in range(replications):
-        seq = _stream_seed(root, "replication", replication)
-        mean, se = _estimate(design.kind, _SpreadTally(iter_experiment(design, model, seq)))
+    for tally in _tallies(blocks, design.n):
+        mean, se = _estimate(design.kind, tally)
         if se and mean / se > critical:
             rejections += 1
     return rejections / replications
@@ -253,6 +268,8 @@ def power_report(
     difference); the all-pairs-once design also reports a bootstrap
     standard error over the same run.
     """
+    # the replications and the described experiment, before the first draw
+    _check_swap_budget(design, model, _checked_int(replications, "replications", 1) + 1)
     rate = power_estimate(design, model, replications=replications, alpha=alpha, seed=seed)
     report_seed = _stream_seed(_as_seed_sequence(seed), "report")
     report: Dict[str, object] = {
@@ -264,9 +281,10 @@ def power_report(
         "alpha": alpha,
         "rejection_rate": rate,
     }
-    records = iter_experiment(design, model, report_seed)
-    tally = _SpreadTally(records, ordered=design.kind == "e3")
+    tally = _SpreadTally(design.n, ordered=design.kind == "e3")
+    for block in _experiment_blocks(design, model, report_seed):
+        tally.add(block)
     report["mean"], report["se"] = _estimate(design.kind, tally)
     if tally.ordered is not None:
-        report["se_bootstrap"] = bootstrap_se(tally.ordered, seed=report_seed)
+        report["se_bootstrap"] = bootstrap_se(np.concatenate(tally.ordered), seed=report_seed)
     return report

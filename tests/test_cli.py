@@ -526,6 +526,28 @@ class TestErrors:
         assert "threads" in capsys.readouterr().err
         assert out.read_bytes() == b"precious\n"
 
+    @pytest.mark.parametrize("command, extra", [
+        ("simulate", ["--subjects", "10", "--p", "0.9999999999"]),
+        # 3 x 1,000 x 999 swaps per experiment pass the budget only with
+        # the replications and the report's experiment counted
+        ("power", ["--subjects", "1000", "--p", "0.999", "--replications", "4000"]),
+    ])
+    def test_runaway_swap_count_refused_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                                         command, extra):
+        # the expected swap count is refused before a stream is built, so a
+        # run that would not end in hours fails at once and writes nothing
+        import freechoice.designs as designs
+
+        monkeypatch.setattr(designs, "_Streams", None)
+        out = tmp_path / "out"
+        out.write_bytes(b"precious\n")
+        assert main([command, "--design", "classic", "--model", "null", "--n", "12",
+                     "--pair", "7,9", "--output", str(out), *extra]) == 2
+        err = capsys.readouterr().err
+        estimate = "3e+11" if command == "simulate" else "1.2e+10"
+        assert f"about {estimate} adjacent swaps; at most 1e+10 are supported" in err
+        assert out.read_bytes() == b"precious\n"
+
     def test_single_subject_e3_keeps_existing_output(self, tmp_path, capsys):
         # one e3 subject leaves the bootstrap nothing to resample
         out = tmp_path / "t.csv"

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -176,9 +177,8 @@ class TestRunSubject:
         record = run_subject(cfg, model, 0, np.random.default_rng(1))
         assert (record.i, record.j) == (7, 9)
         assert record.spread == 2
-        shifted = Ranking(model._adjust(Ranking.identity(15).entries, 7, 9, 2))
-        assert shifted.position_of(7) == 6
-        assert shifted.position_of(9) == 10
+        # places from 0: objects 7 and 9 of the identity move to positions 6 and 10
+        assert tuple(map(int, model._moved(6, 8, 2, 15))) == (5, 9)
 
     def test_dissonance_shift_respects_threshold(self):
         cfg = DesignConfig(kind="classic", n=15, subjects=3, pair=(7, 12))
@@ -191,9 +191,7 @@ class TestRunSubject:
         model = DissonanceShiftModel(p=0.0, shift=4, threshold=6)
         record = run_subject(cfg, model, 0, np.random.default_rng(1))
         # chosen already sits at position 1; rejected clamps to position 6
-        shifted = Ranking(model._adjust(Ranking.identity(6).entries, 1, 6, 5))
-        assert shifted.position_of(1) == 1
-        assert shifted.position_of(6) == 6
+        assert tuple(map(int, model._moved(0, 5, 5, 6))) == (0, 5)
         assert record.spread == 0
 
     def test_memory_noiseless_needs_no_correction(self):
@@ -209,14 +207,15 @@ class TestRunSubject:
             # gap plus the spread; a positive gap keeps the chosen one ahead
             first_gap = record.j - record.i if record.consistent else record.i - record.j
             assert record.spread + first_gap > 0
-        # a final ranking contradicting the choice swaps the two objects back
-        contradicting = (1, 5, 3, 4, 2, 6, 7, 8)
-        assert model._finalize(contradicting, 2, 5) == list(range(1, 9))
-        assert model._finalize(contradicting, 5, 2) == contradicting
+        # a final ranking contradicting the choice swaps the two objects back:
+        # in (1, 5, 3, 4, 2, 6, 7, 8), chosen 2 and rejected 5 sit at 4 and 1
+        assert tuple(map(int, model._kept(4, 1))) == (1, 4)
+        assert tuple(map(int, model._kept(1, 4))) == (1, 4)
 
     def test_consistency_flag_matches_first_ranking(self, stages, monkeypatch):
+        # run_subject on the subjects' numpy streams, then the block kernel
         cfg = DesignConfig(kind="classic", n=10, subjects=200, pair=(4, 7))
-        records = run_experiment(cfg, NullModel(p=0.7), 3)
+        records = reference_records(cfg, NullModel(p=0.7), np.random.SeedSequence(3))
         assert len(stages) == 3 * len(records)
         for record, rank_first, noisy in zip(records, stages[::3], stages[1::3]):
             choice = choice_from(noisy, rank_first.object_at(4), rank_first.object_at(7))
@@ -227,7 +226,7 @@ class TestRunSubject:
 
     def test_spread_recomputable(self, stages, monkeypatch):
         cfg = DesignConfig(kind="e2", n=9, subjects=150)
-        records = run_experiment(cfg, TwoParamModel(p=0.4, P=0.8), 5)
+        records = reference_records(cfg, TwoParamModel(p=0.4, P=0.8), np.random.SeedSequence(5))
         assert len(stages) == 3 * len(records)
         for record, rank_first, noisy, rank_final in zip(
             records, stages[::3], stages[1::3], stages[2::3]
@@ -359,6 +358,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="seed must be at least 0"):
             iter_experiment(cfg, NullModel(p=0.2), -1)
 
+    def test_swap_budget_checked_at_call_time(self, monkeypatch):
+        # subjects x 3 stages x p/(1 - p) at the largest weight, before any draw
+        monkeypatch.setattr(designs, "_Streams", None)
+        cfg = DesignConfig(kind="e0", n=12, subjects=10, pair=(7, 9))
+        with pytest.raises(noise.CapacityError, match="about 3e\\+11 adjacent swaps"):
+            iter_experiment(cfg, TwoParamModel(p=0.1, P=0.9999999999), 0)
+        iter_experiment(cfg, TwoParamModel(p=0.1, P=0.999), 0)  # 3e4 swaps
+
     def test_seed_follows_integer_rule(self):
         cfg = DesignConfig(kind="e2", n=5, subjects=4)
         model = NullModel(p=0.5)
@@ -403,8 +410,43 @@ class TestRunExperiment:
             assert cover == [(1, 2), (1, 3), (2, 3)]
 
 
+def pcg64_state(seed) -> dict:
+    return np.random.PCG64(seed).state
+
+
+def crafted_state(first: int, second: int = 0) -> dict:
+    """A PCG64 state whose next two raw words are ``first`` and ``second``."""
+    inc = (second - first * noise._MULT) % 2**128
+    state = (first - inc) * pow(noise._MULT, -1, 2**128) % 2**128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def streams_of(states):
+    streams = noise._Streams(np.zeros((len(states), 4), dtype=np.uint64))
+    for row, state in enumerate(states):
+        streams._set(row, state)
+    return streams
+
+
+def generators(states):
+    gens = [np.random.Generator(np.random.PCG64()) for _ in states]
+    for gen, state in zip(gens, states):
+        gen.bit_generator.state = state
+    return gens
+
+
+def assert_same_states(streams, gens):
+    # numpy leaves a spent carried half in "uinteger", where no draw reads it
+    def live(state):
+        return {**state, "uinteger": state["uinteger"] if state["has_uint32"] else 0}
+
+    assert [live(streams.state(k)) for k in range(len(gens))] == [
+        live(g.bit_generator.state) for g in gens]
+
+
 class TestSubjectStreams:
-    """The block-wide subject seeds equal numpy's per-subject SeedSequence."""
+    """The block-wide subject seeds, replayed by the kernel, equal numpy's per-subject streams."""
 
     ROOTS = {
         "small int": np.random.SeedSequence(3),
@@ -420,49 +462,235 @@ class TestSubjectStreams:
     @pytest.mark.parametrize("name", ROOTS)
     def test_matches_numpy_seed_sequence(self, name):
         root = self.ROOTS[name]
-        states = designs._subject_states(root, self.SUBJECTS)
-        rngs = designs._subject_rngs(root, self.SUBJECTS)
-        for subject, state, rng in zip(self.SUBJECTS, states, rngs):
+        # the same root twice, as two experiments of one block
+        states = designs._subject_states([root, root], [0] * 5 + [1] * 5, self.SUBJECTS * 2)
+        assert states.dtype == np.uint64 and states.shape == (10, 4)
+        streams = noise._Streams(states)
+        rows = np.arange(10)
+        expected = []
+        for subject in self.SUBJECTS * 2:
             key = root.spawn_key + (1, subject)
             seq = np.random.SeedSequence(entropy=root.entropy, spawn_key=key)
-            assert state.dtype == np.uint64
-            assert state.tolist() == seq.generate_state(4, np.uint64).tolist()
-            expected = np.random.Generator(np.random.PCG64(seq))
-            draws = rng.integers(0, 2**62, size=3).tolist()
-            assert draws == expected.integers(0, 2**62, size=3).tolist()
-            assert rng.geometric(0.3) == expected.geometric(0.3)
-            assert rng.permutation(12).tolist() == expected.permutation(12).tolist()
-
-    def test_preset_seed_serves_only_pcg64(self):
-        rng = next(designs._subject_rngs(np.random.SeedSequence(3), [0]))
-        with pytest.raises(ValueError):
-            rng.bit_generator.seed_seq.generate_state(8, np.uint32)
+            assert states[len(expected)].tolist() == seq.generate_state(4, np.uint64).tolist()
+            expected.append(np.random.Generator(np.random.PCG64(seq)))
+        assert_same_states(streams, expected)
+        words = streams.words(rows, np.full(10, 3)).reshape(10, 3)
+        assert words.tolist() == [g.bit_generator.random_raw(3).tolist() for g in expected]
+        assert (streams.geometric(rows, 0.7) + 1).tolist() == [g.geometric(0.3) for g in expected]
+        perms = streams.permutations(rows, 12)
+        assert perms.tolist() == [g.permutation(12).tolist() for g in expected]
+        assert_same_states(streams, expected)
 
 
 class TestSubjectDraws:
-    """The subject stream's replayed bounded draws equal numpy's, word for word."""
+    """The kernel's bounded draws equal numpy's, word for word, carried half included."""
 
-    # 3 * 2**30 rejects about one draw in four; 2**32 is the largest bound
-    # replayed, and 2**32 + 1 goes to numpy's 64-bit path
+    # 3 * 2**30 rejects about one draw in four, which numpy then draws; 2**32
+    # is the largest bound replayed, and 2**32 + 1 goes to numpy's 64-bit path
     BOUNDS = [1, 2, 11, 66, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1]
 
     @pytest.mark.parametrize("bound", BOUNDS)
     @pytest.mark.parametrize("after", ["nothing", "permutation"])
     def test_below_matches_integers(self, bound, after):
-        carried = []
-        for seed in range(16):
-            expected = np.random.Generator(np.random.PCG64(seed))
-            replayed = np.random.Generator(np.random.PCG64(seed))
-            if after == "permutation":
-                # a shuffle draws 32-bit halves and may leave one carried
-                assert replayed.permutation(12).tolist() == expected.permutation(12).tolist()
-                carried.append(replayed.bit_generator.state["has_uint32"])
-            draws = noise._PCG64Draws(replayed, fresh=after == "nothing")
-            for k in [0, 1, 2, 3, 4, 5, 6] * 2:
-                assert draws.below(bound, k) == expected.integers(0, bound, size=k).tolist()
-                assert draws.geometric(0.4) == expected.geometric(0.4)
+        states = [pcg64_state(seed) for seed in range(16)]
+        expected, streams, rows = generators(states), streams_of(states), np.arange(16)
         if after == "permutation":
+            # a shuffle draws 32-bit halves and may leave one carried
+            assert streams.permutations(rows, 12).tolist() == [
+                g.permutation(12).tolist() for g in expected]
+            carried = [g.bit_generator.state["has_uint32"] for g in expected]
             assert 0 < sum(carried) < len(carried)
+        for k in [0, 1, 2, 3, 4, 5, 6] * 2:
+            drawn = streams.below(rows, bound, np.full(16, k)).reshape(16, k)
+            assert drawn.tolist() == [g.integers(0, bound, size=k).tolist() for g in expected]
+            swaps = streams.geometric(rows, 0.6)
+            assert (swaps + 1).tolist() == [g.geometric(0.4) for g in expected]
+        # ragged counts, the rows in any order
+        counts, order = np.arange(16) % 5, np.arange(16)[::-1]
+        drawn = streams.below(order, bound, counts).tolist()
+        assert drawn == [v for k, count in zip(order, counts)
+                         for v in expected[k].integers(0, bound, size=count)]
+        assert_same_states(streams, expected)
+
+
+def reference_records(cfg, model, root, truth_mode="identity"):
+    """run_subject on each subject's own numpy Generator, the experiment's streams as seeded."""
+    pairs = all_position_pairs(cfg.n)
+    covers = designs._stream_rng(root, "e3-assignment") if cfg.kind == "e3" else None
+    records = []
+    for subject in range(cfg.subjects):
+        if covers is not None and subject % len(pairs) == 0:
+            cover = covers.permutation(len(pairs))
+        rng = np.random.Generator(np.random.PCG64(designs._stream_seed(root, "subject", subject)))
+        truth = Ranking((rng.permutation(cfg.n) + 1).tolist()) if truth_mode == "random" else None
+        pair = pairs[cover[subject % len(pairs)]] if covers is not None else None
+        records.append(run_subject(cfg, model, subject, rng, pair=pair, truth=truth))
+    return records
+
+
+# 150 subjects cross two blocks of 64; e3 covers of 10 pairs and the e0 arm
+# boundary fall inside blocks
+KERNEL_DESIGNS = {
+    "classic": DesignConfig(kind="classic", n=7, subjects=150, pair=(2, 5)),
+    "e0": DesignConfig(kind="e0", n=6, subjects=150, pair=(3, 4)),
+    "e1": DesignConfig(kind="e1", n=8, subjects=150, object_pair=(2, 6)),
+    "e2": DesignConfig(kind="e2", n=9, subjects=150),
+    "e3": DesignConfig(kind="e3", n=5, subjects=150),
+}
+# weights on both of numpy's geometric algorithms (search for p <= 2/3)
+KERNEL_MODELS = {
+    "null": NullModel(p=0.8),
+    "two-param": TwoParamModel(p=0.5, P=0.9),
+    "memory": MemoryModel(p=0.6),
+    "dissonance-shift": DissonanceShiftModel(p=0.5, shift=2, threshold=3),
+}
+
+
+class TestKernelRecords:
+    """The block kernel's records equal run_subject's on numpy Generators."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(designs, "_BLOCK", 64)
+
+    @pytest.mark.parametrize("truth_mode", designs.TRUTH_MODES)
+    @pytest.mark.parametrize("model", KERNEL_MODELS)
+    @pytest.mark.parametrize("kind", KERNEL_DESIGNS)
+    def test_records_match_run_subject(self, kind, model, truth_mode):
+        cfg, model = KERNEL_DESIGNS[kind], KERNEL_MODELS[model]
+        records = run_experiment(cfg, model, 2026, truth_mode=truth_mode)
+        assert records == reference_records(cfg, model, np.random.SeedSequence(2026), truth_mode)
+
+    @pytest.mark.parametrize("kind", ["e0", "e3"])
+    def test_replications_share_blocks(self, kind):
+        # 7 experiments of 30 subjects in blocks of 64: blocks hold parts of
+        # up to four experiments, and experiments straddle block boundaries
+        cfg = replace(KERNEL_DESIGNS[kind], subjects=30)
+        model, root = TwoParamModel(p=0.3, P=0.75), np.random.SeedSequence(8)
+        blocks = list(designs._experiment_blocks(cfg, model, root, replications=7))
+        assert [len(block.subject) for block in blocks] == [64, 64, 64, 18]
+        records = [record for block in blocks for record in designs._records(block)]
+        experiments = np.concatenate([block.experiment for block in blocks])
+        for replication in range(7):
+            seed = designs._stream_seed(root, "replication", replication)
+            got = [r for r, e in zip(records, experiments) if e == replication]
+            assert got == reference_records(cfg, model, seed)
+
+    def test_swaps_expand_in_slices(self, monkeypatch):
+        # at most 16 swap steps a slice: long stages run over many slices,
+        # and a lone row of about 500 swaps needs more than one jump table
+        monkeypatch.setattr(noise, "_SLICE", 16)
+        for cfg, model in ((KERNEL_DESIGNS["e0"], TwoParamModel(p=0.5, P=0.95)),
+                           (replace(KERNEL_DESIGNS["e2"], subjects=3), NullModel(p=0.998))):
+            records = run_experiment(cfg, model, 6)
+            assert records == reference_records(cfg, model, np.random.SeedSequence(6))
+
+    def test_noiseless_and_two_objects(self):
+        # weight 0 draws one word per stage and no swap; n = 2 swaps draw nothing
+        for cfg, model in ((KERNEL_DESIGNS["e2"], NullModel(p=0.0)),
+                           (DesignConfig(kind="e2", n=2, subjects=100), NullModel(p=0.7))):
+            records = run_experiment(cfg, model, 4, truth_mode="random")
+            assert records == reference_records(cfg, model, np.random.SeedSequence(4), "random")
+
+
+class TestKernelDraws:
+    """Each numpy primitive the kernel replays, against numpy on the same states."""
+
+    def test_pcg64_words(self):
+        states = [pcg64_state(seed) for seed in range(6)]
+        expected, streams = generators(states), streams_of(states)
+        counts = np.array([0, 1, 5, noise._JUMPS, 3, 2])
+        words = streams.words(np.arange(6), counts).tolist()
+        assert words == [w for g, c in zip(expected, counts) for w in g.bit_generator.random_raw(c)]
+        assert_same_states(streams, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 40])
+    def test_permutation(self, n):
+        states = [pcg64_state(seed) for seed in range(32)]
+        expected, streams = generators(states), streams_of(states)
+        for _ in range(3):
+            drawn = streams.permutations(np.arange(32), n)
+            assert drawn.tolist() == [g.permutation(n).tolist() for g in expected]
+        assert_same_states(streams, expected)
+
+    # numpy searches for a success probability 1 - p >= 1/3 and inverts an
+    # exponential below it; 2/3 and the floats beside it sit on the switch
+    @pytest.mark.parametrize("p", [0.0, 0.3, np.nextafter(2 / 3, 0), 2 / 3,
+                                   np.nextafter(2 / 3, 1), 0.9, 0.99])
+    def test_geometric(self, p):
+        states = [pcg64_state(seed) for seed in range(200)]
+        expected, streams = generators(states), streams_of(states)
+        for _ in range(5):
+            drawn = streams.geometric(np.arange(200), p) + 1
+            assert drawn.tolist() == [g.geometric(1.0 - p) for g in expected]
+        assert_same_states(streams, expected)
+
+    @staticmethod
+    def strip_word(ri: int, strip: int) -> int:
+        return (ri << 8 | strip) << 3
+
+    def assert_geometric_matches(self, states, p=0.9):
+        # an exponential of exactly 0 (strip 1 at ri = 0) makes numpy's
+        # geometric 0, which the swap kernel reads as no swap
+        expected, streams = generators(states), streams_of(states)
+        drawn = streams.geometric(np.arange(len(states)), p)
+        assert drawn.tolist() == [max(g.geometric(1.0 - p) - 1, 0) for g in expected]
+        assert_same_states(streams, expected)
+
+    def test_ziggurat_slow_paths_go_to_numpy(self):
+        ke, _ = noise._ziggurat()
+        top = 2**53 - 1
+        cases = {
+            # strip 0 past its ke: the exponential tail, one more word
+            "strip 0": (self.strip_word(int(ke[0]), 0), 12345 << 11),
+            # strip 1 never returns on its first word
+            "strip 1": (self.strip_word(5, 1), 7 << 11),
+            # a wedge whose second word accepts, and one that rejects and
+            # draws afresh from a third word
+            "wedge accepted": (self.strip_word(int(ke[100]), 100), 0),
+            "wedge rejected": (self.strip_word(top, 100), top << 11),
+        }
+        consumed = {}
+        for name, words in cases.items():
+            gen = generators([crafted_state(*words)])[0]
+            gen.standard_exponential()
+            state = gen.bit_generator.state["state"]["state"]
+            consumed[name] = state if state in words else "more"
+        assert consumed == {"strip 0": cases["strip 0"][1], "strip 1": cases["strip 1"][1],
+                            "wedge accepted": 0, "wedge rejected": "more"}
+        self.assert_geometric_matches([crafted_state(*words) for words in cases.values()])
+
+    def test_every_strip_boundary(self):
+        # ri = ke - 1 returns on its one word, ri = ke takes another
+        ke, we = noise._ziggurat()
+        states, fast, values = [], [], []
+        for strip, edge in enumerate(ke.tolist()):
+            for ri in (edge - 1, edge):
+                if 0 <= ri < 2**53:
+                    word = self.strip_word(ri, strip)
+                    gen = generators([crafted_state(word, 99 << 11)])[0]
+                    values.append(gen.standard_exponential())
+                    fast.append(gen.bit_generator.state["state"]["state"] == word)
+                    states.append(crafted_state(word, 99 << 11))
+                    if fast[-1]:
+                        assert values[-1] == ri * we[strip]
+        # strip 1 has ke = 0, so it has no fast word
+        assert len(states) == 2 * 256 - 1
+        assert fast == [ri_fast for strip, edge in enumerate(ke.tolist())
+                        for ri_fast in ((True, False) if edge else (False,))]
+        self.assert_geometric_matches(states)
+
+    def test_lemire_rejection_goes_to_numpy(self):
+        # x * 3 * 2**30 mod 2**32 falls below 2**32 mod 3 * 2**30 = 2**30
+        # exactly when x is a multiple of 4: numpy rejects the low half 8 of
+        # the first row's word and the second row's carried half 4
+        states = [crafted_state(5 << 32 | 8, 2**63 + 1), crafted_state(9, 2**33)]
+        states[1]["has_uint32"], states[1]["uinteger"] = 1, 4
+        expected, streams = generators(states), streams_of(states)
+        drawn = streams.below(np.arange(2), 3 * 2**30, np.array([3, 2])).tolist()
+        assert drawn == [v for g, k in zip(expected, (3, 2))
+                         for v in g.integers(0, 3 * 2**30, size=k)]
+        assert_same_states(streams, expected)
 
 
 class TestMonteCarlo:

@@ -16,6 +16,7 @@ from freechoice.designs import (
     DissonanceShiftModel,
     NullModel,
     _as_seed_sequence,
+    _experiment_blocks,
     _stream_rng,
     iter_experiment,
 )
@@ -289,12 +290,20 @@ class TestPowerEstimate:
 
 class TestSpreadTally:
     def test_cells_and_order(self):
-        cfg = DesignConfig(kind="e3", n=5, subjects=40)
+        # e0 over three blocks, so both arms and both choices have cells
+        cfg = DesignConfig(kind="e0", n=5, subjects=2100, pair=(2, 3))
         records = list(iter_experiment(cfg, NullModel(p=0.5), 2))
-        tally = _SpreadTally(iter(records), ordered=True)
-        assert tally.cells == Counter((r.arm, r.consistent, r.spread) for r in records)
-        assert tally.ordered.tolist() == [r.spread for r in records]
-        assert _SpreadTally(iter(records)).ordered is None
+        tally, unordered = _SpreadTally(5, ordered=True), _SpreadTally(5)
+        for block in _experiment_blocks(cfg, NullModel(p=0.5), _as_seed_sequence(2)):
+            tally.add(block)
+            unordered.add(block)
+        for arm in (None, "experimental", "control"):
+            for consistent in (None, True, False):
+                expected = Counter(r.spread for r in records if arm in (None, r.arm)
+                                   and consistent in (None, r.consistent))
+                assert tally.counts(arm, consistent) == expected
+        assert np.concatenate(tally.ordered).tolist() == [r.spread for r in records]
+        assert unordered.ordered is None
 
 
 class TestPowerReport:
