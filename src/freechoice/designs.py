@@ -512,9 +512,10 @@ def _experiment_blocks(design: DesignConfig, model: SubjectModel, root: np.rando
             first = int(experiment[0])
             seeds = [_stream_seed(root, "replication", e) if replications else root
                      for e in range(first, int(experiment[-1]) + 1)]
-            pair = [] if design.kind == "e3" else None
-            for e, seed in enumerate(seeds, first):
-                if pair is not None:
+            pair = None
+            if design.kind == "e3":
+                pair = []
+                for e, seed in enumerate(seeds, first):
                     covers = covers if e in covers else {e: _covers(design.n, seed)}
                     pair.extend(islice(covers[e], int(np.count_nonzero(experiment == e))))
             streams = _Streams(_subject_states(seeds, experiment - first, subject))
@@ -527,7 +528,7 @@ def _stage(streams: _Streams, rows: np.ndarray, weights: np.ndarray,
            ranking: np.ndarray) -> np.ndarray:
     # _swap_rows over rows that may differ in weight, one call per weight
     out = np.empty_like(ranking)
-    for weight in np.unique(weights).tolist():
+    for weight in set(weights.tolist()):
         at = weights == weight
         out[at] = _swap_rows(streams, rows[at], weight, ranking[at])
     return out
@@ -537,7 +538,7 @@ def _followed(streams: _Streams, rows: np.ndarray, weights: np.ndarray, n: int,
               places: np.ndarray) -> np.ndarray:
     # the places of two objects (rows 0 and 1 of ``places``) after a stage:
     # the stage swaps a ranking that marks them 0 and 1
-    marks = np.full((len(rows), n), -1)
+    marks = np.full((len(rows), n), -1, dtype=np.min_scalar_type(-n))
     for mark, place in enumerate(places):
         marks[np.arange(len(rows)), place] = mark
     marks = _stage(streams, rows, weights, marks)
@@ -556,11 +557,12 @@ def _run_block(design, model, streams, experiment, subject, pair, random_truth) 
     if design.kind == "e0":
         arm += 1 + (subject >= design.subjects // 2)
     weights = np.array([[float(w) for w in model.stage_weights(name)] for name in _ARMS])[arm]
-    # ranking[r, c] is the object at place c, truth[r, c] the true place of object c
-    ranking = np.tile(np.arange(n), (len(rows), 1))
+    # ranking[r, c] is the object at place c, truth[r, c] the true place of
+    # object c, in the smallest integer type that also holds -n
+    ranking = np.tile(np.arange(n, dtype=np.min_scalar_type(-n)), (len(rows), 1))
     truth = ranking.copy()
     if random_truth:
-        ranking = streams.permutations(rows, n)
+        ranking = streams.permutations(rows, n).astype(truth.dtype)
         np.put_along_axis(truth, ranking, truth.copy(), axis=1)
     if design.kind == "e2":
         pair = streams.below(rows, pair_count(n), np.ones_like(rows))
@@ -574,7 +576,7 @@ def _run_block(design, model, streams, experiment, subject, pair, random_truth) 
         i, j = (np.broadcast_to(place, rows.shape) for place in fixed)
         places = np.stack((i - 1, j - 1))
         x, y = first[rows, i - 1], first[rows, j - 1]
-    true = np.stack((truth[rows, x], truth[rows, y]))
+    true = np.stack((truth[rows, x], truth[rows, y])).astype(np.intp)
     # the control arm ranks a second time before it chooses
     control = arm == 2
     final = np.empty_like(true)

@@ -528,6 +528,7 @@ _U = np.uint64
 _LOW = _U(0xFFFFFFFF)
 _MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit multiplier
 _JUMPS = 256  # most words drawn from one row at once
+_WORDS = 1024  # most words drawn at once, past one row's
 _SLICE = 2**14  # most swap steps expanded at once in one block
 
 
@@ -661,6 +662,10 @@ class _Streams:
 
     def words(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """``counts[k]`` (at most _JUMPS) raw 64-bit words of row ``rows[k]``, row after row."""
+        if len(rows) > 1 and counts.sum() > _WORDS:  # in parts, so memory stays bounded
+            half = len(rows) // 2
+            return np.concatenate((self.words(rows[:half], counts[:half]),
+                                   self.words(rows[half:], counts[half:])))
         owner, ends = np.repeat(rows, counts), np.cumsum(counts)
         jump = np.arange(1, owner.size + 1) - np.repeat(ends - counts, counts)
         ah, al, ch, cl = (table[jump] for table in _jumps())
@@ -703,8 +708,8 @@ class _Streams:
         if bound <= 2**32:
             m = self.halves(rows, counts) * _U(bound)
             out[:] = m >> _U(32)
-            rejected = (m & _LOW) < _U(2**32 % bound)
-            redo = np.unique(np.repeat(np.arange(len(rows)), counts)[rejected])
+            rejected = np.repeat(np.arange(len(rows)), counts)[(m & _LOW) < _U(2**32 % bound)]
+            redo = np.flatnonzero(np.bincount(rejected, minlength=len(rows)))
         for k, values in self._redo(rows, saved, redo,
                                     lambda gen, k: gen.integers(0, bound, size=counts[k])):
             out[start[k]:start[k] + counts[k]] = values
