@@ -104,7 +104,8 @@ Weight = Union[float, int, Fraction]
 
 
 class CapacityError(ValueError):
-    """A dense system or an exact enumeration would exceed its supported size."""
+    """A dense system, an exact enumeration or a simulation's expected swap
+    count would exceed its supported size."""
 
 
 _ARMS = ("none", "experimental", "control")
@@ -559,8 +560,8 @@ def _jumps() -> Tuple[np.ndarray, ...]:
     for _ in range(_JUMPS):
         a.append(a[-1] * _MULT % 2**128)
         c.append((c[-1] * _MULT + 1) % 2**128)
-    return tuple((part(np.array(v, dtype=object))).astype(_U) for v in (a, c)
-                 for part in (lambda w: w >> 64, lambda w: w & (2**64 - 1)))
+    return tuple(np.array([w >> shift & (2**64 - 1) for w in v], dtype=_U)
+                 for v in (a, c) for shift in (64, 0))
 
 
 def _output(h: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -591,7 +592,7 @@ def _ziggurat() -> Tuple[np.ndarray, np.ndarray]:
     we[i] is the value drawn at ri = 1 (strip 1, which never returns at
     once, accepts it on its second word), and ke[i] the least ri that takes
     a second word, searched near 2**53 we[i - 1] / we[i] as the tables are
-    built. About 1,800 draws.
+    built: about 1,500 draws.
     """
     gen, inverse, top = np.random.Generator(np.random.PCG64(0)), pow(_MULT, -1, 2**128), 2**53
 
