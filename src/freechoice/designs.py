@@ -37,11 +37,13 @@ from typing import ClassVar, Iterator, List, NamedTuple, Optional, Sequence, Tup
 import numpy as np
 
 from .core import (
+    Choice,
     ObjectPair,
     PositionPair,
     Ranking,
     _checked_int,
     _checked_pair,
+    spread,
 )
 from .noise import (
     _ARMS,
@@ -49,15 +51,14 @@ from .noise import (
     Weight,
     _checked_weight,
     _Streams,
-    _swapped,
     _swap_rows,
+    sample_choice,
+    sample_noisy_ranking,
     stage_weights,
 )
 
-# A subject no longer calls these; bench/tracer.py wraps them as names of
-# this module, so they stay importable from here.
-from .core import all_position_pairs, spread  # noqa: F401
-from .noise import sample_choice, sample_noisy_ranking  # noqa: F401
+# bench/tracer.py wraps this name of the module
+from .core import all_position_pairs  # noqa: F401
 
 __all__ = [
     "DESIGN_KINDS",
@@ -304,13 +305,17 @@ def run_subject(
 ) -> TrialRecord:
     """Run one subject and return its trial record.
 
+    The reference definition of a subject, which the block kernel matches
+    draw for draw: each ranking is :func:`noise.sample_noisy_ranking`, the
+    choice :func:`noise.sample_choice` and the spread :func:`core.spread`.
     ``rng`` is a numpy Generator, drawn through its ``geometric`` and
     ``integers`` methods. ``pair`` must carry the assigned position pair
     for e3 (the driver owns the assignment), checked like ``DesignConfig``'s
     pair; other designs reject it.
     ``truth`` is this subject's true ranking, the identity when omitted.
     """
-    if not 0 <= subject < design.subjects:
+    subject = _checked_int(subject, "subject index", 0)
+    if subject >= design.subjects:
         raise ValueError(f"subject index {subject} outside 0..{design.subjects - 1}")
     if pair is not None and design.kind != "e3":
         raise ValueError(f"design {design.kind!r} does not take a per-subject pair")
@@ -319,7 +324,6 @@ def run_subject(
         truth = Ranking.identity(n)
     elif truth.n != n:
         raise ValueError(f"true ranking has {truth.n} objects but the design has {n}")
-    truth_entries = truth.entries
 
     arm = "none"
     if design.kind == "e0":
@@ -330,43 +334,37 @@ def run_subject(
     elif design.kind == "e3":
         if pair is None:
             raise ValueError("design 'e3' needs the driver-assigned pair; use run_experiment")
-        # a PositionPair, as the loop passes, has passed the rule but for n
-        if type(pair) is not PositionPair or pair.j > n:
-            pair = PositionPair(*_checked_pair(n, pair))
+        pair = PositionPair(*_checked_pair(n, pair))
         i, j = pair.i, pair.j
     elif design.kind != "e1":
         i, j = design.pair.i, design.pair.j
 
-    # Each stage is a sequence of entries; x and y are the tracked objects.
     w_first, w_choice, w_final = model.stage_weights(arm)
-    first = _swapped(truth_entries, w_first, rng)
+    first = sample_noisy_ranking(truth, w_first, rng)
     if design.kind == "e1":
-        x, y = design.object_pair.first, design.object_pair.second
-        a, b = first.index(x) + 1, first.index(y) + 1
-        i, j = min(a, b), max(a, b)
-    else:
-        x, y = first[i - 1], first[j - 1]
+        i, j = sorted(map(first.position_of, (design.object_pair.first, design.object_pair.second)))
+    tracked = ObjectPair(first.object_at(i), first.object_at(j))
 
     # the control arm ranks a second time before it chooses
     if arm == "control":
-        final = _swapped(truth_entries, w_final, rng)
-    noisy = _swapped(truth_entries, w_choice, rng)
-    chosen, rejected = (x, y) if noisy.index(x) < noisy.index(y) else (y, x)
+        final = sample_noisy_ranking(truth, w_final, rng)
+    choice = sample_choice(truth, tracked, w_choice, rng)
     if arm != "control":
-        places = model._moved(truth_entries.index(chosen), truth_entries.index(rejected), j - i, n)
-        adjusted = [entry for entry in truth_entries if entry not in (chosen, rejected)]
-        for place, entry in sorted(zip(map(int, places), (chosen, rejected))):
-            adjusted.insert(place, entry)
-        final = _swapped(adjusted, w_final, rng)
-    final_chosen, final_rejected = final.index(chosen), final.index(rejected)
-    if arm != "control":
-        final_chosen, final_rejected = map(int, model._kept(final_chosen, final_rejected))
+        final = sample_noisy_ranking(_placed(truth, choice, model._moved, j - i, n), w_final, rng)
+        final = _placed(final, choice, model._kept)
+    return TrialRecord(subject, arm, i, j, choice.chosen == tracked.first,
+                       spread(first, choice, final))
 
-    # core.spread on the entry lists: the chosen object's climb plus the
-    # rejected object's fall from the first ranking to the final one
-    first_chosen, first_rejected = first.index(chosen), first.index(rejected)
-    moved = first_chosen - final_chosen + final_rejected - first_rejected
-    return TrialRecord(subject, arm, i, j, first_chosen < first_rejected, moved)
+
+def _placed(ranking: Ranking, choice: Choice, hook, *args) -> Ranking:
+    # ``ranking`` with the chosen and the rejected object put at the places
+    # (from 0) that ``hook`` gives for theirs; the lower place is filled first
+    objects = choice.chosen, choice.rejected
+    places = hook(*(ranking.position_of(obj) - 1 for obj in objects), *args)
+    entries = [entry for entry in ranking.entries if entry not in objects]
+    for place, obj in sorted(zip(map(int, places), objects)):
+        entries.insert(place, obj)
+    return Ranking(entries)
 
 
 # The random-stream layout: the spawn key of each stream under its root seed.

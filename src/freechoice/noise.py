@@ -16,11 +16,11 @@ Every stage of a trial (first ranking, choice, final ranking) runs this one
 process; stages differ only in their weight, which :func:`stage_weights`
 assigns.
 
-One swap kernel, :func:`_swapped`, samples a stage of one subject from a
-numpy Generator. :func:`_swap_rows` runs the same draws for a block of
-subjects at once: :class:`_Streams` replays numpy's PCG64, bounded
-integer, permutation and geometric draws on uint64 arrays, one stream per
-row, and hands each draw it cannot replay to numpy itself.
+:func:`sample_noisy_ranking` samples a stage of one subject from a numpy
+Generator. :func:`_swap_rows` runs the same draws for a block of subjects
+at once: :class:`_Streams` replays numpy's PCG64, bounded integer,
+permutation and geometric draws on uint64 arrays, one stream per row, and
+hands each draw it cannot replay to numpy itself.
 
 Two numeric backends are provided: 64-bit floats (default) and exact rational
 arithmetic, which certifies identities such as row sums being exactly 1.
@@ -758,11 +758,11 @@ class _Streams:
 def _swap_rows(streams: _Streams, rows: np.ndarray, p: float, ranking: np.ndarray) -> np.ndarray:
     """The swap kernel on arrays: each row of ``ranking`` after one stage of swaps.
 
-    Row k takes the swaps that :func:`_swapped` would draw from stream
-    ``rows[k]`` at weight p, step by step over the block. Rows run with the
-    most swaps first, so the rows taking step t lead the block, and the
-    steps are expanded in slices of at most _SLICE, so that the memory does
-    not grow with the swap count.
+    Row k takes the swaps that :func:`sample_noisy_ranking` would draw from
+    stream ``rows[k]`` at weight p, step by step over the block. Rows run
+    with the most swaps first, so the rows taking step t lead the block, and
+    the steps are expanded in slices of at most _SLICE, so that the memory
+    does not grow with the swap count.
     """
     k = streams.geometric(rows, p)
     order = np.argsort(-k, kind="stable")
@@ -789,19 +789,6 @@ def _swap_rows(streams: _Streams, rows: np.ndarray, p: float, ranking: np.ndarra
     return ranking
 
 
-def _swapped(entries: Sequence, p: float, rng: np.random.Generator) -> Sequence:
-    # The swap kernel of one subject: ``entries`` after a geometric number of
-    # uniform adjacent swaps at weight p; ``entries`` itself when none is drawn
-    # (numpy's geometric gives 0, not 1, for an exponential draw of exactly 0).
-    k = rng.geometric(1.0 - p) - 1
-    if k <= 0:
-        return entries
-    entries = list(entries)
-    for pos in rng.integers(0, len(entries) - 1, size=k).tolist():
-        entries[pos], entries[pos + 1] = entries[pos + 1], entries[pos]
-    return entries
-
-
 def sample_noisy_ranking(truth: Ranking, p: float, rng: np.random.Generator) -> Ranking:
     """One noisy ranking: a geometric number of uniform adjacent swaps.
 
@@ -810,8 +797,15 @@ def sample_noisy_ranking(truth: Ranking, p: float, rng: np.random.Generator) -> 
     weight must lie in [0, 1).
     """
     p = _checked_weight(p, "noise weight")
-    entries = _swapped(truth.entries, p, rng)
-    return truth if entries is truth.entries else Ranking(entries)
+    # numpy's geometric gives 0, not 1, for an exponential draw of exactly 0,
+    # read as no swap
+    k = rng.geometric(1.0 - p) - 1
+    if k <= 0:
+        return truth
+    entries = list(truth.entries)
+    for pos in rng.integers(0, truth.n - 1, size=k).tolist():
+        entries[pos], entries[pos + 1] = entries[pos + 1], entries[pos]
+    return Ranking(entries)
 
 
 def sample_choice(truth: Ranking, pair: ObjectPair, p: float, rng: np.random.Generator) -> Choice:

@@ -268,8 +268,9 @@ def power_report(
     difference); the all-pairs-once design also reports a bootstrap
     standard error over the same run.
     """
+    replications = _checked_int(replications, "replications", 1)
     # the replications and the described experiment, before the first draw
-    _check_swap_budget(design, model, _checked_int(replications, "replications", 1) + 1)
+    _check_swap_budget(design, model, replications + 1)
     rate = power_estimate(design, model, replications=replications, alpha=alpha, seed=seed)
     report_seed = _stream_seed(_as_seed_sequence(seed), "report")
     report: Dict[str, object] = {

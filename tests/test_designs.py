@@ -134,23 +134,25 @@ class TestModels:
 
 @pytest.fixture
 def stages(monkeypatch):
-    """Spy on the swap kernel: every ranking a subject samples, in draw order.
+    """Spy on the ranking sampler: every ranking a subject samples, in draw order.
 
     Outside the e0 control arm a subject samples its first ranking, the
     ranking its choice is read from and its final ranking, in that order.
-    The spy calls through to the real kernel, so the records are those of
-    an unspied run. The final ranking is the sampled one, before the
-    model's ``_finalize`` edit.
+    The spy calls through to the real sampler, in ``designs`` and in
+    ``noise``, where ``sample_choice`` looks it up, so the records are
+    those of an unspied run. The final ranking is the sampled one, before
+    the model's ``_kept`` edit.
     """
     seen = []
-    real = designs._swapped
+    real = noise.sample_noisy_ranking
 
     def wrapper(*args):
         result = real(*args)
-        seen.append(Ranking(result))
+        seen.append(result)
         return result
 
-    monkeypatch.setattr(designs, "_swapped", wrapper)
+    for module in (designs, noise):
+        monkeypatch.setattr(module, "sample_noisy_ranking", wrapper)
     return seen
 
 
@@ -212,6 +214,7 @@ class TestRunSubject:
         assert tuple(map(int, model._kept(4, 1))) == (1, 4)
         assert tuple(map(int, model._kept(1, 4))) == (1, 4)
 
+    @pytest.mark.numpy_oracle
     def test_consistency_flag_matches_first_ranking(self, stages, monkeypatch):
         # run_subject on the subjects' numpy streams, then the block kernel
         cfg = DesignConfig(kind="classic", n=10, subjects=200, pair=(4, 7))
@@ -224,6 +227,7 @@ class TestRunSubject:
         monkeypatch.undo()
         assert run_experiment(cfg, NullModel(p=0.7), 3) == records
 
+    @pytest.mark.numpy_oracle
     def test_spread_recomputable(self, stages, monkeypatch):
         cfg = DesignConfig(kind="e2", n=9, subjects=150)
         records = reference_records(cfg, TwoParamModel(p=0.4, P=0.8), np.random.SeedSequence(5))
@@ -244,6 +248,12 @@ class TestRunSubject:
             run_subject(cfg, NullModel(p=0.1), 4, np.random.default_rng(0))
         with pytest.raises(ValueError):
             run_subject(cfg, NullModel(p=0.1), -1, np.random.default_rng(0))
+        # the index follows the integer rule: no float, and a numpy integer
+        # is recorded as the int it holds
+        with pytest.raises(ValueError):
+            run_subject(cfg, NullModel(p=0.1), 2.0, np.random.default_rng(0))
+        record = run_subject(cfg, NullModel(p=0.1), np.int64(2), np.random.default_rng(0))
+        assert type(record.subject) is int and record.subject == 2
 
     def test_e3_needs_driver_pair(self):
         cfg = DesignConfig(kind="e3", n=6, subjects=15)
@@ -445,6 +455,7 @@ def assert_same_states(streams, gens):
         live(g.bit_generator.state) for g in gens]
 
 
+@pytest.mark.numpy_oracle
 class TestSubjectStreams:
     """The block-wide subject seeds, replayed by the kernel, equal numpy's per-subject streams."""
 
@@ -482,6 +493,7 @@ class TestSubjectStreams:
         assert_same_states(streams, expected)
 
 
+@pytest.mark.numpy_oracle
 class TestSubjectDraws:
     """The kernel's bounded draws equal numpy's, word for word, carried half included."""
 
@@ -546,6 +558,7 @@ KERNEL_MODELS = {
 }
 
 
+@pytest.mark.numpy_oracle
 class TestKernelRecords:
     """The block kernel's records equal run_subject's on numpy Generators."""
 
@@ -593,6 +606,7 @@ class TestKernelRecords:
             assert records == reference_records(cfg, model, np.random.SeedSequence(4), "random")
 
 
+@pytest.mark.numpy_oracle
 class TestKernelDraws:
     """Each numpy primitive the kernel replays, against numpy on the same states."""
 

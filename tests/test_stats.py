@@ -1,5 +1,6 @@
 """Summaries, comparisons, bootstrap, and power estimation."""
 
+import json
 import math
 import random
 import tracemalloc
@@ -339,6 +340,15 @@ class TestPowerReport:
         report = power_report(cfg, NullModel(p=0.5), replications=5, seed=6)
         assert "se_bootstrap" in report
         assert report["se_bootstrap"] == pytest.approx(report["se"], rel=0.5)
+
+    def test_report_holds_the_checked_replication_count(self):
+        # a numpy integer or a bool is written as the int it counts, so the
+        # dict stays JSON-ready
+        cfg = DesignConfig(kind="classic", n=5, subjects=10, pair=(2, 4))
+        for replications, count in ((np.int64(3), 3), (True, 1)):
+            report = power_report(cfg, NullModel(p=0.5), replications=replications, seed=2)
+            assert type(report["replications"]) is int and report["replications"] == count
+            assert json.loads(json.dumps(report))["replications"] == count
 
     def test_e0_report_compares_arms(self):
         # for the two-arm design the mean/se slots carry the arm difference
