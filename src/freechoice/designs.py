@@ -83,7 +83,8 @@ DESIGN_KINDS = tuple(_FIXED_PAIR)
 
 TRUTH_MODES = ("identity", "random")
 
-Seed = Union[int, np.random.SeedSequence]
+# a string: np.random at module level would load numpy's RNG (6 MB) on import
+Seed = Union[int, "np.random.SeedSequence"]
 
 _BLOCK = 1024
 
