@@ -20,7 +20,8 @@ assigns.
 Generator. :func:`_swap_rows` runs the same draws for a block of subjects
 at once: :class:`_Streams` replays numpy's PCG64, bounded integer,
 permutation and geometric draws on uint64 arrays, one stream per row, and
-hands each draw it cannot replay to numpy itself.
+hands each draw it cannot replay to numpy itself, except a geometric search
+that numpy could never finish, which raises ``ValueError``.
 
 Two numeric backends are provided: 64-bit floats (default) and exact rational
 arithmetic, which certifies identities such as row sums being exactly 1.
@@ -68,10 +69,12 @@ commutes with the label swap (a, b) -> (b, a) and the board reversal
 (a, b) -> (n + 1 - a, n + 1 - b), so v splits into four parts, one per sign
 pattern of the two symmetries, and each part is solved on one row per orbit:
 about m/4 unknowns instead of m = n(n - 1). Scaled to integers, each sector
-system is solved by Bareiss fraction-free elimination with exact divisions,
-and every rational result is still checked against the exact residual
-x - pQx = (1 - p)v on the n - 1 swaps of each row; an entry that misses it
-raises ``ArithmeticError``.
+system is solved by Bareiss fraction-free elimination with exact divisions.
+The four sector solutions of a column are added as integer numerators over
+one denominator, 4 d times the lcm of the sector determinants (d the common
+denominator of v); the exact residual x - pQx = (1 - p)v is checked on those
+integers, on the n - 1 swaps of each row, where an entry that misses it
+raises ``ArithmeticError``; and each entry becomes a ``Fraction`` only then.
 """
 
 from __future__ import annotations
@@ -414,12 +417,10 @@ def _bareiss_solve(a: tuple, b: list) -> Tuple[int, list]:
     return prev, y
 
 
-def _certify(n: int, p: Fraction, v: list, x: list) -> None:
+def _certify(n: int, p: Fraction, vs: list, xs: list) -> None:
     # Exact residual x - pQx = (1 - p)v on the successor stencil of Q, with
-    # p = r/q and x, v scaled to integers by their common denominator d.
+    # p = r/q and v, x given as integer numerators vs, xs over one denominator.
     r, q = p.numerator, p.denominator
-    d = math.lcm(*(e.denominator for e in x + v))
-    xs, vs = ([e.numerator * (d // e.denominator) for e in w] for w in (x, v))
     for s, targets in enumerate(_successors(n).tolist()):
         if q * (n - 1) * xs[s] - r * sum(xs[t] for t in targets) != (q - r) * (n - 1) * vs[s]:
             raise ArithmeticError(
@@ -430,25 +431,26 @@ def _certify(n: int, p: Fraction, v: list, x: list) -> None:
 def _sector_solve(n: int, p: Fraction, v: list) -> list:
     # Solve (I - pQ)x = (1 - p)v one symmetry sector at a time: project v on
     # each character, P v = 1/4 sum_g chi(g) v o g, solve the reduced system
-    # and add the pieces back. With p = r/q, d the common denominator of v
-    # and w = (n - 1)(q - r) d v, the sector system scaled by 4 d q(n - 1) is
-    # A (4 d y) = sum_g chi(g) w o g in integers.
-    r, q = p.numerator, p.denominator
+    # and add the pieces back. With p = r/q and vs = d v in integers (d the
+    # common denominator of v), the sector system scaled by 4 d q(n - 1) is
+    # A (4 d y) = (n - 1)(q - r) sum_g chi(g) vs o g, and Bareiss gives
+    # det(A) 4 d y. The pieces add up as integers over 4 d lcm(det(A)).
     d = math.lcm(*(e.denominator for e in v))
-    w = [(n - 1) * (q - r) * e.numerator * (d // e.denominator) for e in v]
-    x = [Fraction(0)] * len(v)
+    vs = [e.numerator * (d // e.denominator) for e in v]
+    gain = (n - 1) * (p.denominator - p.numerator)
+    pieces = []
     for chi in _CHARACTERS:
         rep_images, column, sign = _sector(n, chi)
-        f = [sum(c * w[t] for c, t in zip(chi, images)) for images in rep_images]
-        if not any(f):
-            continue
-        det, y = _bareiss_solve(_sector_lu(n, p, chi), f)
-        y = [Fraction(e, 4 * d * det) for e in y]
-        for s, k in enumerate(column):
-            if k >= 0:
-                x[s] += sign[s] * y[k]
-    _certify(n, p, v, x)
-    return x
+        f = [gain * sum(c * vs[t] for c, t in zip(chi, images)) for images in rep_images]
+        if any(f):
+            pieces.append((*_bareiss_solve(_sector_lu(n, p, chi), f), column, sign))
+    scale = math.lcm(*(det for det, *_ in pieces))
+    xs = [0] * len(v)
+    for det, y, column, sign in pieces:
+        y = [scale // det * e for e in y] + [0]  # column -1, a dropped orbit, reads the 0
+        xs = [x + g * y[k] for x, g, k in zip(xs, sign, column)]
+    _certify(n, p, [4 * scale * e for e in vs], xs)
+    return [Fraction(e, 4 * d * scale) for e in xs]
 
 
 def mix_apply(n: int, p: Weight, vectors: Sequence, exact: bool = False):
@@ -466,24 +468,18 @@ def mix_apply(n: int, p: Weight, vectors: Sequence, exact: bool = False):
     if arr.ndim not in (1, 2) or arr.shape[0] != m:
         raise ValueError(f"vectors must have {m} rows for n = {n}, got shape {arr.shape}")
     if exact:
-        cols = arr.reshape(m, -1)
-        out = np.empty_like(cols)
-        for c in range(cols.shape[1]):
-            col = [Fraction(v) for v in cols[:, c]]
-            if p == 1:
-                mean = sum(col, Fraction(0)) / m
-                solved = [mean] * m
-            elif p == 0:
-                solved = col
-            else:
-                solved = _sector_solve(n, p, col)
-            out[:, c] = solved
-        return out.reshape(arr.shape)
+        arr = np.frompyfunc(Fraction, 1, 1)(arr)
     if p == 1:
         means = arr.reshape(m, -1).mean(axis=0)
         return np.tile(means, (m, 1)).reshape(arr.shape)
     if p == 0:
         return arr.copy()
+    if exact:
+        cols = arr.reshape(m, -1)
+        out = np.empty_like(cols)
+        for c in range(cols.shape[1]):
+            out[:, c] = _sector_solve(n, p, cols[:, c].tolist())
+        return out.reshape(arr.shape)
     routines = _lapack()
     if routines is None:
         return np.linalg.solve(_system(n, p), (1.0 - p) * arr)
@@ -721,19 +717,22 @@ class _Streams:
 
         For a success probability 1 - p >= 1/3 numpy searches the running
         pmf sums, and otherwise takes ceil(-E / log1p(-(1 - p))) of a
-        ziggurat exponential E.
+        ziggurat exponential E. A uniform draw above the last sum that grows
+        would keep numpy's search running for ever; it raises ``ValueError``.
         """
         saved, word = self._saved(rows), self.words(rows, np.ones_like(rows))
         success = 1.0 - p
         if success >= 1 / 3:
             sums = _search_sums(success)
             k = np.searchsorted(sums, (word >> _U(11)).astype(float) * 2.0**-53)
-            redo = np.flatnonzero(k == len(sums))
-        else:
-            ke, we = _ziggurat()
-            ri, strip = word >> _U(11), (word >> _U(3) & _U(255)).astype(np.intp)
-            redo = np.flatnonzero(ri >= ke[strip])
-            k = np.ceil(-(ri.astype(float) * we[strip]) / math.log1p(-success)).astype(np.intp) - 1
+            if (k == len(sums)).any():
+                raise ValueError(f"a geometric draw at noise weight {p!r} passes the last pmf "
+                                 "sum, where numpy's search for the swap count never ends")
+            return k
+        ke, we = _ziggurat()
+        ri, strip = word >> _U(11), (word >> _U(3) & _U(255)).astype(np.intp)
+        redo = np.flatnonzero(ri >= ke[strip])
+        k = np.ceil(-(ri.astype(float) * we[strip]) / math.log1p(-success)).astype(np.intp) - 1
         for r, value in self._redo(rows, saved, redo, lambda gen, r: gen.geometric(success)):
             k[r] = value - 1
         return np.maximum(k, 0)

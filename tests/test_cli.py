@@ -12,12 +12,13 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from numpy.random import MT19937, Generator
 
 import freechoice.core as core
 import freechoice
-from freechoice import __version__
+from freechoice import __version__, noise
 from freechoice.cli import main
 from freechoice.designs import (
     DesignConfig,
@@ -81,6 +82,7 @@ class TestTable:
         ("12", "0.8", "csv", "5f6310029f90014fa503b3c3c95af32050ae12525fd8e35713c73db487578115"),
         ("15", "0.8", "csv", "c5bd221bbf53c85d545447cabb573a90b61d995f61256a3b21109fa7ae9a7ec5"),
         ("9", "4/5", "json", "9cde15f44282ac8351a8cfdc973df89fcbaf515059ea6b4186c2341f25140b30"),
+        ("7", "613/1000", "csv", "d07c7d44aec1741a516a16eefbec79aaad860283cb3e6bea2c2dde9d57b0d290"),
     ])
     def test_exact_rational_bytes(self, tmp_path, n, p, fmt, digest):
         # recorded with the Fraction LU solver that the integer elimination
@@ -575,6 +577,15 @@ class TestErrors:
                      "--threads", "0", "--output", str(out)]) == 2
         assert "threads" in capsys.readouterr().err
         assert out.read_bytes() == b"precious\n"
+
+    def test_stalled_geometric_search_exits_2(self, tmp_path, capsys, monkeypatch):
+        # with the search sums cut to their first, most draws at weight 0.3
+        # pass the last sum, where numpy's search would never end
+        monkeypatch.setattr(noise, "_search_sums", lambda success: np.array([success]))
+        assert main(["simulate", "--design", "classic", "--model", "null", "--n", "5",
+                     "--pair", "2,4", "--subjects", "10", "--p", "0.3",
+                     "--output", str(tmp_path / "t.csv")]) == 2
+        assert "noise weight 0.3 passes the last pmf sum" in capsys.readouterr().err
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         missing = tmp_path / "no-such-dir" / "table.csv"

@@ -1,6 +1,7 @@
 """Experiment protocols and subject models, including Monte Carlo checks."""
 
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations
@@ -650,6 +651,18 @@ class TestKernelDraws:
         drawn = streams.geometric(np.arange(len(states)), p)
         assert drawn.tolist() == [max(g.geometric(1.0 - p) - 1, 0) for g in expected]
         assert_same_states(streams, expected)
+
+    def test_stalled_search_raises(self):
+        # U = 1 - 2**-53 passes the last search sum at weight 0.3, where the
+        # sums stall at 1 - 2**-52 and numpy's own geometric would never
+        # return, so numpy is not asked; at 0.5 the sums reach U
+        state = crafted_state(2**64 - 1)
+        assert noise._search_sums(1.0 - 0.3)[-1] < 1 - 2**-53 <= noise._search_sums(0.5)[-1]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="noise weight 0.3 passes the last pmf sum"):
+            streams_of([state]).geometric(np.arange(1), 0.3)
+        assert time.perf_counter() - start < 1
+        self.assert_geometric_matches([state], p=0.5)
 
     def test_ziggurat_slow_paths_go_to_numpy(self):
         ke, _ = noise._ziggurat()

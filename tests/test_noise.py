@@ -374,6 +374,25 @@ def _dense_mix(n, p, v):
     return x
 
 
+def _single_object_mix(n, p, u):
+    # (1 - p)(I - pQ1)^(-1) u for one object on n places, by Gauss-Jordan
+    # elimination on n x n Fractions: each of the n - 1 swaps (k, k + 1)
+    # has weight 1/(n - 1) and moves the object one place or leaves it
+    step = Fraction(1, n - 1)
+    rows = []
+    for i in range(n):
+        q1 = [step if abs(i - j) == 1 else Fraction(0) for j in range(n)]
+        q1[i] = 1 - sum(q1)
+        rows.append([(i == j) - p * e for j, e in enumerate(q1)] + [(1 - p) * u[i]])
+    for k in range(n):
+        rows[k] = [e / rows[k][k] for e in rows[k]]
+        for i in range(n):
+            f = rows[i][k]
+            if i != k and f:
+                rows[i] = [e - f * t for e, t in zip(rows[i], rows[k])]
+    return [row[n] for row in rows]
+
+
 def _cold_exact_caches():
     # Empties every lru-cached kernel of the exact engine.
     for cached in vars(exact_module).values():
@@ -584,6 +603,34 @@ class TestRationalSectors:
             assert np.all(x - pf * q.dot(x) == (1 - pf) * v)
         assert np.all(mix_apply(n, 0, v, True) == v)
         assert np.all(mix_apply(n, 1, v, True) == v.sum(axis=0) / Fraction(m))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_gap_vectors_follow_single_object_chain(self, n):
+        # each tracked position moves as one object's chain on n places, so
+        # M maps u(a) + w(b) to (M1 u)(a) + (M1 w)(b), M1 = (1 - p)(I - pQ1)^(-1)
+        rng = np.random.default_rng(n)
+        u, w = ([Fraction(int(e), 7) for e in rng.integers(-20, 21, size=n)] for _ in range(2))
+        states = [(a, b) for a in range(n) for b in range(n) if a != b]
+        v = [u[a] + w[b] for a, b in states]
+        for p in (Fraction(1, 3), Fraction(4, 5)):
+            mu, mw = _single_object_mix(n, p, u), _single_object_mix(n, p, w)
+            assert mix_apply(n, p, v, True).tolist() == [mu[a] + mw[b] for a, b in states]
+
+    def test_limits_convert_before_averaging(self):
+        # p = 0 returns and p = 1 averages the binary values of float inputs,
+        # which differ from the float means; the float backend's bits stay
+        n, v = 4, np.arange(24).reshape(12, 2) / 10 - 0.7
+        binary = [[Fraction(e) for e in row] for row in v.tolist()]
+        means = [sum(col) / 12 for col in zip(*binary)]
+        assert mix_apply(n, 0, v, True).tolist() == binary
+        assert mix_apply(n, 1, v, True).tolist() == [means] * 12
+        assert mix_apply(n, 1, v[:, 1], True).tolist() == [means[1]] * 12
+        assert means != [Fraction(e) for e in v.mean(axis=0)]
+        for p, digest in ((0, "be5a533881bbd867940a4631dfa6b6f87a6fef5ff31a573f74722cb21b717168"),
+                          (1, "e9aaed722cd4259ac24c07cc0d5684a2f4ba19a402f855daf87205a788d88cc7")):
+            out = mix_apply(n, p, v)
+            assert out.dtype == float and not np.shares_memory(out, v)
+            assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
     def test_sector_sizes(self):
         # sigma rho fixes the n or n - 1 states with a + b = n + 1; their
