@@ -8,104 +8,21 @@ deliberation model), simulates the classic design and its variants under
 pluggable subject models, and estimates design power.
 """
 
-from .core import (
-    Choice,
-    ObjectPair,
-    PositionPair,
-    Ranking,
-    all_position_pairs,
-    spread,
-    spread_simplified,
-)
-from .designs import (
-    DESIGN_KINDS,
-    DesignConfig,
-    DissonanceShiftModel,
-    MemoryModel,
-    NullModel,
-    SubjectModel,
-    TrialRecord,
-    TwoParamModel,
-    iter_experiment,
-    pair_count,
-    run_experiment,
-    run_subject,
-)
-from .exact import (
-    CapacityError,
-    ExpectedSpreadTable,
-    RankingDistribution,
-    brute_force_expected_spread,
-    expected_spread_conditional,
-    expected_spread_oracle,
-    expected_spread_positions,
-    expected_spread_table,
-    expected_spread_two_param,
-    round_half_away,
-)
-from .noise import (
-    build_M,
-    build_Q,
-    stage_weights,
-    state_row,
-)
-from .stats import (
-    DegenerateComparisonError,
-    GroupComparison,
-    SpreadSummary,
-    bootstrap_se,
-    compare,
-    power_estimate,
-    power_report,
-    summarize,
-)
-from .verify import CheckResult, run_checks
+from . import core, designs, exact, noise, stats, verify
+# republished: each module's __all__ is the one list of its public names
+from .core import *  # noqa: F401,F403
+from .designs import *  # noqa: F401,F403
+from .exact import *  # noqa: F401,F403
+from .noise import *  # noqa: F401,F403
+from .stats import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapacityError",
-    "CheckResult",
-    "Choice",
-    "DESIGN_KINDS",
-    "DegenerateComparisonError",
-    "DesignConfig",
-    "DissonanceShiftModel",
-    "ExpectedSpreadTable",
-    "GroupComparison",
-    "MemoryModel",
-    "NullModel",
-    "ObjectPair",
-    "PositionPair",
-    "Ranking",
-    "RankingDistribution",
-    "SpreadSummary",
-    "SubjectModel",
-    "TrialRecord",
-    "TwoParamModel",
-    "all_position_pairs",
-    "bootstrap_se",
-    "brute_force_expected_spread",
-    "build_M",
-    "build_Q",
-    "compare",
-    "expected_spread_conditional",
-    "expected_spread_oracle",
-    "expected_spread_positions",
-    "expected_spread_table",
-    "expected_spread_two_param",
-    "iter_experiment",
-    "pair_count",
-    "power_estimate",
-    "power_report",
-    "round_half_away",
-    "run_checks",
-    "run_experiment",
-    "run_subject",
-    "spread",
-    "spread_simplified",
-    "stage_weights",
-    "state_row",
-    "summarize",
-    "__version__",
-]
+# README's "module only" names: package attributes, but not exports
+_MODULE_ONLY = {"LEVELS", "REFERENCE_TABLE_N12_P08", "TWO_PARAM_DESIGNS", "as_exact_weight",
+                "mix_apply", "sample_choice", "sample_noisy_ranking", "state_positions",
+                "swap_process_distribution"}
+
+__all__ = sorted({name for module in (core, designs, exact, noise, stats, verify)
+                  for name in module.__all__} - _MODULE_ONLY) + ["__version__"]

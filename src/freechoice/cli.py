@@ -3,7 +3,9 @@
 Every file-writing command also writes ``<output>.manifest.json`` recording
 the command, its full parameter set, the seed, the package version, and the
 output paths. Manifests contain no timestamps, so re-running a command
-reproduces its outputs byte for byte.
+reproduces its outputs byte for byte. A command's outputs are whole or
+absent: each is written to a temporary file beside its path, and they move
+into place, manifest last, only once every one is written.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 """
@@ -12,9 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, TextIO, Tuple, get_args
 
 import numpy as np
 
@@ -22,10 +25,8 @@ from . import __version__
 from .core import PositionPair, _checked_int
 from .designs import (
     DESIGN_KINDS,
+    TRUTH_MODES,
     DesignConfig,
-    DissonanceShiftModel,
-    MemoryModel,
-    NullModel,
     SubjectModel,
     TrialRecord,
     TwoParamModel,
@@ -36,14 +37,14 @@ from .designs import (
 # bench/tracer.py wraps this name of the module
 from .designs import iter_experiment  # noqa: F401
 from .exact import expected_spread_table
+from .noise import _checked_weight
 # bench/tracer.py wraps summarize, compare and bootstrap_se under these names
 from .stats import _SpreadTally, bootstrap_se, compare, power_report, summarize  # noqa: F401
 from .verify import LEVELS, run_checks
 
 __all__ = ["main"]
 
-MODELS = {model.kind: model
-          for model in (NullModel, TwoParamModel, MemoryModel, DissonanceShiftModel)}
+MODELS = {model.kind: model for model in get_args(SubjectModel)}
 
 
 def _parse_pair(text: str) -> Tuple[int, int]:
@@ -69,12 +70,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "table", help="expected spread for every comparison pair under the null model"
     )
     table.add_argument("--n", type=int, required=True, help="number of objects (2..20)")
-    table.add_argument("--p", required=True, help="noise weight, 0 <= p < 1")
+    table.add_argument("--p", required=True, help="noise weight in [0, 1), decimal or fraction")
     table.add_argument("--format", choices=("csv", "json"), default="csv")
     table.add_argument(
         "--exact-rational",
         action="store_true",
-        help="compute in exact rational arithmetic (p is read as a decimal or fraction)",
+        help="compute in exact rational arithmetic",
     )
     table.add_argument("--output", default=None, help="output path (default: table_n<N>.<fmt>)")
     table.set_defaults(func=_cmd_table)
@@ -83,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_experiment_arguments(simulate)
     simulate.add_argument("--format", choices=("csv", "json"), default="csv",
                           help="trial records as CSV or JSON lines")
-    simulate.add_argument("--truth-mode", choices=("identity", "random"), default="identity")
+    simulate.add_argument("--truth-mode", choices=TRUTH_MODES, default="identity")
     simulate.add_argument("--output", default=None,
                           help="output path (default: trials.csv or trials.jsonl)")
     simulate.set_defaults(func=_cmd_simulate)
@@ -142,19 +143,50 @@ def _build_experiment(args: argparse.Namespace) -> Tuple[DesignConfig, SubjectMo
     return design, model
 
 
-def _write_json(path: str, obj) -> None:
-    # indented, key-sorted JSON with a final newline
-    with open(path, "w", newline="") as handle:
-        json.dump(obj, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+class _Outputs:
+    """One command's output files, written whole or not at all.
 
+    :meth:`open` gives a fresh temporary file beside each path, created as
+    a plain ``open`` creates files. When the ``with`` block ends normally,
+    each replaces its path in the order opened; if anything raises, from
+    the block or a replacement, every temporary file left is deleted.
+    """
 
-def _write_manifest(command: str, parameters: Dict[str, object], seed: Optional[int],
-                    outputs: List[str]) -> str:
-    path = outputs[0] + ".manifest.json"
-    _write_json(path, {"command": command, "parameters": parameters, "seed": seed,
-                       "version": __version__, "outputs": outputs})
-    return path
+    def __init__(self):
+        self._staged: List[Tuple[str, str]] = []  # (temporary file, its path)
+
+    def __enter__(self) -> "_Outputs":
+        return self
+
+    def open(self, path: str) -> TextIO:
+        directory, name = os.path.split(path)
+        temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+        handle = open(temporary, "x", newline="")
+        self._staged.append((temporary, path))
+        return handle
+
+    def json(self, path: str, obj) -> None:
+        # indented, key-sorted JSON with a final newline
+        with self.open(path) as handle:
+            json.dump(obj, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+
+    def manifest(self, command: str, parameters: Dict[str, object], seed: Optional[int],
+                 outputs: List[str]) -> str:
+        path = outputs[0] + ".manifest.json"
+        self.json(path, {"command": command, "parameters": parameters, "seed": seed,
+                         "version": __version__, "outputs": outputs})
+        return path
+
+    def __exit__(self, failure, *_) -> None:
+        try:
+            if failure is None:
+                for temporary, path in self._staged:
+                    os.replace(temporary, path)
+        finally:
+            for temporary, _ in self._staged:
+                if os.path.exists(temporary):
+                    os.remove(temporary)
 
 
 def _experiment_parameters(args: argparse.Namespace, model: SubjectModel, output: str,
@@ -179,26 +211,29 @@ def _experiment_parameters(args: argparse.Namespace, model: SubjectModel, output
 def _cmd_table(args: argparse.Namespace) -> int:
     if not 2 <= args.n <= 20:
         raise ValueError(f"--n must lie in 2..20, got {args.n}")
-    p = args.p if args.exact_rational else float(args.p)
-    table = expected_spread_table(args.n, p, exact=args.exact_rational)
+    # one reading of --p for both backends: the float one takes its double
+    p = _checked_weight(args.p, "p", exact=True)
+    table = expected_spread_table(args.n, p if args.exact_rational else float(p),
+                                  exact=args.exact_rational)
     output = args.output or f"table_n{args.n}.{args.format}"
-    if args.format == "csv":
-        with open(output, "w", newline="") as handle:
-            table.write_csv(handle)
-    else:
-        _write_json(output, table.to_json_obj())
-    manifest = _write_manifest(
-        "table",
-        {
-            "n": args.n,
-            "p": str(args.p),
-            "format": args.format,
-            "exact_rational": args.exact_rational,
-            "output": output,
-        },
-        None,
-        [output],
-    )
+    with _Outputs() as out:
+        if args.format == "csv":
+            with out.open(output) as handle:
+                table.write_csv(handle)
+        else:
+            out.json(output, table.to_json_obj())
+        manifest = out.manifest(
+            "table",
+            {
+                "n": args.n,
+                "p": str(args.p),
+                "format": args.format,
+                "exact_rational": args.exact_rational,
+                "output": output,
+            },
+            None,
+            [output],
+        )
     _print_rounded_triangle(table)
     print(f"wrote {len(table.values)} pairs to {output} (manifest {manifest})")
     return 0
@@ -239,47 +274,46 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                 random_truth=args.truth_mode == "random")
     line = _csv_line if args.format == "csv" else _json_line
     tally = _SpreadTally(design.n, ordered=design.kind == "e3")
-    with open(output, "w", newline="") as handle:
-        if args.format == "csv":
-            handle.write(",".join(TrialRecord._fields) + "\n")
-        for block in blocks:
-            handle.write(_lines(block, line))
-            tally.add(block)
-
-    spread = summarize(tally.counts())
-    consistent, reversal = tally.counts(consistent=True), tally.counts(consistent=False)
-    summary: Dict[str, object] = {
-        "design": design.kind,
-        "model": model.kind,
-        "n": design.n,
-        "subjects": design.subjects,
-        "seed": args.seed,
-        "spread": asdict(spread),
-        "consistent_fraction": sum(consistent.values()) / spread.count,
-        "spread_by_choice": {
-            label: asdict(summarize(counts)) if counts else None
-            for label, counts in (("consistent", consistent), ("reversal", reversal))
-        },
-    }
-    if design.kind == "e0":
-        experimental, control, comparison = tally.arms()
-        summary["experimental"] = asdict(experimental)
-        summary["control"] = asdict(control)
-        summary["comparison"] = asdict(comparison) if comparison else None
-        if comparison is None:
-            summary["note"] = "both arms have zero variance; no comparison scale"
-    if tally.ordered is not None:
-        summary["se_bootstrap"] = bootstrap_se(np.concatenate(tally.ordered), seed=args.seed)
-    _write_json(summary_path, summary)
-
-    manifest = _write_manifest(
-        "simulate",
-        _experiment_parameters(
-            args, model, output, truth_mode=args.truth_mode, format=args.format
-        ),
-        args.seed,
-        [output, summary_path],
-    )
+    with _Outputs() as out:
+        with out.open(output) as handle:
+            if args.format == "csv":
+                handle.write(",".join(TrialRecord._fields) + "\n")
+            for block in blocks:
+                handle.write(_lines(block, line))
+                tally.add(block)
+        spread = summarize(tally.counts())
+        consistent, reversal = tally.counts(consistent=True), tally.counts(consistent=False)
+        summary: Dict[str, object] = {
+            "design": design.kind,
+            "model": model.kind,
+            "n": design.n,
+            "subjects": design.subjects,
+            "seed": args.seed,
+            "spread": asdict(spread),
+            "consistent_fraction": sum(consistent.values()) / spread.count,
+            "spread_by_choice": {
+                label: asdict(summarize(counts)) if counts else None
+                for label, counts in (("consistent", consistent), ("reversal", reversal))
+            },
+        }
+        if design.kind == "e0":
+            experimental, control, comparison = tally.arms()
+            summary["experimental"] = asdict(experimental)
+            summary["control"] = asdict(control)
+            summary["comparison"] = asdict(comparison) if comparison else None
+            if comparison is None:
+                summary["note"] = "both arms have zero variance; no comparison scale"
+        if tally.ordered is not None:
+            summary["se_bootstrap"] = bootstrap_se(np.concatenate(tally.ordered), seed=args.seed)
+        out.json(summary_path, summary)
+        manifest = out.manifest(
+            "simulate",
+            _experiment_parameters(
+                args, model, output, truth_mode=args.truth_mode, format=args.format
+            ),
+            args.seed,
+            [output, summary_path],
+        )
     mean = summary["spread"]["mean"]
     print(f"simulated {design.subjects} subjects: mean spread {mean:.6f}")
     print(f"wrote {output}, {summary_path} (manifest {manifest})")
@@ -291,15 +325,16 @@ def _cmd_power(args: argparse.Namespace) -> int:
     report = power_report(design, model, replications=args.replications, alpha=args.alpha,
                           seed=args.seed)
     output = args.output or "power.json"
-    _write_json(output, report)
-    manifest = _write_manifest(
-        "power",
-        _experiment_parameters(
-            args, model, output, replications=args.replications, alpha=args.alpha
-        ),
-        args.seed,
-        [output],
-    )
+    with _Outputs() as out:
+        out.json(output, report)
+        manifest = out.manifest(
+            "power",
+            _experiment_parameters(
+                args, model, output, replications=args.replications, alpha=args.alpha
+            ),
+            args.seed,
+            [output],
+        )
     print(f"rejection rate {report['rejection_rate']:.4f} over {args.replications} replications")
     print(f"wrote {output} (manifest {manifest})")
     return 0

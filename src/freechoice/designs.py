@@ -309,10 +309,10 @@ def run_subject(
     The reference definition of a subject, which the block kernel matches
     draw for draw: each ranking is :func:`noise.sample_noisy_ranking`, the
     choice :func:`noise.sample_choice` and the spread :func:`core.spread`.
-    ``rng`` is a numpy Generator, drawn through its ``geometric`` and
-    ``integers`` methods. ``pair`` must carry the assigned position pair
-    for e3 (the driver owns the assignment), checked like ``DesignConfig``'s
-    pair; other designs reject it.
+    ``rng`` is a numpy Generator, drawn through its ``random``,
+    ``geometric`` and ``integers`` methods. ``pair`` must carry the
+    assigned position pair for e3 (the driver owns the assignment), checked
+    like ``DesignConfig``'s pair; other designs reject it.
     ``truth`` is this subject's true ranking, the identity when omitted.
     """
     subject = _checked_int(subject, "subject index", 0)

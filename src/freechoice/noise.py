@@ -20,8 +20,11 @@ assigns.
 Generator. :func:`_swap_rows` runs the same draws for a block of subjects
 at once: :class:`_Streams` replays numpy's PCG64, bounded integer,
 permutation and geometric draws on uint64 arrays, one stream per row, and
-hands each draw it cannot replay to numpy itself, except a geometric search
-that numpy could never finish, which raises ``ValueError``.
+hands each draw it cannot replay to numpy itself. Where numpy's geometric
+searches the running pmf sums (weight at most 2/3), both samplers read its
+one uniform draw and search the sums themselves, through one rule that
+raises ``ValueError`` for a uniform past the last sum, where numpy's own
+search would never end.
 
 Two numeric backends are provided: 64-bit floats (default) and exact rational
 arithmetic, which certifies identities such as row sums being exactly 1.
@@ -266,8 +269,7 @@ def _system(n: int, p: float) -> np.ndarray:
 
 # The factors (n, p, lu, pivots) of the last float system, or None. A new
 # (n, p) empties the slot before it writes its system, so one m x m array at
-# most is resident between solves and during one. Threads that race for the
-# slot each solve against the factors they read or made.
+# most is resident between solves and during one.
 _factors = None
 
 
@@ -577,6 +579,18 @@ def _search_sums(p: float) -> np.ndarray:
     return np.array(sums)
 
 
+def _searched(p: float, uniform) -> np.ndarray:
+    # numpy's geometric(1 - p) - 1 by its pmf-sum search, for the uniform
+    # draw(s) it reads; a uniform past the last sum that grows would keep
+    # numpy's search running for ever
+    sums = _search_sums(1.0 - p)
+    k = np.searchsorted(sums, uniform)
+    if np.any(k == len(sums)):
+        raise ValueError(f"a geometric draw at noise weight {p!r} passes the last pmf "
+                         "sum, where numpy's search for the swap count never ends")
+    return k
+
+
 @lru_cache(maxsize=None)
 def _ziggurat() -> Tuple[np.ndarray, np.ndarray]:
     """numpy's exponential ziggurat tables ``ke`` and ``we``, read back from its own draws.
@@ -723,12 +737,7 @@ class _Streams:
         saved, word = self._saved(rows), self.words(rows, np.ones_like(rows))
         success = 1.0 - p
         if success >= 1 / 3:
-            sums = _search_sums(success)
-            k = np.searchsorted(sums, (word >> _U(11)).astype(float) * 2.0**-53)
-            if (k == len(sums)).any():
-                raise ValueError(f"a geometric draw at noise weight {p!r} passes the last pmf "
-                                 "sum, where numpy's search for the swap count never ends")
-            return k
+            return _searched(p, (word >> _U(11)).astype(float) * 2.0**-53)
         ke, we = _ziggurat()
         ri, strip = word >> _U(11), (word >> _U(3) & _U(255)).astype(np.intp)
         redo = np.flatnonzero(ri >= ke[strip])
@@ -793,12 +802,14 @@ def sample_noisy_ranking(truth: Ranking, p: float, rng: np.random.Generator) -> 
 
     The swap count K satisfies P(K = k) = (1 - p) p^k; repeated and
     cancelling swaps are allowed. p = 1 would never stop swapping, so the
-    weight must lie in [0, 1).
+    weight must lie in [0, 1). A uniform draw that numpy's pmf search could
+    never finish raises ``ValueError``, as it does in the block kernel.
     """
     p = _checked_weight(p, "noise weight")
-    # numpy's geometric gives 0, not 1, for an exponential draw of exactly 0,
+    # the search reads rng.random()'s one double, as numpy's geometric does;
+    # numpy's inversion gives 0, not 1, for an exponential draw of exactly 0,
     # read as no swap
-    k = rng.geometric(1.0 - p) - 1
+    k = _searched(p, rng.random()) if 1.0 - p >= 1 / 3 else rng.geometric(1.0 - p) - 1
     if k <= 0:
         return truth
     entries = list(truth.entries)

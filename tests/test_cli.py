@@ -113,6 +113,18 @@ class TestTable:
         assert manifest["outputs"] == [str(out)]
         assert manifest["parameters"]["n"] == 12
 
+    def test_p_follows_the_weight_rule(self, tmp_path, capsys):
+        # both backends read --p alike: a fraction reads, and an unreadable
+        # weight is named
+        for extra in ([], ["--exact-rational"]):
+            a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+            assert main(["table", "--n", "5", "--p", "0.8", "--output", str(a), *extra]) == 0
+            assert main(["table", "--n", "5", "--p", "4/5", "--output", str(b), *extra]) == 0
+            assert a.read_bytes() == b.read_bytes()
+            capsys.readouterr()
+            assert main(["table", "--n", "5", "--p", "abc", "--output", str(a), *extra]) == 2
+            assert "p must be a number in [0, 1), got 'abc'" in capsys.readouterr().err
+
     def test_reruns_are_byte_identical(self, tmp_path, monkeypatch):
         for sub in ("a", "b"):
             workdir = tmp_path / sub
@@ -586,6 +598,24 @@ class TestErrors:
                      "--pair", "2,4", "--subjects", "10", "--p", "0.3",
                      "--output", str(tmp_path / "t.csv")]) == 2
         assert "noise weight 0.3 passes the last pmf sum" in capsys.readouterr().err
+
+    def test_failed_simulate_keeps_existing_output(self, tmp_path, capsys, monkeypatch):
+        # the search sums are cut on the second block's first stage, so the
+        # run fails after 1,024 records were written; the old bytes stay
+        # and no temporary file is left
+        stages, real = iter(range(10**6)), noise._search_sums
+        monkeypatch.setattr(noise, "_search_sums",
+                            lambda success: real(success) if next(stages) < 3
+                            else np.array([success]))
+        out = tmp_path / "t.csv"
+        out.write_bytes(b"precious\n")
+        assert main(["simulate", "--design", "classic", "--model", "null", "--n", "5",
+                     "--pair", "2,4", "--subjects", "3000", "--p", "0.3",
+                     "--output", str(out)]) == 2
+        assert "noise weight 0.3 passes the last pmf sum" in capsys.readouterr().err
+        assert next(stages) > 3
+        assert out.read_bytes() == b"precious\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["t.csv"]
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         missing = tmp_path / "no-such-dir" / "table.csv"

@@ -229,3 +229,7 @@ def test_public_api_bullets_match_every_all():
     }
     assert sorted(set(freechoice.__all__) - {"__version__"}) == sorted(listed & public)
     assert "`__version__`" in section
+    # and each package export is its module's own object
+    assert [f"{module}.{name}" for module, names in exports.items() for name in names
+            if name in freechoice.__all__ and getattr(freechoice, name)
+            is not getattr(importlib.import_module(f"freechoice.{module}"), name)] == []

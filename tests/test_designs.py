@@ -256,6 +256,19 @@ class TestRunSubject:
         record = run_subject(cfg, NullModel(p=0.1), np.int64(2), np.random.default_rng(0))
         assert type(record.subject) is int and record.subject == 2
 
+    def test_stalled_search_raises(self):
+        # the crafted word gives U = 1 - 2**-53, past the last search sum at
+        # weight 0.3, where numpy's own geometric would never return; the
+        # reference refuses it as the block kernel does
+        design = DesignConfig(kind="classic", n=5, subjects=1, pair=(2, 4))
+        draws = (lambda rng: noise.sample_noisy_ranking(Ranking.identity(5), 0.3, rng),
+                 lambda rng: run_subject(design, NullModel(p=0.3), 0, rng))
+        start = time.perf_counter()
+        for draw in draws:
+            with pytest.raises(ValueError, match="noise weight 0.3 passes the last pmf sum"):
+                draw(generators([crafted_state(2**64 - 1)])[0])
+        assert time.perf_counter() - start < 1
+
     def test_e3_needs_driver_pair(self):
         cfg = DesignConfig(kind="e3", n=6, subjects=15)
         with pytest.raises(ValueError):
