@@ -4,8 +4,9 @@ Every file-writing command also writes ``<output>.manifest.json`` recording
 the command, its full parameter set, the seed, the package version, and the
 output paths. Manifests contain no timestamps, so re-running a command
 reproduces its outputs byte for byte. A command's outputs are whole or
-absent: each is written to a temporary file beside its path, and they move
-into place, manifest last, only once every one is written.
+absent: each is written to a temporary file beside the file its path
+resolves to, and they move into place, manifest last, only once every one
+is written.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 """
@@ -13,6 +14,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -146,23 +148,33 @@ def _build_experiment(args: argparse.Namespace) -> Tuple[DesignConfig, SubjectMo
 class _Outputs:
     """One command's output files, written whole or not at all.
 
-    :meth:`open` gives a fresh temporary file beside each path, created as
-    a plain ``open`` creates files. When the ``with`` block ends normally,
-    each replaces its path in the order opened; if anything raises, from
-    the block or a replacement, every temporary file left is deleted.
+    :meth:`open` refuses a directory and gives a fresh temporary file beside
+    the file each path resolves to, created as a plain ``open`` creates
+    files. When the ``with`` block ends normally, each takes the permission
+    bits of the file it replaces and replaces it, in the order opened, so a
+    symbolic link stays a link; if anything raises, from the block or a
+    replacement, every temporary file left is deleted. Errors name the
+    paths as given.
     """
 
     def __init__(self):
-        self._staged: List[Tuple[str, str]] = []  # (temporary file, its path)
+        self._staged: List[Tuple[str, str, str]] = []  # (temporary file, path, resolved path)
 
     def __enter__(self) -> "_Outputs":
         return self
 
     def open(self, path: str) -> TextIO:
-        directory, name = os.path.split(path)
+        target = os.path.realpath(path)
+        if os.path.isdir(target):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        directory, name = os.path.split(target)
         temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-        handle = open(temporary, "x", newline="")
-        self._staged.append((temporary, path))
+        try:
+            handle = open(temporary, "x", newline="")
+        except OSError as exc:
+            exc.filename = path
+            raise
+        self._staged.append((temporary, path, target))
         return handle
 
     def json(self, path: str, obj) -> None:
@@ -171,8 +183,9 @@ class _Outputs:
             json.dump(obj, handle, indent=2, sort_keys=True)
             handle.write("\n")
 
-    def manifest(self, command: str, parameters: Dict[str, object], seed: Optional[int],
-                 outputs: List[str]) -> str:
+    def manifest(self, command: str, parameters: Dict[str, object], seed: Optional[int]) -> str:
+        # lists the paths opened so far, in the order opened
+        outputs = [path for _, path, _ in self._staged]
         path = outputs[0] + ".manifest.json"
         self.json(path, {"command": command, "parameters": parameters, "seed": seed,
                          "version": __version__, "outputs": outputs})
@@ -181,10 +194,12 @@ class _Outputs:
     def __exit__(self, failure, *_) -> None:
         try:
             if failure is None:
-                for temporary, path in self._staged:
-                    os.replace(temporary, path)
+                for temporary, _, target in self._staged:
+                    if os.path.exists(target):
+                        os.chmod(temporary, os.stat(target).st_mode & 0o7777)
+                    os.replace(temporary, target)
         finally:
-            for temporary, _ in self._staged:
+            for temporary, _, _ in self._staged:
                 if os.path.exists(temporary):
                     os.remove(temporary)
 
@@ -232,7 +247,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
                 "output": output,
             },
             None,
-            [output],
         )
     _print_rounded_triangle(table)
     print(f"wrote {len(table.values)} pairs to {output} (manifest {manifest})")
@@ -312,7 +326,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 args, model, output, truth_mode=args.truth_mode, format=args.format
             ),
             args.seed,
-            [output, summary_path],
         )
     mean = summary["spread"]["mean"]
     print(f"simulated {design.subjects} subjects: mean spread {mean:.6f}")
@@ -333,7 +346,6 @@ def _cmd_power(args: argparse.Namespace) -> int:
                 args, model, output, replications=args.replications, alpha=args.alpha
             ),
             args.seed,
-            [output],
         )
     print(f"rejection rate {report['rejection_rate']:.4f} over {args.replications} replications")
     print(f"wrote {output} (manifest {manifest})")

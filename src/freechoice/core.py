@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Tuple
+from typing import Hashable, Tuple, Union
 
 __all__ = [
     "Ranking",
@@ -128,11 +128,12 @@ def _checked_int(value, name: str, low: int) -> int:
     return value
 
 
-def _checked_pair(n: int, pair, name: str = "position") -> Tuple[int, int]:
-    """Two distinct integers in 1..n, as Python ints, in the order given.
+def _checked_pair(n: int, pair, name: str = "position") -> Union[PositionPair, ObjectPair]:
+    """Two distinct integers in 1..n, in the order given, as the pair ``name`` asks for.
 
     ``pair`` is a :class:`PositionPair`, an :class:`ObjectPair` or any two
-    integers; each goes through :func:`_checked_int`.
+    integers; each goes through :func:`_checked_int`. The result is a
+    :class:`PositionPair` for positions and an :class:`ObjectPair` for objects.
     """
     if isinstance(pair, PositionPair):
         pair = (pair.i, pair.j)
@@ -145,7 +146,7 @@ def _checked_pair(n: int, pair, name: str = "position") -> Tuple[int, int]:
     a, b = _checked_int(a, name, 1), _checked_int(b, name, 1)
     if a == b or max(a, b) > n:
         raise ValueError(f"{name}s {pair!r} are not two distinct integers in 1..{n}")
-    return a, b
+    return (ObjectPair if name == "object" else PositionPair)(a, b)
 
 
 def spread(rank1: Ranking, choice: Choice, rank3: Ranking) -> int:

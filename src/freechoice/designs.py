@@ -120,8 +120,8 @@ def _fixed_pair(kind: str, n: int, pair, given: str) -> Union[PositionPair, Obje
 
     A design needs the pair of the type it holds fixed and refuses any
     other, so the result is None where ``given`` is not what ``kind``
-    fixes, and otherwise a ``PositionPair`` or ``ObjectPair`` read through
-    :func:`core._checked_pair`.
+    fixes, and otherwise the ``PositionPair`` or ``ObjectPair`` that
+    :func:`core._checked_pair` reads.
     """
     if _FIXED_PAIR[kind] != given:
         if pair is not None:
@@ -129,7 +129,7 @@ def _fixed_pair(kind: str, n: int, pair, given: str) -> Union[PositionPair, Obje
         return None
     if pair is None:
         raise ValueError(f"design {kind!r} needs a fixed pair of {given}s")
-    return (PositionPair if given == "position" else ObjectPair)(*_checked_pair(n, pair, given))
+    return _checked_pair(n, pair, given)
 
 
 @dataclass(frozen=True)
@@ -335,7 +335,7 @@ def run_subject(
     elif design.kind == "e3":
         if pair is None:
             raise ValueError("design 'e3' needs the driver-assigned pair; use run_experiment")
-        pair = PositionPair(*_checked_pair(n, pair))
+        pair = _checked_pair(n, pair)
         i, j = pair.i, pair.j
     elif design.kind != "e1":
         i, j = design.pair.i, design.pair.j
@@ -474,8 +474,8 @@ def _records(block: _Columns) -> Iterator[TrialRecord]:
 
 def _check_swap_budget(design: DesignConfig, model: SubjectModel, experiments: int) -> None:
     # subjects x 3 stages x p/(1 - p) swaps expected at the model's largest
-    # weight (the control arm's weights are P, p and P)
-    weight = max(float(w) for w in model.stage_weights("control"))
+    # weight in any arm
+    weight = max(float(w) for arm in _ARMS for w in model.stage_weights(arm))
     expected = 3 * design.subjects * experiments * weight / (1 - weight)
     if expected > _SWAP_BUDGET:
         raise CapacityError(

@@ -61,10 +61,8 @@ __all__ = [
     "TWO_PARAM_DESIGNS",
 ]
 
+# Each name begins with the design kind whose fixed pair it takes.
 TWO_PARAM_DESIGNS = ("e0-experimental", "e0-control", "e2", "e3", "e1-objects")
-
-# The design kind behind each of them, whose fixed pair it takes.
-_TWO_PARAM_KINDS = dict(zip(TWO_PARAM_DESIGNS, ("e0", "e0", "e2", "e3", "e1")))
 
 
 def round_half_away(value: Weight) -> str:
@@ -78,10 +76,6 @@ def round_half_away(value: Weight) -> str:
     sign = "-" if f < 0 and units > 0 else ""
     whole, frac = divmod(units, 1000)
     return f"{sign}{whole}.{frac:03d}"
-
-
-def _as_pair(n: int, pair) -> PositionPair:
-    return PositionPair(*_checked_pair(n, pair))
 
 
 @lru_cache(maxsize=None)
@@ -106,7 +100,7 @@ def _applied_base(n: int, p: Weight, which: str, exact: bool) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _design_kernel(n: int, first: Weight, choice: Weight, final: Weight, exact: bool):
-    """Vectors w1, w2 from which :func:`_pair_value` reads each pair's expected spread.
+    """Expected spread w1 - gap * w2 at each state, read at the pair's state (i, j).
 
     ``first``, ``choice`` and ``final`` are the noise weights of the first
     ranking, the choice stage, and the ranking the spread compares against.
@@ -117,8 +111,9 @@ def _design_kernel(n: int, first: Weight, choice: Weight, final: Weight, exact: 
     g_final = _applied_base(n, final, "gap", exact)
     bias, w2 = _choice_bias(n, first, choice, exact)
     w1 = mix_apply(n, first, bias * g_final, exact=exact)
-    w1.setflags(write=False)
-    return w1, w2
+    spread = w1 - _base_vectors(n, exact)[1] * w2
+    spread.setflags(write=False)
+    return spread
 
 
 @lru_cache(maxsize=64)
@@ -144,14 +139,6 @@ def _conditional_kernel(n: int, p: Weight, exact: bool):
     return cw1, cw2, g2
 
 
-def _pair_value(kernel, n: int, pair: PositionPair, exact: bool) -> Weight:
-    # Expected spread at one comparison pair from the kernel vectors (w1, w2).
-    w1, w2 = kernel
-    k = state_row(n, pair.i, pair.j)
-    value = w1[k] - pair.delta * w2[k]
-    return value if exact else float(value)
-
-
 def expected_spread_positions(n: int, p: Weight, pair, *, exact: bool = False):
     """Exact expected spread of a trial using comparison positions ``pair``.
 
@@ -166,7 +153,7 @@ def _triple_sum(n: int, p: float, pair) -> float:
     # reference the factored engine is checked against. The state-level
     # spread is read from core.spread_simplified at call time so that
     # verification can detect a corrupted sign convention.
-    pair = _as_pair(n, pair)
+    pair = _checked_pair(n, pair)
     entries = build_M(n, p)
     states = np.column_stack(state_positions(n)).tolist()
     row = entries[state_row(n, pair.i, pair.j)]
@@ -187,7 +174,7 @@ class ExpectedSpreadTable:
     exact: bool
 
     def __getitem__(self, pair) -> Weight:
-        return self.values[_as_pair(self.n, pair)]
+        return self.values[_checked_pair(self.n, pair)]
 
     def total(self) -> Weight:
         """Sum of all entries; zero up to the backend's arithmetic."""
@@ -229,13 +216,10 @@ class ExpectedSpreadTable:
 
 
 def _table(kernel, n: int, p: Weight, exact: bool) -> ExpectedSpreadTable:
-    # The kernel's expected spread at every comparison pair, by _pair_value's
-    # operations over all pairs at once; triu_indices lists (i - 1, j - 1)
+    # The kernel at every comparison pair; triu_indices lists (i - 1, j - 1)
     # in the order of all_position_pairs.
-    w1, w2 = kernel
     i, j = np.triu_indices(n, 1)
-    rows = state_row(n, i + 1, j + 1)
-    values = dict(zip(all_position_pairs(n), (w1[rows] - (j - i) * w2[rows]).tolist()))
+    values = dict(zip(all_position_pairs(n), kernel[state_row(n, i + 1, j + 1)].tolist()))
     return ExpectedSpreadTable(n=n, p=p, values=values, exact=exact)
 
 
@@ -274,7 +258,7 @@ def expected_spread_two_param(
         raise ValueError(f"unknown design {design!r}; expected one of {TWO_PARAM_DESIGNS}")
     p = _checked_weight(p, "p", exact=exact)
     P = _checked_weight(P, "P", exact=exact, allow_one=True, low=p)
-    kind = _TWO_PARAM_KINDS[design]
+    kind = design.partition("-")[0]
     pair = _fixed_pair(kind, n, pair, _FIXED_PAIR[kind] or "position")
     first, choice, final = stage_weights(
         p, P, "control" if design == "e0-control" else "experimental"
@@ -291,7 +275,8 @@ def expected_spread_two_param(
 
     kernel = _design_kernel(n, first, choice, final, exact)
     if pair is not None:
-        return _pair_value(kernel, n, pair, exact)
+        value = kernel[state_row(n, pair.i, pair.j)]
+        return value if exact else float(value)
     # e2 and e3 average the per-pair expectation over all C(n, 2) pairs.
     table = _table(kernel, n, p, exact)
     return table.total() / len(table.values)
@@ -314,7 +299,7 @@ def expected_spread_conditional(
     n = _checked_int(n, "n", 2)
     if condition not in ("consistent", "reversal"):
         raise ValueError(f"condition must be 'consistent' or 'reversal', got {condition!r}")
-    pair = _as_pair(n, pair)
+    pair = _checked_pair(n, pair)
     p = _checked_weight(p, "p", exact=exact)
     cw1, cw2, g2 = _conditional_kernel(n, p, exact)
     k = state_row(n, pair.i, pair.j)
@@ -434,7 +419,7 @@ def brute_force_expected_spread(n: int, p: float, pair) -> float:
     Supports n <= 6.
     """
     n = _checked_ranking_size(n)
-    pair = _as_pair(n, pair)
+    pair = _checked_pair(n, pair)
     perms, probs = swap_process_distribution(n, p)
     parr, pos = _rank_arrays(perms)
     return _pair_spread(pos, probs, parr[:, pair.i - 1], parr[:, pair.j - 1], probs.sum())

@@ -352,27 +352,16 @@ def _check_random_distributions() -> str:
     return f"100 random distributions give vanishing expectations (worst {worst:.1e})"
 
 
-_QUICK_CHECKS: List[Tuple[str, Callable[[], str]]] = [
-    ("spread-definition", _check_spread_definition),
-    ("definition-glue", _check_definition_glue),
-    ("swap-matrix", _check_swap_matrix),
-    ("mix-closed-form", _check_mix_closed_form),
-    ("factored-vs-enumeration", _check_factored_vs_enumeration),
-    ("zero-sum", _check_zero_sum),
-    ("reversal-symmetry", _check_reversal_symmetry),
-    ("uniform-limit", _check_uniform_limit),
-    ("reference-table", _check_reference_table),
-    ("design-oracle", _check_design_oracle),
-    ("conditional", _check_conditional),
-    ("display-rounding", _check_display_rounding),
+_QUICK_CHECKS: List[Callable[[], str]] = [
+    _check_spread_definition, _check_definition_glue, _check_swap_matrix, _check_mix_closed_form,
+    _check_factored_vs_enumeration, _check_zero_sum, _check_reversal_symmetry,
+    _check_uniform_limit, _check_reference_table, _check_design_oracle, _check_conditional,
+    _check_display_rounding,
 ]
 
-_FULL_CHECKS: List[Tuple[str, Callable[[], str]]] = [
-    ("exact-backend", _check_exact_backend),
-    ("brute-force", _check_brute_force),
-    ("lumping", _check_lumping),
-    ("equivariance", _check_equivariance),
-    ("random-distributions", _check_random_distributions),
+_FULL_CHECKS: List[Callable[[], str]] = [
+    _check_exact_backend, _check_brute_force, _check_lumping, _check_equivariance,
+    _check_random_distributions,
 ]
 
 
@@ -385,11 +374,9 @@ def run_checks(level: str = "quick") -> List[CheckResult]:
     """
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}; expected one of {LEVELS}")
-    checks = list(_QUICK_CHECKS)
-    if level == "full":
-        checks += _FULL_CHECKS
     results = []
-    for name, check in checks:
+    for check in _QUICK_CHECKS + _FULL_CHECKS if level == "full" else _QUICK_CHECKS:
+        name = check.__name__.removeprefix("_check_").replace("_", "-")
         try:
             results.append(CheckResult(name=name, passed=True, detail=check()))
         except Exception as exc:

@@ -30,6 +30,7 @@ from freechoice.designs import (
 )
 from freechoice.exact import expected_spread_positions, expected_spread_two_param, round_half_away
 from freechoice.stats import bootstrap_se
+from freechoice.verify import run_checks
 
 
 def run_table(tmp_path, *extra):
@@ -335,6 +336,16 @@ class TestVerifyCommand:
         assert out.count("PASS ") >= 10
         assert "all" in out.splitlines()[-1]
 
+    def test_check_names_are_pinned(self):
+        # each name is its check function's, without "_check_" and with dashes
+        full = ["spread-definition", "definition-glue", "swap-matrix", "mix-closed-form",
+                "factored-vs-enumeration", "zero-sum", "reversal-symmetry", "uniform-limit",
+                "reference-table", "design-oracle", "conditional", "display-rounding",
+                "exact-backend", "brute-force", "lumping", "equivariance",
+                "random-distributions"]
+        assert [result.name for result in run_checks("full")] == full
+        assert [result.name for result in run_checks("quick")] == full[:12]
+
     def test_detects_planted_sign_error(self, capsys, monkeypatch):
         original = core.spread_simplified
 
@@ -621,6 +632,49 @@ class TestErrors:
         missing = tmp_path / "no-such-dir" / "table.csv"
         assert main(["table", "--n", "5", "--p", "0.5", "--output", str(missing)]) == 3
         assert "i/o error:" in capsys.readouterr().err
+
+    def test_unwritable_output_names_the_path(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir" / "table.csv"
+        assert main(["table", "--n", "5", "--p", "0.5", "--output", str(missing)]) == 3
+        err = capsys.readouterr().err
+        assert f"No such file or directory: {str(missing)!r}" in err
+        assert ".tmp" not in err
+
+    def test_directory_output_refused_before_any_replace(self, tmp_path, capsys):
+        out = tmp_path / "t2.csv"
+        out.write_bytes(b"precious\n")
+        (tmp_path / "t2.csv.summary.json").mkdir()
+        assert main(["simulate", "--design", "classic", "--model", "null", "--n", "5",
+                     "--pair", "2,4", "--subjects", "10", "--p", "0.3",
+                     "--output", str(out)]) == 3
+        assert f"Is a directory: '{out}.summary.json'" in capsys.readouterr().err
+        assert out.read_bytes() == b"precious\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["t2.csv",
+                                                                     "t2.csv.summary.json"]
+
+    @pytest.mark.skipif(os.name != "posix", reason="permission bits are POSIX")
+    def test_replaced_output_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "t.csv"
+        out.write_bytes(b"old\n")
+        out.chmod(0o600)
+        assert main(["table", "--n", "5", "--p", "0.5", "--output", str(out)]) == 0
+        assert out.read_text().startswith("i,j,expected_spread,rounded\n")
+        assert out.stat().st_mode & 0o7777 == 0o600
+
+    def test_replaced_output_keeps_its_link(self, tmp_path):
+        plain, real, link = tmp_path / "plain.csv", tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_bytes(b"old\n")
+        try:
+            link.symlink_to(real)
+        except OSError:
+            pytest.skip("symbolic links cannot be made here")
+        for path in (plain, link):
+            assert main(["table", "--n", "5", "--p", "0.5", "--output", str(path)]) == 0
+        assert link.is_symlink() and link.resolve() == real
+        assert real.read_bytes() == plain.read_bytes()
+        manifest = json.loads((tmp_path / "link.csv.manifest.json").read_text())
+        assert manifest["outputs"] == [str(link)]
+        assert not any(path.name.endswith(".tmp") for path in tmp_path.iterdir())
 
     def test_unknown_command(self, capsys):
         assert main(["tabulate"]) == 2

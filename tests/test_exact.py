@@ -73,11 +73,10 @@ class TestTable:
     @pytest.mark.parametrize("n, p, exact", [(2, 0.5, False), (7, 0.3, False), (20, 0.85, False),
                                              (6, Fraction(4, 5), True)])
     def test_table_reads_each_pair_as_pair_value(self, n, p, exact):
-        # the whole-table read-out is _pair_value pair by pair, bit for bit
-        kernel = exact_module._design_kernel(n, p, p, p, exact)
-        table = exact_module._table(kernel, n, p, exact)
+        # the whole-table read-out is the one-pair read-out pair by pair, bit for bit
+        table = expected_spread_table(n, p, exact=exact)
         pairs = all_position_pairs(n)
-        expected = [exact_module._pair_value(kernel, n, pair, exact) for pair in pairs]
+        expected = [expected_spread_positions(n, p, pair, exact=exact) for pair in pairs]
         assert list(table.values) == list(pairs)
         assert [type(v) for v in table.values.values()] == [type(v) for v in expected]
         if exact:
