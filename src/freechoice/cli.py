@@ -1,12 +1,14 @@
 """Command-line front end: tables, simulations, power studies, self-checks.
 
 Every file-writing command also writes ``<output>.manifest.json`` recording
-the command, its full parameter set, the seed, the package version, and the
-output paths. Manifests contain no timestamps, so re-running a command
-reproduces its outputs byte for byte. A command's outputs are whole or
-absent: each is written to a temporary file beside the file its path
-resolves to, and they move into place, manifest last, only once every one
-is written.
+the command, its parameters (every parsed option except the command and the
+seed, with the output path and the model's fields resolved), the seed, the
+package version, and the output paths. Manifests contain no timestamps, so
+re-running a command reproduces its outputs byte for byte. A command's
+outputs are whole or absent: each output and the manifest are staged in a
+temporary file beside the file its path resolves to before the command
+works, so a path that cannot be written is refused at once, and they move
+into place, manifest last, only once every one is written.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 """
@@ -59,6 +61,13 @@ def _parse_pair(text: str) -> Tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected integers, got {text!r}") from None
 
 
+def _output_path(text: str) -> str:
+    # an empty path would otherwise read as no path, and the default be written
+    if not text:
+        raise argparse.ArgumentTypeError("expected a non-empty path")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freechoice",
@@ -79,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="compute in exact rational arithmetic",
     )
-    table.add_argument("--output", default=None, help="output path (default: table_n<N>.<fmt>)")
+    table.add_argument("--output", type=_output_path,
+                       help="output path (default: table_n<N>.<fmt>)")
     table.set_defaults(func=_cmd_table)
 
     simulate = commands.add_parser("simulate", help="run one experiment and record every trial")
@@ -87,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--format", choices=("csv", "json"), default="csv",
                           help="trial records as CSV or JSON lines")
     simulate.add_argument("--truth-mode", choices=TRUTH_MODES, default="identity")
-    simulate.add_argument("--output", default=None,
+    simulate.add_argument("--output", type=_output_path,
                           help="output path (default: trials.csv or trials.jsonl)")
     simulate.set_defaults(func=_cmd_simulate)
 
@@ -97,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_experiment_arguments(power)
     power.add_argument("--replications", type=int, required=True)
     power.add_argument("--alpha", type=float, default=0.05)
-    power.add_argument("--output", default=None, help="output path (default: power.json)")
+    power.add_argument("--output", type=_output_path, help="output path (default: power.json)")
     power.set_defaults(func=_cmd_power)
 
     verify = commands.add_parser("verify", help="run the self-verification suite")
@@ -146,81 +156,69 @@ def _build_experiment(args: argparse.Namespace) -> Tuple[DesignConfig, SubjectMo
 
 
 class _Outputs:
-    """One command's output files, written whole or not at all.
+    """One command's outputs and its manifest, staged before any work.
 
-    :meth:`open` refuses a directory and gives a fresh temporary file beside
-    the file each path resolves to, created as a plain ``open`` creates
-    files. When the ``with`` block ends normally, each takes the permission
-    bits of the file it replaces and replaces it, in the order opened, so a
-    symbolic link stays a link; if anything raises, from the block or a
-    replacement, every temporary file left is deleted. Errors name the
-    paths as given.
+    Entering refuses a path that is a directory or cannot be created, with
+    an error naming it as given, and stages a fresh temporary file for each
+    path, then for ``<first path>.manifest.json``, beside the file each path
+    resolves to, created as a plain ``open`` creates files. It writes the
+    manifest at once: the command, every parsed option but the command and
+    the seed updated with ``resolved``, the seed, the version and the paths.
+    It gives the paths' open handles. When the ``with`` block ends normally,
+    each temporary file takes the permission bits of the file it replaces
+    and replaces it, in order, manifest last, so a symbolic link stays a
+    link; if anything raises, every temporary file left is deleted.
     """
 
-    def __init__(self):
-        self._staged: List[Tuple[str, str, str]] = []  # (temporary file, path, resolved path)
+    def __init__(self, args: argparse.Namespace, *paths: str, **resolved):
+        self._args, self._paths, self._resolved = args, paths, resolved
+        self.manifest = paths[0] + ".manifest.json"
+        self._staged: List[Tuple[TextIO, str]] = []  # (temporary file, resolved path)
 
-    def __enter__(self) -> "_Outputs":
-        return self
-
-    def open(self, path: str) -> TextIO:
-        target = os.path.realpath(path)
-        if os.path.isdir(target):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        directory, name = os.path.split(target)
-        temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    def __enter__(self) -> List[TextIO]:
         try:
-            handle = open(temporary, "x", newline="")
-        except OSError as exc:
-            exc.filename = path
+            for path in (*self._paths, self.manifest):
+                target = os.path.realpath(path)
+                if os.path.isdir(target):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+                directory, name = os.path.split(target)
+                try:
+                    handle = open(os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp"),
+                                  "x", newline="")
+                except OSError as exc:
+                    exc.filename = path
+                    raise
+                self._staged.append((handle, target))
+            parameters = {name: value for name, value in vars(self._args).items()
+                          if name not in ("command", "func", "seed")}
+            _dump(self._staged[-1][0], {
+                "command": self._args.command, "parameters": {**parameters, **self._resolved},
+                "seed": getattr(self._args, "seed", None), "version": __version__,
+                "outputs": list(self._paths)})
+        except BaseException:
+            self.__exit__(*sys.exc_info())
             raise
-        self._staged.append((temporary, path, target))
-        return handle
-
-    def json(self, path: str, obj) -> None:
-        # indented, key-sorted JSON with a final newline
-        with self.open(path) as handle:
-            json.dump(obj, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    def manifest(self, command: str, parameters: Dict[str, object], seed: Optional[int]) -> str:
-        # lists the paths opened so far, in the order opened
-        outputs = [path for _, path, _ in self._staged]
-        path = outputs[0] + ".manifest.json"
-        self.json(path, {"command": command, "parameters": parameters, "seed": seed,
-                         "version": __version__, "outputs": outputs})
-        return path
+        return [handle for handle, _ in self._staged[:-1]]
 
     def __exit__(self, failure, *_) -> None:
         try:
+            for handle, _ in self._staged:
+                handle.close()
             if failure is None:
-                for temporary, _, target in self._staged:
+                for handle, target in self._staged:
                     if os.path.exists(target):
-                        os.chmod(temporary, os.stat(target).st_mode & 0o7777)
-                    os.replace(temporary, target)
+                        os.chmod(handle.name, os.stat(target).st_mode & 0o7777)
+                    os.replace(handle.name, target)
         finally:
-            for temporary, _, _ in self._staged:
-                if os.path.exists(temporary):
-                    os.remove(temporary)
+            for handle, _ in self._staged:
+                if os.path.exists(handle.name):
+                    os.remove(handle.name)
 
 
-def _experiment_parameters(args: argparse.Namespace, model: SubjectModel, output: str,
-                           **extra) -> Dict[str, object]:
-    # Manifest parameters shared by the simulate and power commands; a model
-    # field is None for the models without it.
-    return {
-        "design": args.design,
-        "model": args.model,
-        "n": args.n,
-        "subjects": args.subjects,
-        "pair": list(args.pair) if args.pair else None,
-        "object_pair": list(args.object_pair) if args.object_pair else None,
-        "p": args.p,
-        **{name: getattr(model, name, None) for name in ("P", "shift", "threshold")},
-        "threads": args.threads,
-        "output": output,
-        **extra,
-    }
+def _dump(handle: TextIO, obj) -> None:
+    # indented, key-sorted JSON with a final newline
+    json.dump(obj, handle, indent=2, sort_keys=True)
+    handle.write("\n")
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -228,28 +226,17 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise ValueError(f"--n must lie in 2..20, got {args.n}")
     # one reading of --p for both backends: the float one takes its double
     p = _checked_weight(args.p, "p", exact=True)
-    table = expected_spread_table(args.n, p if args.exact_rational else float(p),
-                                  exact=args.exact_rational)
     output = args.output or f"table_n{args.n}.{args.format}"
-    with _Outputs() as out:
+    outputs = _Outputs(args, output, output=output)
+    with outputs as (handle,):
+        table = expected_spread_table(args.n, p if args.exact_rational else float(p),
+                                      exact=args.exact_rational)
         if args.format == "csv":
-            with out.open(output) as handle:
-                table.write_csv(handle)
+            table.write_csv(handle)
         else:
-            out.json(output, table.to_json_obj())
-        manifest = out.manifest(
-            "table",
-            {
-                "n": args.n,
-                "p": str(args.p),
-                "format": args.format,
-                "exact_rational": args.exact_rational,
-                "output": output,
-            },
-            None,
-        )
+            _dump(handle, table.to_json_obj())
     _print_rounded_triangle(table)
-    print(f"wrote {len(table.values)} pairs to {output} (manifest {manifest})")
+    print(f"wrote {len(table.values)} pairs to {output} (manifest {outputs.manifest})")
     return 0
 
 
@@ -282,19 +269,19 @@ def _lines(block, line) -> str:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     design, model = _build_experiment(args)
-    output = args.output or ("trials.csv" if args.format == "csv" else "trials.jsonl")
-    summary_path = output + ".summary.json"
     blocks = _experiment_blocks(design, model, _as_seed_sequence(args.seed),
                                 random_truth=args.truth_mode == "random")
+    output = args.output or ("trials.csv" if args.format == "csv" else "trials.jsonl")
+    summary_path = output + ".summary.json"
     line = _csv_line if args.format == "csv" else _json_line
     tally = _SpreadTally(design.n, ordered=design.kind == "e3")
-    with _Outputs() as out:
-        with out.open(output) as handle:
-            if args.format == "csv":
-                handle.write(",".join(TrialRecord._fields) + "\n")
-            for block in blocks:
-                handle.write(_lines(block, line))
-                tally.add(block)
+    outputs = _Outputs(args, output, summary_path, output=output, **asdict(model))
+    with outputs as (records, summary_file):
+        if args.format == "csv":
+            records.write(",".join(TrialRecord._fields) + "\n")
+        for block in blocks:
+            records.write(_lines(block, line))
+            tally.add(block)
         spread = summarize(tally.counts())
         consistent, reversal = tally.counts(consistent=True), tally.counts(consistent=False)
         summary: Dict[str, object] = {
@@ -319,36 +306,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 summary["note"] = "both arms have zero variance; no comparison scale"
         if tally.ordered is not None:
             summary["se_bootstrap"] = bootstrap_se(np.concatenate(tally.ordered), seed=args.seed)
-        out.json(summary_path, summary)
-        manifest = out.manifest(
-            "simulate",
-            _experiment_parameters(
-                args, model, output, truth_mode=args.truth_mode, format=args.format
-            ),
-            args.seed,
-        )
+        _dump(summary_file, summary)
     mean = summary["spread"]["mean"]
     print(f"simulated {design.subjects} subjects: mean spread {mean:.6f}")
-    print(f"wrote {output}, {summary_path} (manifest {manifest})")
+    print(f"wrote {output}, {summary_path} (manifest {outputs.manifest})")
     return 0
 
 
 def _cmd_power(args: argparse.Namespace) -> int:
     design, model = _build_experiment(args)
-    report = power_report(design, model, replications=args.replications, alpha=args.alpha,
-                          seed=args.seed)
     output = args.output or "power.json"
-    with _Outputs() as out:
-        out.json(output, report)
-        manifest = out.manifest(
-            "power",
-            _experiment_parameters(
-                args, model, output, replications=args.replications, alpha=args.alpha
-            ),
-            args.seed,
-        )
+    outputs = _Outputs(args, output, output=output, **asdict(model))
+    with outputs as (handle,):
+        report = power_report(design, model, replications=args.replications, alpha=args.alpha,
+                              seed=args.seed)
+        _dump(handle, report)
     print(f"rejection rate {report['rejection_rate']:.4f} over {args.replications} replications")
-    print(f"wrote {output} (manifest {manifest})")
+    print(f"wrote {output} (manifest {outputs.manifest})")
     return 0
 
 

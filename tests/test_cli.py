@@ -33,6 +33,29 @@ from freechoice.stats import bootstrap_se
 from freechoice.verify import run_checks
 
 
+# one small run of each file-writing command, without its --output
+SMALL_RUNS = {
+    "table": ["table", "--n", "5", "--p", "0.5"],
+    "simulate": ["simulate", "--design", "classic", "--model", "null", "--n", "5",
+                 "--pair", "2,4", "--subjects", "10", "--p", "0.3"],
+    "power": ["power", "--design", "classic", "--model", "null", "--n", "5",
+              "--pair", "2,4", "--subjects", "10", "--p", "0.3", "--replications", "3"],
+}
+# the files each of them writes, as suffixes of its --output path
+OUTPUTS = {
+    "simulate": {"records": "", "summary": ".summary.json", "manifest": ".manifest.json"},
+    "power": {"report": "", "manifest": ".manifest.json"},
+    "table": {"output": "", "manifest": ".manifest.json"},
+}
+
+
+@pytest.fixture(autouse=True)
+def no_temporary_file_left(tmp_path):
+    # however a command ends, it leaves none of its temporary files behind
+    yield
+    assert sorted(tmp_path.rglob(".*.tmp")) == []
+
+
 def run_table(tmp_path, *extra):
     out = tmp_path / "table.csv"
     code = main(["table", "--n", "12", "--p", "0.8", "--output", str(out), *extra])
@@ -442,6 +465,37 @@ class TestStreamLayout:
         summary = json.loads((tmp_path / "trials.out.summary.json").read_text())
         assert summary["spread"]["mean"] == pytest.approx(mean, rel=1e-12)
 
+    # every manifest field, the version included; the outputs are named as
+    # given, relative to the working directory
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (["table", "--n", "6", "--p", "0.7", "--output", "t.csv"],
+             "431c1764a492069cdf083ff34bffe0af4629aa3398077be3cefc0199b6ea01fa"),
+            (["table", "--n", "6", "--p", "3/4", "--format", "json", "--exact-rational",
+              "--output", "t.json"],
+             "6e50d51651cf5c4116b542e955c3de003a611582e6cb67addf193d593c192f42"),
+            (["simulate", "--design", "e2", "--model", "dissonance-shift", "--n", "6",
+              "--subjects", "10", "--p", "0.5", "--output", "d.csv"],
+             "77177f02d9fc093edb6032348689242e34b3b1b7dc3e020b3250e988aa07bde9"),
+            (["simulate", "--design", "e0", "--model", "two-param", "--n", "6",
+              "--subjects", "10", "--pair", "2,4", "--p", "0.5", "--P", "0.7",
+              "--format", "json", "--threads", "2", "--output", "e.jsonl"],
+             "becd22317df1e4fa8bb8c8bbab6f1bef9a37c32fa55e5c336fc204a2822cdb46"),
+            (["power", "--design", "e2", "--model", "null", "--n", "6", "--subjects", "10",
+              "--p", "0.5", "--replications", "3", "--alpha", "0.1", "--output", "p.json"],
+             "7512ced25235a57b6dafbb3a6cacad647fede8c749bb6f287a729eb52d5992ce"),
+        ],
+        ids=["table-float-csv", "table-rational-json", "simulate-shift-defaults",
+             "simulate-e0-json-threads", "power-alpha"],
+    )
+    def test_manifest_bytes(self, tmp_path, monkeypatch, capsys, args, digest):
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 0
+        capsys.readouterr()
+        manifest = tmp_path / f"{args[-1]}.manifest.json"
+        assert hashlib.sha256(manifest.read_bytes()).hexdigest() == digest
+
     def test_run_subject_on_any_bit_generator(self):
         # the public entry draws through Generator.integers, so an MT19937
         # stream gives the records it gave before the PCG64 replay existed
@@ -640,17 +694,39 @@ class TestErrors:
         assert f"No such file or directory: {str(missing)!r}" in err
         assert ".tmp" not in err
 
-    def test_directory_output_refused_before_any_replace(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, suffix", [
+        pytest.param(command, suffix, id=f"{command}-{name}")
+        for command, outputs in OUTPUTS.items() for name, suffix in outputs.items()
+    ])
+    def test_directory_output_refused_before_any_replace(self, tmp_path, capsys, monkeypatch,
+                                                          command, suffix):
+        # a directory at any output or manifest path is refused before the
+        # first draw, solve or replication: reaching any of them raises here
+        import freechoice.cli as cli
+        import freechoice.designs as designs
+
+        monkeypatch.setattr(designs, "_Streams", None)
+        monkeypatch.setattr(cli, "power_report", None)
+        monkeypatch.setattr(cli, "expected_spread_table", None)
         out = tmp_path / "t2.csv"
-        out.write_bytes(b"precious\n")
-        (tmp_path / "t2.csv.summary.json").mkdir()
-        assert main(["simulate", "--design", "classic", "--model", "null", "--n", "5",
-                     "--pair", "2,4", "--subjects", "10", "--p", "0.3",
-                     "--output", str(out)]) == 3
-        assert f"Is a directory: '{out}.summary.json'" in capsys.readouterr().err
-        assert out.read_bytes() == b"precious\n"
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["t2.csv",
-                                                                     "t2.csv.summary.json"]
+        suffixes = OUTPUTS[command].values()
+        old = {Path(f"{out}{other}") for other in suffixes if other != suffix}
+        for path in old:
+            path.write_bytes(b"precious\n")
+        Path(f"{out}{suffix}").mkdir()
+        assert main([*SMALL_RUNS[command], "--output", str(out)]) == 3
+        assert f"Is a directory: '{out}{suffix}'" in capsys.readouterr().err
+        assert all(path.read_bytes() == b"precious\n" for path in old)
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            f"t2.csv{other}" for other in suffixes)
+
+    @pytest.mark.parametrize("command", SMALL_RUNS)
+    def test_empty_output_refused(self, tmp_path, capsys, monkeypatch, command):
+        # an empty --output is not read as "no --output", which writes the default
+        monkeypatch.chdir(tmp_path)
+        assert main([*SMALL_RUNS[command], "--output", ""]) == 2
+        assert "argument --output: expected a non-empty path" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.skipif(os.name != "posix", reason="permission bits are POSIX")
     def test_replaced_output_keeps_its_mode(self, tmp_path):
