@@ -20,10 +20,8 @@ import errno
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple, get_args
-
-import numpy as np
 
 from . import __version__
 from .core import PositionPair, _checked_int
@@ -33,7 +31,6 @@ from .designs import (
     DesignConfig,
     SubjectModel,
     TrialRecord,
-    TwoParamModel,
     _as_seed_sequence,
     _experiment_blocks,
     _fields,
@@ -139,18 +136,23 @@ def _add_experiment_arguments(sub: argparse.ArgumentParser) -> None:
 
 def _build_experiment(args: argparse.Namespace) -> Tuple[DesignConfig, SubjectModel]:
     # The design and model of a simulate or power command, checked before any
-    # output is opened; --P, --shift and --threshold are model fields beside p.
+    # output is opened. Every option named after a field of some model goes
+    # to the model, which must have that field and be given each of its
+    # fields that has no default.
     design = DesignConfig(kind=args.design, n=args.n, subjects=args.subjects, pair=args.pair,
                           object_pair=args.object_pair)
     model_class = MODELS[args.model]
-    given = {name: getattr(args, name) for name in ("P", "shift", "threshold")
-             if getattr(args, name) is not None}
+    options = {field.name for model in MODELS.values() for field in fields(model)}
+    given = {name: value for name, value in vars(args).items()
+             if name in options and value is not None}
     ignored = [f"--{name}" for name in given if name not in {f.name for f in fields(model_class)}]
     if ignored:
         raise ValueError(f"the {args.model} model does not take {' or '.join(ignored)}")
-    if model_class is TwoParamModel and args.P is None:
-        raise ValueError("the two-param model needs --P")
-    model = model_class(p=args.p, **given)
+    needed = [f"--{field.name}" for field in fields(model_class)
+              if field.default is MISSING and field.name not in given]
+    if needed:
+        raise ValueError(f"the {args.model} model needs {' and '.join(needed)}")
+    model = model_class(**given)
     _checked_int(args.threads, "threads", 1)
     return design, model
 
@@ -274,7 +276,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     output = args.output or ("trials.csv" if args.format == "csv" else "trials.jsonl")
     summary_path = output + ".summary.json"
     line = _csv_line if args.format == "csv" else _json_line
-    tally = _SpreadTally(design.n, ordered=design.kind == "e3")
+    tally = _SpreadTally(design, described=True)
     outputs = _Outputs(args, output, summary_path, output=output, **asdict(model))
     with outputs as (records, summary_file):
         if args.format == "csv":
@@ -304,8 +306,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             summary["comparison"] = asdict(comparison) if comparison else None
             if comparison is None:
                 summary["note"] = "both arms have zero variance; no comparison scale"
-        if tally.ordered is not None:
-            summary["se_bootstrap"] = bootstrap_se(np.concatenate(tally.ordered), seed=args.seed)
+        summary.update(tally.se_bootstrap(args.seed))
         _dump(summary_file, summary)
     mean = summary["spread"]["mean"]
     print(f"simulated {design.subjects} subjects: mean spread {mean:.6f}")

@@ -47,6 +47,7 @@ from .core import (
 )
 from .noise import (
     _ARMS,
+    _LOW,
     CapacityError,
     Weight,
     _checked_weight,
@@ -326,10 +327,7 @@ def run_subject(
     elif truth.n != n:
         raise ValueError(f"true ranking has {truth.n} objects but the design has {n}")
 
-    arm = "none"
-    if design.kind == "e0":
-        arm = "experimental" if subject < design.subjects // 2 else "control"
-
+    arm = _ARMS[_arm(design, subject)]
     if design.kind == "e2":
         i, j = map(int, _pair_at(n, rng.integers(0, pair_count(n), size=1)[0]))
     elif design.kind == "e3":
@@ -355,6 +353,12 @@ def run_subject(
         final = _placed(final, choice, model._kept)
     return TrialRecord(subject, arm, i, j, choice.chosen == tracked.first,
                        spread(first, choice, final))
+
+
+def _arm(design: DesignConfig, subject):
+    # the arm of a subject, or of an array of subjects, as its index in
+    # noise._ARMS: e0 gives its first half the experimental arm, the rest control
+    return (design.kind == "e0") * (1 + (subject >= design.subjects // 2))
 
 
 def _placed(ranking: Ranking, choice: Choice, hook, *args) -> Ranking:
@@ -391,7 +395,6 @@ def _stream_rng(root: np.random.SeedSequence, stream: str, *index: int) -> np.ra
 
 # numpy's SeedSequence hash constants; numpy keeps them fixed so that seeded
 # streams stay reproducible across its versions.
-_MASK32 = np.uint64(0xFFFFFFFF)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
@@ -410,8 +413,8 @@ def _word_count(value) -> int:
 def _hash(words: np.ndarray, hash_const: np.ndarray, mult: int) -> Tuple[np.ndarray, np.ndarray]:
     # One step of SeedSequence's hash on uint32 values held in uint64 arrays:
     # xor the constant, advance it, multiply by it and fold the high half.
-    advanced = hash_const * np.uint64(mult) & _MASK32
-    words = (words ^ hash_const) * advanced & _MASK32
+    advanced = hash_const * np.uint64(mult) & _LOW
+    words = (words ^ hash_const) * advanced & _LOW
     return words ^ words >> np.uint64(16), advanced
 
 
@@ -439,7 +442,7 @@ def _subject_states(roots: Sequence[np.random.SeedSequence], experiment: Sequenc
     pool = []
     for word in words.T:
         mixed, hash_const = _hash(index, hash_const, _MULT_A)
-        mixed = (_MIX_MULT_L * word - _MIX_MULT_R * mixed) & _MASK32
+        mixed = (_MIX_MULT_L * word - _MIX_MULT_R * mixed) & _LOW
         pool.append(mixed ^ mixed >> np.uint64(16))
     hash_const = np.full(len(index), _INIT_B, dtype=np.uint64)
     state = []
@@ -551,10 +554,7 @@ def _run_block(design, model, streams, experiment, subject, pair, random_truth) 
     by stage over the block: the whole first ranking, then the places of
     the compared two objects. Objects and places count from 0 here.
     """
-    n, rows = design.n, np.arange(len(subject))
-    arm = np.zeros(len(rows), dtype=np.intp)
-    if design.kind == "e0":
-        arm += 1 + (subject >= design.subjects // 2)
+    n, rows, arm = design.n, np.arange(len(subject)), _arm(design, subject)
     weights = np.array([[float(w) for w in model.stage_weights(name)] for name in _ARMS])[arm]
     # ranking[r, c] is the object at place c, truth[r, c] the true place of
     # object c, in the smallest integer type that also holds -n

@@ -159,16 +159,18 @@ class _SpreadTally:
     """Spread value counts of one experiment, per (arm, consistent) cell.
 
     Blocks of records are counted as they arrive, with one ``np.bincount``
-    each, so the memory does not grow with the number of subjects. With
-    ``ordered`` the spreads are also kept in subject order, one integer
-    array per block, for the e3 bootstrap.
+    each, so the memory does not grow with the number of subjects. The
+    tally of a ``described`` run, the one whose summary or report is
+    written, also keeps an e3 run's spreads in subject order for the
+    bootstrap of :meth:`se_bootstrap`: one array per block, in the smallest
+    signed integer type that holds them.
     """
 
-    def __init__(self, n: int, ordered: bool = False):
+    def __init__(self, design: DesignConfig, described: bool = False):
         # spreads lie in -2(n - 1)..2(n - 1)
-        self.offset = 2 * (n - 1)
+        self.offset = 2 * (design.n - 1)
         self.table = np.zeros((len(_ARMS), 2, 2 * self.offset + 1), dtype=np.int64)
-        self.ordered = [] if ordered else None
+        self.ordered = [] if described and design.kind == "e3" else None
 
     def add(self, block: _Columns, rows=slice(None)) -> None:
         """Count the records of ``block`` (those at ``rows``)."""
@@ -176,7 +178,7 @@ class _SpreadTally:
                  + block.spread[rows] + self.offset)
         self.table += np.bincount(cells, minlength=self.table.size).reshape(self.table.shape)
         if self.ordered is not None:
-            self.ordered.append(block.spread[rows])
+            self.ordered.append(block.spread[rows].astype(np.min_scalar_type(-self.offset - 1)))
 
     def counts(self, arm: Optional[str] = None,
                consistent: Optional[bool] = None) -> Dict[int, int]:
@@ -196,19 +198,23 @@ class _SpreadTally:
         except DegenerateComparisonError:
             return experimental, control, None
 
+    def se_bootstrap(self, seed: Seed) -> Dict[str, float]:
+        """``{"se_bootstrap": se}`` over the kept spreads, or ``{}`` if none are kept."""
+        return {} if self.ordered is None else {
+            "se_bootstrap": bootstrap_se(np.concatenate(self.ordered), seed=seed)}
 
-def _tallies(blocks: Iterable[_Columns], n: int) -> Iterator[_SpreadTally]:
-    # one tally per experiment of a run, each once its last record has passed
-    tally, current = None, None
+
+def _tallies(blocks: Iterable[_Columns], design: DesignConfig) -> Iterator[_SpreadTally]:
+    # one tally per experiment of a run, each once its last subject has passed;
+    # blocks come in experiment order, so each is cut where its experiment changes
+    tally = _SpreadTally(design)
     for block in blocks:
-        for experiment in range(block.experiment[0], block.experiment[-1] + 1):
-            if experiment != current:
-                if tally is not None:
-                    yield tally
-                tally, current = _SpreadTally(n), experiment
-            tally.add(block, block.experiment == experiment)
-    if tally is not None:
-        yield tally
+        ends = [*(np.flatnonzero(np.diff(block.experiment)) + 1).tolist(), len(block.experiment)]
+        for start, stop in zip([0, *ends], ends):
+            tally.add(block, slice(start, stop))
+            if block.subject[stop - 1] == design.subjects - 1:
+                yield tally
+                tally = _SpreadTally(design)
 
 
 def _estimate(kind: str, tally: _SpreadTally) -> Tuple[float, Optional[float]]:
@@ -246,7 +252,7 @@ def power_estimate(
     critical = NormalDist().inv_cdf(1 - alpha)
     blocks = _experiment_blocks(design, model, _as_seed_sequence(seed), replications=replications)
     rejections = 0
-    for tally in _tallies(blocks, design.n):
+    for tally in _tallies(blocks, design):
         mean, se = _estimate(design.kind, tally)
         if se and mean / se > critical:
             rejections += 1
@@ -282,10 +288,9 @@ def power_report(
         "alpha": alpha,
         "rejection_rate": rate,
     }
-    tally = _SpreadTally(design.n, ordered=design.kind == "e3")
+    tally = _SpreadTally(design, described=True)
     for block in _experiment_blocks(design, model, report_seed):
         tally.add(block)
     report["mean"], report["se"] = _estimate(design.kind, tally)
-    if tally.ordered is not None:
-        report["se_bootstrap"] = bootstrap_se(np.concatenate(tally.ordered), seed=report_seed)
+    report.update(tally.se_bootstrap(report_seed))
     return report

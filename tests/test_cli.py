@@ -553,6 +553,15 @@ class TestErrors:
                      "--output", str(tmp_path / "t.csv")]) == 2
         assert "--P" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "power"])
+    def test_two_param_needs_P(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        extra = ["--replications", "3"] if command == "power" else []
+        assert main([command, "--design", "e2", "--model", "two-param", "--n", "6",
+                     "--subjects", "10", "--p", "0.5", *extra, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: the two-param model needs --P\n"
+        assert sorted(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("model, flags", [
         ("null", ["--P", "0.9"]),
         ("memory", ["--P", "0.9"]),

@@ -621,6 +621,21 @@ class TestKernelRecords:
 
 
 @pytest.mark.numpy_oracle
+def test_e0_arms_at_block_edge_and_split():
+    # 2,050 subjects: the second block of 1,024 starts in the experimental
+    # arm, and the control arm starts at subject 1,025, inside that block
+    cfg = DesignConfig(kind="e0", n=6, subjects=2050, pair=(2, 5))
+    model, root = TwoParamModel(p=0.5, P=0.9), np.random.SeedSequence(9)
+    records = run_experiment(cfg, model, root)
+    for subject, arm in ((1023, "experimental"), (1024, "experimental"), (1025, "control"),
+                         (1026, "control")):
+        rng = np.random.Generator(np.random.PCG64(designs._stream_seed(root, "subject", subject)))
+        assert run_subject(cfg, model, subject, rng) == records[subject]
+        assert records[subject].arm == arm
+    assert [record.arm for record in records] == ["experimental"] * 1025 + ["control"] * 1025
+
+
+@pytest.mark.numpy_oracle
 class TestKernelDraws:
     """Each numpy primitive the kernel replays, against numpy on the same states."""
 

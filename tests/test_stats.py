@@ -17,12 +17,15 @@ from freechoice.designs import (
     DissonanceShiftModel,
     NullModel,
     _as_seed_sequence,
+    _Columns,
     _experiment_blocks,
     _stream_rng,
     iter_experiment,
+    pair_count,
 )
 from freechoice.stats import (
     _SpreadTally,
+    _tallies,
     DegenerateComparisonError,
     GroupComparison,
     SpreadSummary,
@@ -294,17 +297,81 @@ class TestSpreadTally:
         # e0 over three blocks, so both arms and both choices have cells
         cfg = DesignConfig(kind="e0", n=5, subjects=2100, pair=(2, 3))
         records = list(iter_experiment(cfg, NullModel(p=0.5), 2))
-        tally, unordered = _SpreadTally(5, ordered=True), _SpreadTally(5)
+        tally = _SpreadTally(cfg, described=True)
         for block in _experiment_blocks(cfg, NullModel(p=0.5), _as_seed_sequence(2)):
             tally.add(block)
-            unordered.add(block)
         for arm in (None, "experimental", "control"):
             for consistent in (None, True, False):
                 expected = Counter(r.spread for r in records if arm in (None, r.arm)
                                    and consistent in (None, r.consistent))
                 assert tally.counts(arm, consistent) == expected
-        assert np.concatenate(tally.ordered).tolist() == [r.spread for r in records]
-        assert unordered.ordered is None
+        # only a described e3 run keeps its spreads, in subject order
+        assert tally.ordered is None
+        cfg = replace(cfg, kind="e3", pair=None)
+        records = list(iter_experiment(cfg, NullModel(p=0.5), 2))
+        kept, unkept = _SpreadTally(cfg, described=True), _SpreadTally(cfg)
+        for block in _experiment_blocks(cfg, NullModel(p=0.5), _as_seed_sequence(2)):
+            kept.add(block)
+            unkept.add(block)
+        assert np.concatenate(kept.ordered).tolist() == [r.spread for r in records]
+        assert unkept.ordered is None
+        assert kept.se_bootstrap(3) == {"se_bootstrap": bootstrap_se(
+            [r.spread for r in records], seed=3)}
+        assert unkept.se_bootstrap(3) == {}
+
+    @pytest.mark.parametrize("n, dtype", [(2, np.int8), (64, np.int8), (65, np.int16),
+                                          (16384, np.int16), (16385, np.int32)])
+    def test_kept_spreads_take_the_smallest_type(self, n, dtype):
+        # spreads lie in -2(n - 1)..2(n - 1)
+        tally = _SpreadTally(DesignConfig(kind="e3", n=n, subjects=2 * pair_count(n)), described=True)
+        spreads = np.array([-2 * (n - 1), 0, 2 * (n - 1)])
+        zeros = np.zeros(3, dtype=np.int64)
+        tally.add(_Columns(zeros, zeros, zeros, zeros + 1, zeros + 2, zeros.astype(bool), spreads))
+        assert tally.ordered[0].dtype == dtype
+        assert tally.ordered[0].tolist() == spreads.tolist()
+
+    @pytest.mark.own_process
+    def test_kept_spreads_take_a_byte_each(self):
+        # 100,056 e3 subjects at n = 12: spreads in -22..22 are kept as int8
+        cfg, model = DesignConfig(kind="e3", n=12, subjects=66 * 1516), NullModel(p=0.3)
+        for block in _experiment_blocks(replace(cfg, subjects=66 * 2), model, _as_seed_sequence(1)):
+            _SpreadTally(cfg, described=True).add(block)
+        tracemalloc.start()
+        try:
+            tally = _SpreadTally(cfg, described=True)
+            for block in _experiment_blocks(cfg, model, _as_seed_sequence(1)):
+                tally.add(block)
+            del block
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, tally.ordered)) == cfg.subjects
+        assert kept < 2 * cfg.subjects
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_tallies_cut_blocks_at_experiments(self, offset):
+        # 1,537 two-subject experiments in 1,024-row blocks of 512 each; the
+        # blocks cut one row later hold 1,024 rows of 513 experiments, and
+        # every edge between them falls inside an experiment
+        cfg, replications = DesignConfig(kind="e2", n=6, subjects=2), 1537
+        blocks = list(_experiment_blocks(cfg, NullModel(p=0.5), _as_seed_sequence(4),
+                                         replications=replications))
+        assert [len(block.experiment) for block in blocks] == [1024, 1024, 1024, 2]
+        if offset:
+            columns = [np.concatenate(field) for field in zip(*blocks)]
+            edges = [0, 1, 1025, 2049, 3073, 3074]
+            blocks = [_Columns(*(field[start:stop] for field in columns))
+                      for start, stop in zip(edges, edges[1:])]
+        expected = []
+        for experiment in range(replications):
+            tally = _SpreadTally(cfg)
+            for block in blocks:
+                tally.add(block, block.experiment == experiment)
+            expected.append(tally.table)
+        got = [tally.table for tally in _tallies(iter(blocks), cfg)]
+        assert len(got) == replications
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        assert all(table.sum() == 2 for table in got)
 
 
 class TestPowerReport:
