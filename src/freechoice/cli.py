@@ -167,9 +167,11 @@ class _Outputs:
     manifest at once: the command, every parsed option but the command and
     the seed updated with ``resolved``, the seed, the version and the paths.
     It gives the paths' open handles. When the ``with`` block ends normally,
-    each temporary file takes the permission bits of the file it replaces
-    and replaces it, in order, manifest last, so a symbolic link stays a
-    link; if anything raises, every temporary file left is deleted.
+    each temporary file takes the permission bits of the file it replaces,
+    every old file moves aside to a hidden sibling, and the temporary files
+    replace them in order, manifest last, so a symbolic link stays a link.
+    If a move fails, the new files placed so far go and the old files come
+    back. Either way no temporary file or hidden sibling is left.
     """
 
     def __init__(self, args: argparse.Namespace, *paths: str, **resolved):
@@ -203,18 +205,34 @@ class _Outputs:
         return [handle for handle, _ in self._staged[:-1]]
 
     def __exit__(self, failure, *_) -> None:
+        aside: List[Tuple[str, str]] = []  # (hidden sibling holding the old file, target)
+        placed: List[str] = []
         try:
             for handle, _ in self._staged:
                 handle.close()
             if failure is None:
                 for handle, target in self._staged:
-                    if os.path.exists(target):
+                    if os.path.isfile(target):
                         os.chmod(handle.name, os.stat(target).st_mode & 0o7777)
+                        old = handle.name.removesuffix(".tmp") + ".old"
+                        os.replace(target, old)
+                        aside.append((old, target))
+                for handle, target in self._staged:
                     os.replace(handle.name, target)
+                    placed.append(target)
+        except BaseException:
+            # the new files placed so far go and the old ones come back
+            for target in set(placed) - {target for _, target in aside}:
+                os.remove(target)
+            for old, target in aside:
+                os.replace(old, target)
+            raise
         finally:
             for handle, _ in self._staged:
                 if os.path.exists(handle.name):
                     os.remove(handle.name)
+        for old, _ in aside:
+            os.remove(old)
 
 
 def _dump(handle: TextIO, obj) -> None:

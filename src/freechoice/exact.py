@@ -148,20 +148,17 @@ def expected_spread_positions(n: int, p: Weight, pair, *, exact: bool = False):
     return expected_spread_two_param(n, p, p, "e0-experimental", pair, exact=exact)
 
 
-def _triple_sum(n: int, p: float, pair) -> float:
-    # The unfactored triple sum over (s1, s2, s3) on dense float M, the
-    # reference the factored engine is checked against. The state-level
-    # spread is read from core.spread_simplified at call time so that
-    # verification can detect a corrupted sign convention.
+def _triple_sum(n: int, pair, first: float, choice: float, final: float) -> float:
+    # The unfactored triple sum over (s1, s2, s3) on one dense float M per
+    # stage weight, the reference the factored engine is checked against.
+    # The state-level spread is read from core.spread_simplified at call
+    # time so that verification can detect a corrupted sign convention.
     pair = _checked_pair(n, pair)
-    entries = build_M(n, p)
     states = np.column_stack(state_positions(n)).tolist()
-    row = entries[state_row(n, pair.i, pair.j)]
-    sp = np.empty((len(states), len(states)))
-    for b, s2 in enumerate(states):
-        for c, s3 in enumerate(states):
-            sp[b, c] = core.spread_simplified(pair, s2, s3)
-    return float(np.einsum("a,ab,ac,bc->", row, entries, entries, sp))
+    sp = np.array([[core.spread_simplified(pair, s2, s3) for s3 in states] for s2 in states],
+                  dtype=float)
+    row = build_M(n, first)[state_row(n, pair.i, pair.j)]
+    return float(np.einsum("a,ab,ac,bc->", row, build_M(n, choice), build_M(n, final), sp))
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,19 +389,29 @@ def _rank_arrays(rankings) -> Tuple[np.ndarray, np.ndarray]:
     return entries, pos
 
 
-def _pair_spread(pos: np.ndarray, probs: np.ndarray, t1, t2, mass: float) -> float:
-    # Expected spread when all three stage rankings are independent draws
-    # from ``probs`` (total ``mass``); ranking k puts object o at pos[k, o]
-    # and compares t1[k] with t2[k]. The final ranking enters only through
-    # each object's expected position; the first-stage term carries the mass,
-    # which keeps the value equal to the triple sum when probs is truncated.
-    rows = np.arange(len(probs))[:, None]
-    e3pos = probs @ pos
+def _pair_spread(pos: np.ndarray, t1, t2, first, choice, final) -> float:
+    # Expected spread when the three stage rankings are independent draws
+    # from the laws ``first``, ``choice`` and ``final`` over one list of
+    # rankings; ranking k puts object o at pos[k, o] and compares t1[k] with
+    # t2[k]. The final ranking enters only through each object's expected
+    # position; the first-stage term carries the final law's mass, which
+    # keeps the value equal to the triple sum when that law is truncated.
+    rows = np.arange(len(pos))[:, None]
+    e3pos = final @ pos
     chosen = np.where(pos[:, t1].T < pos[:, t2].T, t1[:, None], t2[:, None])
     rejected = t1[:, None] + t2[:, None] - chosen
-    stage1 = mass * (pos[rows, chosen] - pos[rows, rejected])
+    stage1 = final.sum() * (pos[rows, chosen] - pos[rows, rejected])
     stage3 = e3pos[rejected] - e3pos[chosen]
-    return float(probs @ (stage1 + stage3) @ probs)
+    return float(first @ (stage1 + stage3) @ choice)
+
+
+def _brute_force(n: int, pair, first: float, choice: float, final: float) -> float:
+    # brute_force_expected_spread with its own swap-process weight per stage
+    n = _checked_ranking_size(n)
+    pair = _checked_pair(n, pair)
+    laws = [swap_process_distribution(n, weight)[1] for weight in (first, choice, final)]
+    parr, pos = _rank_arrays(_perm_tables(n)[0])
+    return _pair_spread(pos, parr[:, pair.i - 1], parr[:, pair.j - 1], *laws)
 
 
 def brute_force_expected_spread(n: int, p: float, pair) -> float:
@@ -418,11 +425,7 @@ def brute_force_expected_spread(n: int, p: float, pair) -> float:
     lumped: a sum over pairs of rankings of expected final positions.
     Supports n <= 6.
     """
-    n = _checked_ranking_size(n)
-    pair = _checked_pair(n, pair)
-    perms, probs = swap_process_distribution(n, p)
-    parr, pos = _rank_arrays(perms)
-    return _pair_spread(pos, probs, parr[:, pair.i - 1], parr[:, pair.j - 1], probs.sum())
+    return _brute_force(n, pair, p, p, p)
 
 
 @dataclass(frozen=True)
@@ -498,14 +501,9 @@ def expected_spread_oracle(
     keys, probs = dist.support()
     parr, pos = _rank_arrays(keys)
     m = len(keys)
-    # the distribution is normalized, so its mass is taken as exactly 1
-
     if object_pair is not None:
-        first, second = np.full(m, object_pair.first), np.full(m, object_pair.second)
-        return _pair_spread(pos, probs, first, second, 1)
-
-    pairs = all_position_pairs(dist.n)
-    total = math.fsum(
-        _pair_spread(pos, probs, parr[:, q.i - 1], parr[:, q.j - 1], 1) for q in pairs
-    )
-    return total / len(pairs)
+        compared = [(np.full(m, object_pair.first), np.full(m, object_pair.second))]
+    else:
+        compared = [(parr[:, q.i - 1], parr[:, q.j - 1]) for q in all_position_pairs(dist.n)]
+    total = math.fsum(_pair_spread(pos, t1, t2, probs, probs, probs) for t1, t2 in compared)
+    return total / len(compared)

@@ -142,7 +142,11 @@ def bootstrap_se(
     replacement; the reported value is the standard deviation of the
     resample means. Deterministic given the seed.
     """
-    values = np.fromiter(spreads, dtype=float)
+    # an array is cast at once; iterating it element by element is ~50x slower
+    if isinstance(spreads, np.ndarray) and spreads.ndim == 1:
+        values = np.asarray(spreads, dtype=float)
+    else:
+        values = np.fromiter(spreads, dtype=float)
     if values.size < 2:
         raise ValueError("a bootstrap needs at least 2 observations")
     resamples = _checked_int(resamples, "resamples", 2)

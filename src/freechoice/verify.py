@@ -14,6 +14,7 @@ the suite fail rather than silently shifting all outputs together.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +26,7 @@ from . import core
 from .core import Choice, PositionPair, Ranking
 from .exact import (
     RankingDistribution,
+    _brute_force,
     _triple_sum,
     brute_force_expected_spread,
     expected_spread_conditional,
@@ -168,21 +170,42 @@ def _check_mix_closed_form() -> str:
     return "n=2 closed form and n=12 double stochasticity hold"
 
 
-def _check_factored_vs_enumeration() -> str:
+def _two_weight_cases(reference):
+    # Both e0 arms of the two-weight model at n=5, p=0.3, P=0.7 against
+    # reference(n, pair, first, choice, final), with the stage weights
+    # written out here, not read from noise.stage_weights: the control arm
+    # ranks again before its choice.
+    n, p, P = 5, 0.3, 0.7
+    for design, weights in (("e0-experimental", (P, p, p)), ("e0-control", (P, p, P))):
+        for pair in ((1, 2), (2, 4), (1, 5)):
+            yield (expected_spread_two_param(n, p, P, design, pair=pair),
+                   reference(n, pair, *weights), f"{design}, n={n}, p={p}, P={P}, pair={pair}")
+
+
+def _worst_gap(cases, name: str, tolerance: float) -> float:
+    # The largest gap over (engine value, reference value, where) cases;
+    # any gap above the tolerance fails.
     worst = 0.0
-    for n, p, pairs in (
-        (5, 0.8, [(i, j) for i in range(1, 5) for j in range(i + 1, 6)]),
-        (12, 0.8, [(7, 9)]),
-    ):
-        for pair in pairs:
-            fast = expected_spread_positions(n, p, pair)
-            slow = _triple_sum(n, p, pair)
-            worst = max(worst, abs(fast - slow))
-            if abs(fast - slow) > 1e-10:
-                raise AssertionError(
-                    f"factored value {fast} != enumerated value {slow} at n={n}, p={p}, pair={pair}"
-                )
-    return f"factored and enumerated sums agree (worst gap {worst:.2e})"
+    for value, other, where in cases:
+        worst = max(worst, abs(value - other))
+        if abs(value - other) > tolerance:
+            raise AssertionError(f"engine {value} != {name} {other} at {where}")
+    return worst
+
+
+def _check_factored_vs_enumeration() -> str:
+    one_weight = (
+        (expected_spread_positions(n, p, pair), _triple_sum(n, pair, p, p, p),
+         f"n={n}, p={p}, pair={pair}")
+        for n, p, pairs in (
+            (5, 0.8, [(i, j) for i in range(1, 5) for j in range(i + 1, 6)]),
+            (12, 0.8, [(7, 9)]),
+        )
+        for pair in pairs
+    )
+    cases = itertools.chain(one_weight, _two_weight_cases(_triple_sum))
+    worst = _worst_gap(cases, "enumerated value", 1e-10)
+    return f"factored and enumerated sums agree, both e0 arms too (worst gap {worst:.2e})"
 
 
 def _check_zero_sum() -> str:
@@ -306,18 +329,16 @@ def _check_exact_backend() -> str:
 
 
 def _check_brute_force() -> str:
-    worst = 0.0
-    for n in (3, 4, 5):
-        for p in (0.3, 0.8):
-            table = expected_spread_table(n, p)
-            for pair, value in table.values.items():
-                brute = brute_force_expected_spread(n, p, pair)
-                worst = max(worst, abs(value - brute))
-                if abs(value - brute) > 1e-9:
-                    raise AssertionError(
-                        f"engine {value} != brute force {brute} at n={n}, p={p}, pair={pair}"
-                    )
-    return f"engine matches full-permutation enumeration for n<=5 (worst gap {worst:.1e})"
+    one_weight = (
+        (value, brute_force_expected_spread(n, p, pair), f"n={n}, p={p}, pair={pair}")
+        for n in (3, 4, 5)
+        for p in (0.3, 0.8)
+        for pair, value in expected_spread_table(n, p).values.items()
+    )
+    cases = itertools.chain(one_weight, _two_weight_cases(_brute_force))
+    worst = _worst_gap(cases, "brute force", 1e-9)
+    return ("engine matches full-permutation enumeration for n<=5, both e0 arms too "
+            f"(worst gap {worst:.1e})")
 
 
 def _check_lumping() -> str:

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from freechoice.cli import main
-from freechoice.core import PositionPair, spread_simplified
 from freechoice.designs import DesignConfig, NullModel, iter_experiment, pair_count
 from freechoice.exact import (
     RankingDistribution,
+    _triple_sum,
     brute_force_expected_spread,
     expected_spread_conditional,
     expected_spread_oracle,
@@ -24,7 +24,6 @@ from freechoice.exact import (
     expected_spread_table,
     expected_spread_two_param,
 )
-from freechoice.noise import build_M, state_positions, state_row
 from freechoice.stats import compare, power_estimate, summarize
 
 ACCEPTANCE_LINES = []
@@ -117,26 +116,6 @@ def test_criterion_04_uniform_first_ranking_limit():
     assert ok
 
 
-def _stage_weight_triple_sum(n, first, choice, other, pair):
-    """Unfactored triple sum over lumped states with one noise weight per stage.
-
-    ``first``, ``choice`` and ``other`` weight the first ranking, the choice
-    stage and the ranking the spread compares against. Each stage draws its
-    state from the row of its own mixing matrix; the state-level spread comes
-    from ``spread_simplified``. Nothing of the factored kernel is used.
-    """
-    pair = PositionPair(*pair)
-    states = np.column_stack(state_positions(n)).tolist()
-    row = build_M(n, first)[state_row(n, pair.i, pair.j)]
-    choice_m = build_M(n, choice)
-    other_m = build_M(n, other)
-    sp = np.array(
-        [[spread_simplified(pair, s2, s3) for s3 in states] for s2 in states],
-        dtype=float,
-    )
-    return float(np.einsum("a,ab,ac,bc->", row, choice_m, other_m, sp))
-
-
 def test_criterion_05_two_weight_model_reference_points():
     """Reference points of the two-weight model at p=0.5, P=0.9, n=15.
 
@@ -159,9 +138,9 @@ def test_criterion_05_two_weight_model_reference_points():
     diff = expected_spread_two_param(n, p, P, "e0-experimental", pair=pair) - (
         expected_spread_two_param(n, p, P, "e0-control", pair=pair)
     )
-    summed = _stage_weight_triple_sum(n, P, p, p, pair) - _stage_weight_triple_sum(
-        n, P, p, P, pair
-    )
+    # the stage weights (first, choice, final) written out, not read from
+    # noise.stage_weights
+    summed = _triple_sum(n, pair, P, p, p) - _triple_sum(n, pair, P, p, P)
     p_exact, P_exact = Fraction(1, 2), Fraction(9, 10)
     rational = expected_spread_two_param(
         n, p_exact, P_exact, "e0-experimental", pair=pair, exact=True

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface."""
 
 import csv
+import errno
 import filecmp
 import hashlib
 import io
@@ -728,6 +729,29 @@ class TestErrors:
         assert all(path.read_bytes() == b"precious\n" for path in old)
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
             f"t2.csv{other}" for other in suffixes)
+
+    def test_failed_replace_restores_every_old_file(self, tmp_path, capsys, monkeypatch):
+        # the second move fails: the outputs moved so far come back, so every
+        # target keeps its old bytes and no hidden file is left
+        import freechoice.cli as cli
+
+        moves, replace = iter(range(10**6)), os.replace
+
+        def failing(source, target):
+            if next(moves) == 1:
+                raise OSError(errno.EBUSY, os.strerror(errno.EBUSY), target)
+            replace(source, target)
+
+        out = tmp_path / "t.csv"
+        old = [Path(f"{out}{suffix}") for suffix in OUTPUTS["simulate"].values()]
+        for path in old:
+            path.write_bytes(f"precious {path.name}\n".encode())
+        monkeypatch.setattr(cli.os, "replace", failing)
+        assert main([*SMALL_RUNS["simulate"], "--output", str(out)]) == 3
+        assert "i/o error:" in capsys.readouterr().err
+        assert [path.read_bytes() for path in old] == [
+            f"precious {path.name}\n".encode() for path in old]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(path.name for path in old)
 
     @pytest.mark.parametrize("command", SMALL_RUNS)
     def test_empty_output_refused(self, tmp_path, capsys, monkeypatch, command):

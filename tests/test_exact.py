@@ -130,12 +130,12 @@ class TestFactoredVsEnumerate:
     def test_all_pairs_small(self):
         for pair in all_position_pairs(4):
             fast = expected_spread_positions(4, 0.5, pair)
-            slow = exact_module._triple_sum(4, 0.5, pair)
+            slow = exact_module._triple_sum(4, pair, 0.5, 0.5, 0.5)
             assert fast == pytest.approx(slow, abs=1e-12)
 
     def test_large_instance(self):
         fast = expected_spread_positions(12, 0.8, (7, 9))
-        slow = exact_module._triple_sum(12, 0.8, (7, 9))
+        slow = exact_module._triple_sum(12, (7, 9), 0.8, 0.8, 0.8)
         assert fast == pytest.approx(slow, abs=1e-10)
 
     def test_positions_reject_floats(self):
@@ -199,7 +199,7 @@ class TestBruteForce:
         # averaging out the final stage reproduces the (n!)^3 triple sum over
         # the truncated distribution, whose mass is slightly under 1
         for pair in all_position_pairs(n):
-            triple = _two_weight_brute(n, p, p, (pair.i, pair.j), "experimental")
+            triple = _two_weight_brute(n, (pair.i, pair.j), p, p, p)
             assert brute_force_expected_spread(n, p, pair) == pytest.approx(triple, abs=1e-13)
 
     def test_capacity_guard(self):
@@ -316,45 +316,37 @@ class TestTwoParam:
             expected_spread_two_param(12, 0.2, 0.5, "e1-objects")
 
 
-def _two_weight_brute(n, p, P, pair, design):
-    """Full-permutation expectation with stage-specific noise weights.
+def _two_weight_brute(n, pair, first, choice, final):
+    """Full-permutation expectation with one swap-process weight per stage.
 
-    The first ranking always carries weight P and the choice weight p; the
-    remaining ranking carries p for the choose-then-rank arm and P for the
-    rank-then-choose control arm. With P = p and the experimental arm this is
-    the plain (n!)^3 triple sum that the brute-force oracle once computed.
+    ``first``, ``choice`` and ``final`` weight the first ranking, the choice
+    stage and the ranking the spread compares against. This is the plain
+    (n!)^3 triple sum with nothing marginalized, so it is the reference for
+    exact._pair_spread, which averages the final ranking out and carries
+    the truncated law's mass.
     """
-    perms, probs_small = swap_process_distribution(n, p)
-    _, probs_large = swap_process_distribution(n, P)
-    parr = np.array(perms, dtype=np.int32)
-    m = len(perms)
-    pos = np.zeros((m, n + 1), dtype=np.int32)
-    pos[np.arange(m)[:, None], parr] = np.arange(1, n + 1)[None, :]
-    i, j = pair
-    t1 = parr[:, i - 1]
-    t2 = parr[:, j - 1]
-    pos2_t1 = pos[:, t1].T
-    pos2_t2 = pos[:, t2].T
-    chosen = np.where(pos2_t1 < pos2_t2, t1[:, None], t2[:, None])
+    perms = swap_process_distribution(n, first)[0]
+    laws = [swap_process_distribution(n, weight)[1] for weight in (first, choice, final)]
+    parr, pos = exact_module._rank_arrays(perms)
+    t1, t2 = parr[:, pair[0] - 1], parr[:, pair[1] - 1]
+    chosen = np.where(pos[:, t1].T < pos[:, t2].T, t1[:, None], t2[:, None])
     rejected = t1[:, None] + t2[:, None] - chosen
-    rows = np.arange(m)[:, None]
-    pos1_c = pos[rows, chosen]
-    pos1_r = pos[rows, rejected]
-    pos3_c = pos.T[chosen]
-    pos3_r = pos.T[rejected]
-    spreads = (pos1_c[:, :, None] - pos3_c) + (pos3_r - pos1_r[:, :, None])
-    other = probs_small if design == "experimental" else probs_large
-    return float(np.einsum("a,b,c,abc->", probs_large, probs_small, other, spreads.astype(float)))
+    rows = np.arange(len(perms))[:, None]
+    stage1 = pos[rows, chosen] - pos[rows, rejected]
+    spreads = stage1[:, :, None] + pos.T[rejected] - pos.T[chosen]
+    return float(np.einsum("a,b,c,abc->", *laws, spreads.astype(float)))
 
 
 class TestTwoWeightBruteForce:
     @pytest.mark.parametrize("pair", [(1, 2), (2, 4), (1, 5)])
     def test_kernel_matches_enumeration(self, pair):
+        # the stage weights (first, choice, final) of each e0 arm written out
         n, p, P = 5, 0.3, 0.7
-        exp = expected_spread_two_param(n, p, P, "e0-experimental", pair=pair)
-        ctl = expected_spread_two_param(n, p, P, "e0-control", pair=pair)
-        assert exp == pytest.approx(_two_weight_brute(n, p, P, pair, "experimental"), abs=1e-9)
-        assert ctl == pytest.approx(_two_weight_brute(n, p, P, pair, "control"), abs=1e-9)
+        for design, weights in (("e0-experimental", (P, p, p)), ("e0-control", (P, p, P))):
+            triple = _two_weight_brute(n, pair, *weights)
+            assert expected_spread_two_param(n, p, P, design, pair=pair) == (
+                pytest.approx(triple, abs=1e-9))
+            assert exact_module._brute_force(n, pair, *weights) == pytest.approx(triple, abs=1e-13)
 
 
 class TestConditional:

@@ -173,6 +173,14 @@ class TestBootstrap:
         boot = bootstrap_se(values, resamples=2000, seed=1)
         assert boot == pytest.approx(analytic, rel=0.1)
 
+    def test_array_list_and_generator_agree(self):
+        # an ndarray is read without iterating it; e3 keeps int8 spreads
+        spreads = np.random.default_rng(4).integers(-22, 23, size=5_000).astype(np.int8)
+        values = [float(v) for v in spreads]
+        expected = bootstrap_se(values, seed=2)
+        assert bootstrap_se(spreads, seed=2) == expected
+        assert bootstrap_se((v for v in values), seed=2) == expected
+
     def test_constant_sample_gives_zero(self):
         assert bootstrap_se([2.0] * 50, seed=0) == 0.0
 
