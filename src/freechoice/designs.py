@@ -526,24 +526,14 @@ def _experiment_blocks(design: DesignConfig, model: SubjectModel, root: np.rando
     return blocks()
 
 
-def _stage(streams: _Streams, rows: np.ndarray, weights: np.ndarray,
-           ranking: np.ndarray) -> np.ndarray:
-    # _swap_rows over rows that may differ in weight, one call per weight
-    out = np.empty_like(ranking)
-    for weight in set(weights.tolist()):
-        at = weights == weight
-        out[at] = _swap_rows(streams, rows[at], weight, ranking[at])
-    return out
-
-
-def _followed(streams: _Streams, rows: np.ndarray, weights: np.ndarray, n: int,
+def _followed(streams: _Streams, rows: np.ndarray, weight: float, n: int,
               places: np.ndarray) -> np.ndarray:
     # the places of two objects (rows 0 and 1 of ``places``) after a stage:
     # the stage swaps a ranking that marks them 0 and 1
     marks = np.full((len(rows), n), -1, dtype=np.min_scalar_type(-n))
     for mark, place in enumerate(places):
         marks[np.arange(len(rows)), place] = mark
-    marks = _stage(streams, rows, weights, marks)
+    marks = _swap_rows(streams, rows, weight, marks)
     return np.stack([(marks == mark).argmax(axis=1) for mark in range(2)])
 
 
@@ -555,7 +545,11 @@ def _run_block(design, model, streams, experiment, subject, pair, random_truth) 
     the compared two objects. Objects and places count from 0 here.
     """
     n, rows, arm = design.n, np.arange(len(subject)), _arm(design, subject)
-    weights = np.array([[float(w) for w in model.stage_weights(name)] for name in _ARMS])[arm]
+    # every arm shares the first and the choice weight; the control arm's
+    # final ranking, made before its choice, has a weight of its own, and
+    # the other final rankings have subject 0's
+    w_first, w_choice, w_final = map(float, model.stage_weights(_ARMS[_arm(design, 0)]))
+    w_control = float(model.stage_weights("control")[2])
     # ranking[r, c] is the object at place c, truth[r, c] the true place of
     # object c, in the smallest integer type that also holds -n
     ranking = np.tile(np.arange(n, dtype=np.min_scalar_type(-n)), (len(rows), 1))
@@ -565,7 +559,7 @@ def _run_block(design, model, streams, experiment, subject, pair, random_truth) 
         np.put_along_axis(truth, ranking, truth.copy(), axis=1)
     if design.kind == "e2":
         pair = streams.below(rows, pair_count(n), np.ones_like(rows))
-    first = _stage(streams, rows, weights[:, 0], ranking)
+    first = _swap_rows(streams, rows, w_first, ranking)
     if design.kind == "e1":
         x, y = design.object_pair.first - 1, design.object_pair.second - 1
         places = np.stack([(first == obj).argmax(axis=1) for obj in (x, y)])
@@ -579,15 +573,15 @@ def _run_block(design, model, streams, experiment, subject, pair, random_truth) 
     # the control arm ranks a second time before it chooses
     control = arm == 2
     final = np.empty_like(true)
-    final[:, control] = _followed(streams, rows[control], weights[control, 2], n, true[:, control])
-    noisy = _followed(streams, rows, weights[:, 1], n, true)
+    final[:, control] = _followed(streams, rows[control], w_control, n, true[:, control])
+    noisy = _followed(streams, rows, w_choice, n, true)
     # from here on, row 0 of each pair of places is the chosen object's
     flip = noisy[0] > noisy[1]
     for both in (places, true, final):
         both[:, flip] = both[::-1, flip]
     rest = ~control
     moved = np.stack(model._moved(true[0, rest], true[1, rest], (j - i)[rest], n))
-    final[:, rest] = model._kept(*_followed(streams, rows[rest], weights[rest, 2], n, moved))
+    final[:, rest] = model._kept(*_followed(streams, rows[rest], w_final, n, moved))
     spread = places[0] - final[0] + final[1] - places[1]
     return _Columns(experiment, subject, arm, i, j, places[0] < places[1], spread)
 

@@ -37,7 +37,7 @@ from .designs import (
     _stream_rng,
     _stream_seed,
 )
-from .noise import _ARMS
+from .noise import _ARMS, CapacityError
 
 # bench/tracer.py wraps this name of the module
 from .designs import iter_experiment  # noqa: F401
@@ -57,6 +57,11 @@ __all__ = [
 # below 2**32 carry their spare 32-bit half in the bit generator, so the
 # draws, and the resample means, do not depend on the block size.
 _BOOTSTRAP_CELLS = 2**16
+
+# Most spreads one bootstrap draws, resamples x spreads: about 20 minutes at
+# 11 s per 10**9 draws. _RESAMPLES is the resample count of a report.
+_BOOTSTRAP_BUDGET = 10**11
+_RESAMPLES = 1000
 
 
 class DegenerateComparisonError(ValueError):
@@ -134,13 +139,14 @@ def compare(a: SpreadSummary, b: SpreadSummary) -> GroupComparison:
 
 
 def bootstrap_se(
-    spreads: Iterable[float], *, resamples: int = 1000, seed: Seed = 0
+    spreads: Iterable[float], *, resamples: int = _RESAMPLES, seed: Seed = 0
 ) -> float:
     """Bootstrap standard error of the mean, resampling subjects.
 
     Each resample redraws the realized per-subject spreads with
     replacement; the reported value is the standard deviation of the
-    resample means. Deterministic given the seed.
+    resample means. Deterministic given the seed. More than 10**11 draws
+    (resamples x spreads) raise :class:`CapacityError` before the first.
     """
     # an array is cast at once; iterating it element by element is ~50x slower
     if isinstance(spreads, np.ndarray) and spreads.ndim == 1:
@@ -150,6 +156,7 @@ def bootstrap_se(
     if values.size < 2:
         raise ValueError("a bootstrap needs at least 2 observations")
     resamples = _checked_int(resamples, "resamples", 2)
+    _check_bootstrap_budget(values.size, resamples)
     rng = _stream_rng(_as_seed_sequence(seed), "bootstrap")
     means = np.empty(resamples)
     chunk = max(1, _BOOTSTRAP_CELLS // values.size)
@@ -157,6 +164,15 @@ def bootstrap_se(
         indices = rng.integers(0, values.size, size=(min(chunk, resamples - done), values.size))
         means[done : done + chunk] = values[indices].mean(axis=1)
     return float(np.std(means, ddof=1))
+
+
+def _check_bootstrap_budget(spreads: int, resamples: int) -> None:
+    draws = spreads * resamples
+    if draws > _BOOTSTRAP_BUDGET:
+        raise CapacityError(
+            f"a bootstrap of {resamples} resamples of {spreads} spreads draws about "
+            f"{draws:.3g} spreads; at most {_BOOTSTRAP_BUDGET:.0e} are supported"
+        )
 
 
 class _SpreadTally:
@@ -167,7 +183,8 @@ class _SpreadTally:
     tally of a ``described`` run, the one whose summary or report is
     written, also keeps an e3 run's spreads in subject order for the
     bootstrap of :meth:`se_bootstrap`: one array per block, in the smallest
-    signed integer type that holds them.
+    signed integer type that holds them. That bootstrap's budget is checked
+    when the tally is made, before any record is drawn.
     """
 
     def __init__(self, design: DesignConfig, described: bool = False):
@@ -175,6 +192,8 @@ class _SpreadTally:
         self.offset = 2 * (design.n - 1)
         self.table = np.zeros((len(_ARMS), 2, 2 * self.offset + 1), dtype=np.int64)
         self.ordered = [] if described and design.kind == "e3" else None
+        if self.ordered is not None:
+            _check_bootstrap_budget(design.subjects, _RESAMPLES)
 
     def add(self, block: _Columns, rows=slice(None)) -> None:
         """Count the records of ``block`` (those at ``rows``)."""
@@ -281,6 +300,7 @@ def power_report(
     replications = _checked_int(replications, "replications", 1)
     # the replications and the described experiment, before the first draw
     _check_swap_budget(design, model, replications + 1)
+    tally = _SpreadTally(design, described=True)
     rate = power_estimate(design, model, replications=replications, alpha=alpha, seed=seed)
     report_seed = _stream_seed(_as_seed_sequence(seed), "report")
     report: Dict[str, object] = {
@@ -292,7 +312,6 @@ def power_report(
         "alpha": alpha,
         "rejection_rate": rate,
     }
-    tally = _SpreadTally(design, described=True)
     for block in _experiment_blocks(design, model, report_seed):
         tally.add(block)
     report["mean"], report["se"] = _estimate(design.kind, tally)

@@ -9,13 +9,15 @@ distribution check, and a batch of random-distribution zero checks.
 
 The checks recompute everything from the current code, so a corrupted
 definition (for example a flipped sign in the state-level spread) makes
-the suite fail rather than silently shifting all outputs together.
+the suite fail rather than silently shifting all outputs together. Every
+check states its comparisons as (value, reference, where) cases and holds
+them to one rule, :func:`_worst_gap`, with the check's tolerance.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
@@ -86,33 +88,54 @@ class CheckResult:
     detail: str
 
 
+def _worst_gap(cases, tolerance: float = 0) -> float:
+    """The largest gap over ``(value, reference, where)`` cases.
+
+    This is every check's one comparison rule: a gap past ``tolerance``
+    fails the check at its ``where``. With a tolerance of 0 a value must
+    equal its reference, so integers, exact rationals and display strings
+    compare too.
+    """
+    worst = 0.0
+    for value, reference, where in cases:
+        gap = abs(value - reference) if tolerance else 0.0
+        if not (gap <= tolerance if tolerance else value == reference):
+            raise AssertionError(f"{value} != {reference} at {where}"
+                                 + (f": gap {gap:.2e} > {tolerance:g}" if tolerance else ""))
+        worst = max(worst, gap)
+    return worst
+
+
+def _worst_entry(values, references, where: str):
+    # The one case that decides the comparison of two arrays of one shape,
+    # or of an array and a number: their entries at the largest gap.
+    values, references = np.broadcast_arrays(values, references)
+    k = np.unravel_index(np.argmax(np.abs(values - references)), values.shape)
+    return [(values[k].item(), references[k].item(), f"{where}, entry {','.join(map(str, k))}")]
+
+
 def _check_spread_definition() -> str:
     rank1 = Ranking.identity(12)
+    pair = PositionPair(7, 9)
     # chosen improves 7 -> 5, rejected worsens 9 -> 11: spread 2 + 2 = 4
     up = Ranking((1, 2, 3, 4, 7, 5, 6, 8, 10, 11, 9, 12))
-    if core.spread(rank1, Choice(chosen=7, rejected=9), up) != 4:
-        raise AssertionError("improvement example should give spread 4")
-    pair = PositionPair(7, 9)
-    if core.spread_simplified(pair, (1, 2), (5, 11)) != 4:
-        raise AssertionError("state-level improvement example should give 4")
     # both objects swap places: chosen worsens by 2 and rejected improves by 2
     swapped = Ranking((1, 2, 3, 4, 5, 6, 9, 8, 7, 10, 11, 12))
-    if core.spread(rank1, Choice(chosen=7, rejected=9), swapped) != -4:
-        raise AssertionError("swap example should give spread -4")
-    if core.spread_simplified(pair, (7, 9), (9, 7)) != -4:
-        raise AssertionError("state-level swap example should give -4")
-    # reversal branch: choosing the worse-ranked object, nothing moves
-    if core.spread(rank1, Choice(chosen=9, rejected=7), rank1) != 0:
-        raise AssertionError("no-movement reversal example should give 0")
-    if core.spread_simplified(pair, (8, 3), (7, 9)) != 0:
-        raise AssertionError("state-level reversal example should give 0")
+    _worst_gap([
+        (core.spread(rank1, Choice(chosen=7, rejected=9), up), 4, "the improvement example"),
+        (core.spread_simplified(pair, (1, 2), (5, 11)), 4, "the state-level improvement example"),
+        (core.spread(rank1, Choice(chosen=7, rejected=9), swapped), -4, "the swap example"),
+        (core.spread_simplified(pair, (7, 9), (9, 7)), -4, "the state-level swap example"),
+        # reversal branch: choosing the worse-ranked object, nothing moves
+        (core.spread(rank1, Choice(chosen=9, rejected=7), rank1), 0, "the reversal example"),
+        (core.spread_simplified(pair, (8, 3), (7, 9)), 0, "the state-level reversal example"),
+    ])
     return "hand-worked improvement, swap, and reversal examples agree"
 
 
-def _check_definition_glue() -> str:
-    # the state-level formula must reproduce the ranking-level definition
+def _glue_cases(n: int, trials: int):
+    # the state-level spread against the ranking-level one on random trials
     rng = np.random.default_rng(20260816)
-    n, trials = 7, 300
     for _ in range(trials):
         rank1 = Ranking((rng.permutation(n) + 1).tolist())
         choice_rank = Ranking((rng.permutation(n) + 1).tolist())
@@ -126,47 +149,36 @@ def _check_definition_glue() -> str:
             choice = Choice(chosen=first, rejected=second)
         else:
             choice = Choice(chosen=second, rejected=first)
-        full = core.spread(rank1, choice, rank3)
         lumped = core.spread_simplified(PositionPair(i, j), s2, s3)
-        if full != lumped:
-            raise AssertionError(
-                f"state-level spread {lumped} != ranking-level spread {full} "
-                f"for pair ({i},{j}), s2={s2}, s3={s3}"
-            )
+        yield lumped, core.spread(rank1, choice, rank3), f"pair ({i},{j}), s2={s2}, s3={s3}"
+
+
+def _check_definition_glue() -> str:
+    n, trials = 7, 300
+    _worst_gap(_glue_cases(n, trials))
     return f"{trials} random trials at n={n} agree between both definitions"
 
 
 def _check_swap_matrix() -> str:
     q = build_Q(12)
-    one_swap = q[state_row(12, 1, 2), state_row(12, 2, 1)]
-    if abs(one_swap - 1 / 11) > 1e-12:
-        raise AssertionError(f"swapping the tracked neighbors should have weight 1/11, got {one_swap}")
-    stay = q[state_row(12, 2, 3), state_row(12, 2, 3)]
-    if abs(stay - 8 / 11) > 1e-12:
-        raise AssertionError(f"(2,3) should stay put with weight 8/11, got {stay}")
-    sums = q.sum(axis=1)
-    if np.max(np.abs(sums - 1)) > 1e-12:
-        raise AssertionError("row sums of the one-swap matrix must be 1")
-    if np.max(np.abs(q - q.T)) > 0:
-        raise AssertionError("the one-swap matrix must be symmetric")
+    _worst_gap([
+        (q[state_row(12, 1, 2), state_row(12, 2, 1)], 1 / 11, "the swap of the tracked neighbors"),
+        (q[state_row(12, 2, 3), state_row(12, 2, 3)], 8 / 11, "(2,3) staying put"),
+        *_worst_entry(q.sum(axis=1), 1, "the row sums of Q"),
+    ], 1e-12)
+    _worst_gap(_worst_entry(q, q.T, "Q against its transpose"))
     grid = q * 11
-    if np.max(np.abs(grid - np.round(grid))) > 1e-9:
-        raise AssertionError("every entry must be a multiple of 1/11")
+    _worst_gap(_worst_entry(grid, np.round(grid), "11 Q against its rounding"), 1e-9)
     return "closed-form entries, symmetry, and row sums hold at n=12"
 
 
 def _check_mix_closed_form() -> str:
-    m2 = build_M(2, 0.8)
-    target = np.array([[5 / 9, 4 / 9], [4 / 9, 5 / 9]])
-    if np.max(np.abs(m2 - target)) > 1e-12:
-        raise AssertionError(f"n=2, p=0.8 mixture should be [[5/9,4/9],[4/9,5/9]], got {m2.tolist()}")
+    target = [[5 / 9, 4 / 9], [4 / 9, 5 / 9]]
+    _worst_gap(_worst_entry(build_M(2, 0.8), target, "M at n=2, p=0.8"), 1e-12)
     m12 = build_M(12, 0.8)
-    if m12.min() < 0:
-        raise AssertionError("mixture entries must be nonnegative")
-    for axis in (0, 1):
-        sums = m12.sum(axis=axis)
-        if np.max(np.abs(sums - 1)) > 1e-10:
-            raise AssertionError("the mixture matrix must be doubly stochastic")
+    _worst_gap([(m12.min() >= 0, True, "the nonnegativity of M at n=12")])
+    _worst_gap([*_worst_entry(m12.sum(axis=0), 1, "the column sums of M at n=12"),
+                *_worst_entry(m12.sum(axis=1), 1, "the row sums of M at n=12")], 1e-10)
     return "n=2 closed form and n=12 double stochasticity hold"
 
 
@@ -182,17 +194,6 @@ def _two_weight_cases(reference):
                    reference(n, pair, *weights), f"{design}, n={n}, p={p}, P={P}, pair={pair}")
 
 
-def _worst_gap(cases, name: str, tolerance: float) -> float:
-    # The largest gap over (engine value, reference value, where) cases;
-    # any gap above the tolerance fails.
-    worst = 0.0
-    for value, other, where in cases:
-        worst = max(worst, abs(value - other))
-        if abs(value - other) > tolerance:
-            raise AssertionError(f"engine {value} != {name} {other} at {where}")
-    return worst
-
-
 def _check_factored_vs_enumeration() -> str:
     one_weight = (
         (expected_spread_positions(n, p, pair), _triple_sum(n, pair, p, p, p),
@@ -203,100 +204,81 @@ def _check_factored_vs_enumeration() -> str:
         )
         for pair in pairs
     )
-    cases = itertools.chain(one_weight, _two_weight_cases(_triple_sum))
-    worst = _worst_gap(cases, "enumerated value", 1e-10)
+    worst = _worst_gap(itertools.chain(one_weight, _two_weight_cases(_triple_sum)), 1e-10)
     return f"factored and enumerated sums agree, both e0 arms too (worst gap {worst:.2e})"
 
 
 def _check_zero_sum() -> str:
-    details = []
-    for n, p in ((12, 0.8), (9, 0.3)):
-        total = expected_spread_table(n, p).total()
-        if abs(total) > 1e-9:
-            raise AssertionError(f"table values at n={n}, p={p} should sum to zero, got {total}")
-        details.append(f"n={n}: {total:.1e}")
-    return "table sums vanish (" + ", ".join(details) + ")"
+    cases = ((expected_spread_table(n, p).total(), 0, f"the table sum at n={n}, p={p}")
+             for n, p in ((12, 0.8), (9, 0.3)))
+    worst = _worst_gap(cases, 1e-9)
+    return f"table sums vanish at n=12 and n=9 (worst {worst:.1e})"
 
 
 def _check_reversal_symmetry() -> str:
-    table = expected_spread_table(12, 0.8)
-    for pair, value in table.values.items():
-        mirrored = PositionPair(13 - pair.j, 13 - pair.i)
-        other = table.values[mirrored]
-        if abs(value - other) > 1e-12:
-            raise AssertionError(f"value at {pair} should equal value at {mirrored}")
+    values = expected_spread_table(12, 0.8).values
+    cases = ((value, values[PositionPair(13 - pair.j, 13 - pair.i)],
+              f"pair ({pair.i},{pair.j}) against its reversed mirror")
+             for pair, value in values.items())
+    _worst_gap(cases, 1e-12)
     return "all 66 entries match their reversed-pair mirrors"
 
 
 def _check_uniform_limit() -> str:
-    target = 16 / 3
-    checks = {
-        "e2": expected_spread_two_param(15, 0, 1, "e2"),
-        "e3": expected_spread_two_param(15, 0, 1, "e3"),
-        "e0 difference": expected_spread_two_param(15, 0, 1, "e0-experimental", pair=(7, 9))
-        - expected_spread_two_param(15, 0, 1, "e0-control", pair=(7, 9)),
-    }
-    for label, value in checks.items():
-        if abs(value - target) > 1e-12:
-            raise AssertionError(f"{label} at p=0, P=1 should be 16/3, got {value}")
+    limit = functools.partial(expected_spread_two_param, 15, 0, 1)
+    _worst_gap([
+        (limit("e2"), 16 / 3, "e2 at n=15, p=0, P=1"),
+        (limit("e3"), 16 / 3, "e3 at n=15, p=0, P=1"),
+        (limit("e0-experimental", pair=(7, 9)) - limit("e0-control", pair=(7, 9)), 16 / 3,
+         "the e0 difference at n=15, p=0, P=1, pair (7,9)"),
+    ], 1e-12)
     # the p -> 1 limit spreads every row evenly over the n(n - 1) = 6 states
-    gap = float(np.max(np.abs(build_M(3, 0.9999) - 1 / 6)))
-    if gap > 1e-3:
-        raise AssertionError(f"p=0.9999 mixture should approach the uniform limit, gap {gap}")
+    gap = _worst_gap(_worst_entry(build_M(3, 0.9999), 1 / 6, "M at n=3, p=0.9999"), 1e-3)
     return f"16/3 benchmark holds; p->1 limit approached (gap {gap:.1e})"
+
+
+def _reference_cases(table, backend: str):
+    # a table at n=12, p=0.8, rounded, against the frozen reference pair by pair
+    rounded = {(pair.i, pair.j): text for pair, text in table.rounded().items()}
+    return ((rounded.get(key), text, f"pair {key} of the {backend} table")
+            for key, text in REFERENCE_TABLE_N12_P08.items())
 
 
 def _check_reference_table() -> str:
     frozen_total = sum(Fraction(text) for text in REFERENCE_TABLE_N12_P08.values())
-    if frozen_total != 0:
-        raise AssertionError(f"frozen rounded reference values should sum to 0, got {frozen_total}")
-    rounded = expected_spread_table(12, 0.8).rounded()
-    mismatches = [
-        (pair.i, pair.j, text, REFERENCE_TABLE_N12_P08[(pair.i, pair.j)])
-        for pair, text in rounded.items()
-        if text != REFERENCE_TABLE_N12_P08[(pair.i, pair.j)]
-    ]
-    if mismatches:
-        raise AssertionError(f"{len(mismatches)} entries differ from the reference: {mismatches[:3]}")
+    _worst_gap(itertools.chain([(frozen_total, 0, "the sum of the frozen rounded values")],
+                               _reference_cases(expected_spread_table(12, 0.8), "float")))
     return "engine reproduces all 66 frozen reference entries"
 
 
-def _worst_oracle_value(cases) -> float:
-    # The largest |expected spread| of designs e1, e2 and e3 over the
-    # (distribution, e1 object pair) cases, each of which must vanish.
-    worst = 0.0
-    for dist, object_pair in cases:
+def _oracle_cases(dists):
+    # designs e1, e2 and e3 over (distribution, e1 object pair): each gives 0
+    for dist, object_pair in dists:
         for design in ("e1", "e2", "e3"):
-            value = expected_spread_oracle(
-                dist, design, object_pair=object_pair if design == "e1" else None
-            )
-            worst = max(worst, abs(value))
-            if abs(value) > 1e-10:
-                raise AssertionError(
-                    f"design {design} expected spread should vanish, got {value} at n={dist.n}"
-                )
-    return worst
+            pair = object_pair if design == "e1" else None
+            yield (expected_spread_oracle(dist, design, object_pair=pair), 0,
+                   f"design {design}, n={dist.n}")
 
 
 def _check_design_oracle() -> str:
-    cases = [(RankingDistribution.uniform(3), (1, 3)),
+    dists = [(RankingDistribution.uniform(3), (1, 3)),
              (RankingDistribution.random(4, np.random.default_rng(7)), (1, 4))]
-    worst = _worst_oracle_value(cases)
+    worst = _worst_gap(_oracle_cases(dists), 1e-10)
     return f"design expectations vanish for uniform and random distributions (worst {worst:.1e})"
 
 
 def _check_conditional() -> str:
-    for condition, target in CONDITIONAL_N12_P08_PAIR_7_9.items():
-        value = expected_spread_conditional(12, 0.8, (7, 9), condition)
-        if abs(value - target) > 1e-12:
-            raise AssertionError(f"conditional ({condition}) drifted: {value} != frozen {target}")
-    if not CONDITIONAL_N12_P08_PAIR_7_9["consistent"] > 0:
-        raise AssertionError("consistent-chooser conditioning should be positive at (7,9)")
+    cases = ((expected_spread_conditional(12, 0.8, (7, 9), condition), frozen,
+              f"the {condition} condition at n=12, p=0.8, pair (7,9)")
+             for condition, frozen in CONDITIONAL_N12_P08_PAIR_7_9.items())
+    _worst_gap(cases, 1e-12)
+    _worst_gap([(CONDITIONAL_N12_P08_PAIR_7_9["consistent"] > 0, True,
+                 "the sign of the frozen consistent value")])
     return "frozen conditional expectations reproduced at n=12, p=0.8, pair (7,9)"
 
 
 def _check_display_rounding() -> str:
-    cases = [
+    expected = [
         (Fraction(1, 2000), "0.001"),
         (Fraction(-1, 2000), "-0.001"),
         (Fraction(-1, 100000), "0.000"),
@@ -305,38 +287,30 @@ def _check_display_rounding() -> str:
         (0.3185, "0.319"),
         (0.1234, "0.123"),
     ]
-    for value, expected in cases:
-        got = round_half_away(value)
-        if got != expected:
-            raise AssertionError(f"round_half_away({value!r}) = {got!r}, expected {expected!r}")
+    _worst_gap((round_half_away(value), text, f"round_half_away({value!r})")
+               for value, text in expected)
     return "display rounding handles ties, signs, and float decimals"
 
 
 def _check_exact_backend() -> str:
     table = expected_spread_table(12, Fraction(4, 5), exact=True)
-    total = table.total()
-    if total != 0:
-        raise AssertionError(f"exact-backend table should sum to exactly zero, got {total}")
-    rounded = {(pair.i, pair.j): text for pair, text in table.rounded().items()}
-    if rounded != REFERENCE_TABLE_N12_P08:
-        raise AssertionError("exact-backend rounding differs from the frozen reference")
-    float_rounded = {
-        (pair.i, pair.j): text for pair, text in expected_spread_table(12, 0.8).rounded().items()
-    }
-    if rounded != float_rounded:
-        raise AssertionError("exact and float backends disagree after rounding")
+    float_rounded = expected_spread_table(12, 0.8).rounded()
+    backends = ((text, float_rounded[pair], f"pair ({pair.i},{pair.j}) of both backends")
+                for pair, text in table.rounded().items())
+    _worst_gap(itertools.chain([(table.total(), 0, "the sum of the rational table")],
+                               _reference_cases(table, "rational"), backends))
     return "rational backend sums to exactly 0 and matches the reference after rounding"
 
 
 def _check_brute_force() -> str:
     one_weight = (
-        (value, brute_force_expected_spread(n, p, pair), f"n={n}, p={p}, pair={pair}")
+        (value, brute_force_expected_spread(n, p, pair),
+         f"n={n}, p={p}, pair=({pair.i},{pair.j})")
         for n in (3, 4, 5)
         for p in (0.3, 0.8)
         for pair, value in expected_spread_table(n, p).values.items()
     )
-    cases = itertools.chain(one_weight, _two_weight_cases(_brute_force))
-    worst = _worst_gap(cases, "brute force", 1e-9)
+    worst = _worst_gap(itertools.chain(one_weight, _two_weight_cases(_brute_force)), 1e-9)
     return ("engine matches full-permutation enumeration for n<=5, both e0 arms too "
             f"(worst gap {worst:.1e})")
 
@@ -350,9 +324,7 @@ def _check_lumping() -> str:
         for perm, prob in zip(perms, probs):
             # objects named by their starting positions
             lumped[start_row, state_row(n, perm.index(a) + 1, perm.index(b) + 1)] += prob
-    gap = float(np.max(np.abs(lumped - m)))
-    if gap > 1e-9:
-        raise AssertionError(f"pair-position distribution differs from the lumped chain by {gap}")
+    gap = _worst_gap(_worst_entry(lumped, m, "the tracked-pair law against M"), 1e-9)
     return f"tracked-pair distribution matches the lumped chain at n={n} (gap {gap:.1e})"
 
 
@@ -361,15 +333,14 @@ def _check_equivariance() -> str:
     m = build_M(n, p)
     a, b = state_positions(n)
     mirror = state_row(n, n + 1 - a, n + 1 - b)
-    gap = float(np.max(np.abs(m - m[np.ix_(mirror, mirror)])))
-    if gap > 1e-12:
-        raise AssertionError(f"M and its board reversal differ by {gap}")
+    _worst_gap(_worst_entry(m, m[np.ix_(mirror, mirror)], "M against its board reversal"), 1e-12)
     return "the mixture matrix commutes with board reversal at n=5"
 
 
 def _check_random_distributions() -> str:
     rng = np.random.default_rng(123)
-    worst = _worst_oracle_value((RankingDistribution.random(4, rng), (2, 4)) for _ in range(100))
+    dists = ((RankingDistribution.random(4, rng), (2, 4)) for _ in range(100))
+    worst = _worst_gap(_oracle_cases(dists), 1e-10)
     return f"100 random distributions give vanishing expectations (worst {worst:.1e})"
 
 

@@ -637,6 +637,23 @@ class TestErrors:
         assert f"about {estimate} adjacent swaps; at most 1e+10 are supported" in err
         assert out.read_bytes() == b"precious\n"
 
+    @pytest.mark.parametrize("command, extra", [
+        ("simulate", []),
+        ("power", ["--replications", "1"]),
+    ])
+    def test_runaway_bootstrap_refused_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                                        command, extra):
+        # 1,000 resamples of 3 x 10**8 e3 spreads pass the swap budget but
+        # not the bootstrap's; the run is refused before a stream is built
+        import freechoice.designs as designs
+
+        monkeypatch.setattr(designs, "_Streams", None)
+        assert main([command, "--design", "e3", "--model", "null", "--n", "3", "--p", "0.5",
+                     "--subjects", "300000000", "--output", str(tmp_path / "out"), *extra]) == 2
+        err = capsys.readouterr().err
+        assert "about 3e+11 spreads; at most 1e+11 are supported" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_single_subject_e3_keeps_existing_output(self, tmp_path, capsys):
         # one e3 subject leaves the bootstrap nothing to resample
         out = tmp_path / "t.csv"

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freechoice import stats
 from freechoice.designs import (
     DesignConfig,
     DissonanceShiftModel,
@@ -23,6 +24,7 @@ from freechoice.designs import (
     iter_experiment,
     pair_count,
 )
+from freechoice.noise import CapacityError
 from freechoice.stats import (
     _SpreadTally,
     _tallies,
@@ -224,6 +226,19 @@ class TestBootstrap:
         with pytest.raises(ValueError, match="seed must be an integer"):
             bootstrap_se([1.0, 2.0], seed=2.5)
 
+    def test_draw_budget_checked_before_any_draw(self, monkeypatch):
+        # 10**6 resamples of 10**6 spreads are 10**12 draws, past 10**11
+        monkeypatch.setattr(stats, "_stream_rng", None)
+        with pytest.raises(CapacityError, match="about 1e\\+12 spreads; at most 1e\\+11"):
+            bootstrap_se(np.zeros(10**6, np.int8), resamples=10**6)
+
+    def test_described_e3_tally_checks_the_budget(self):
+        # the report's 1,000 resamples of 3 x 10**8 subjects
+        cfg = DesignConfig(kind="e3", n=3, subjects=3 * 10**8)
+        with pytest.raises(CapacityError, match="about 3e\\+11 spreads"):
+            _SpreadTally(cfg, described=True)
+        assert _SpreadTally(cfg).ordered is None
+
 
 class TestPowerEstimate:
     def test_validation(self):
@@ -329,8 +344,11 @@ class TestSpreadTally:
 
     @pytest.mark.parametrize("n, dtype", [(2, np.int8), (64, np.int8), (65, np.int16),
                                           (16384, np.int16), (16385, np.int32)])
-    def test_kept_spreads_take_the_smallest_type(self, n, dtype):
-        # spreads lie in -2(n - 1)..2(n - 1)
+    def test_kept_spreads_take_the_smallest_type(self, n, dtype, monkeypatch):
+        # spreads lie in -2(n - 1)..2(n - 1); from n = 16384 on, every e3 run
+        # is past the bootstrap's draw budget, so the type rule is tested
+        # with the budget lifted
+        monkeypatch.setattr(stats, "_BOOTSTRAP_BUDGET", math.inf)
         tally = _SpreadTally(DesignConfig(kind="e3", n=n, subjects=2 * pair_count(n)), described=True)
         spreads = np.array([-2 * (n - 1), 0, 2 * (n - 1)])
         zeros = np.zeros(3, dtype=np.int64)
