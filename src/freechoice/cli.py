@@ -3,7 +3,8 @@
 Every file-writing command also writes ``<output>.manifest.json`` recording
 the command, its parameters (every parsed option except the command and the
 seed, with the output path and the model's fields resolved), the seed, the
-package version, and the output paths. Manifests contain no timestamps, so
+package version, and the output paths. Manifests contain no timestamps, and
+a command runs at one OpenBLAS thread whatever the caller's count, so
 re-running a command reproduces its outputs byte for byte. A command's
 outputs are whole or absent: each output and the manifest are staged in a
 temporary file beside the file its path resolves to before the command
@@ -20,6 +21,7 @@ import errno
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple, get_args
 
@@ -38,7 +40,7 @@ from .designs import (
 # bench/tracer.py wraps this name of the module
 from .designs import iter_experiment  # noqa: F401
 from .exact import expected_spread_table
-from .noise import _checked_weight
+from .noise import _blas_threads, _checked_weight
 # bench/tracer.py wraps summarize, compare and bootstrap_se under these names
 from .stats import _SpreadTally, bootstrap_se, compare, power_report, summarize  # noqa: F401
 from .verify import LEVELS, run_checks
@@ -359,6 +361,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextmanager
+def _one_blas_thread():
+    # How OpenBLAS splits a solve between threads moves the last bits of its
+    # result, so a command runs at one thread and the caller's count comes
+    # back afterwards; nothing changes where the count cannot be set.
+    threads = _blas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    held = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(held)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -366,7 +386,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

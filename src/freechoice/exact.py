@@ -14,11 +14,12 @@ made before the choice carry a larger noise weight P than the choice and
 everything after it; :func:`noise.stage_weights` assigns the weights, as it
 does for the simulator.
 
-Two independent oracles guard the engine: a full-permutation enumeration of
-the swap process for n <= 6, and an exact enumeration of arbitrary ranking
-distributions for n <= 6 that checks the zero-expectation property of the
-control-group-free designs. With ``exact=True`` every mix solve behind a
-value is rational and certified by its exact residual (see :mod:`noise`).
+Two independent oracles guard the engine, both sums over one cached table
+of the n! rankings for n <= 6: the swap process enumerated in full, and
+arbitrary ranking distributions, which check the zero-expectation property
+of the control-group-free designs. With ``exact=True`` every mix solve
+behind a value is rational and certified by its exact residual (see
+:mod:`noise`).
 """
 
 from __future__ import annotations
@@ -322,8 +323,10 @@ def expected_spread_conditional(
 
 @lru_cache(maxsize=8)
 def _perm_tables(n: int):
-    # All rankings of 1..n (the identity first) and, for each adjacent swap
-    # s, the index of every ranking after that swap.
+    # All rankings of 1..n in lexicographic order (the identity first); for
+    # each adjacent swap s, the index of every ranking after that swap; and
+    # the rankings as rows of entries with their position table: ranking k
+    # puts object o at pos[k, o].
     perms = tuple(itertools.permutations(range(1, n + 1)))
     index = {perm: k for k, perm in enumerate(perms)}
     swaps = np.zeros((n - 1, len(perms)), dtype=np.int32)
@@ -332,8 +335,12 @@ def _perm_tables(n: int):
             entries = list(perm)
             entries[s], entries[s + 1] = entries[s + 1], entries[s]
             swaps[s, k] = index[tuple(entries)]
-    swaps.setflags(write=False)
-    return perms, swaps
+    entries = np.array(perms, dtype=np.int32)
+    pos = np.zeros((len(perms), n + 1), dtype=np.int32)
+    pos[np.arange(len(perms))[:, None], entries] = np.arange(1, n + 1)
+    for table in (swaps, entries, pos):
+        table.setflags(write=False)
+    return perms, swaps, entries, pos
 
 
 def _checked_ranking_size(n) -> int:
@@ -363,7 +370,7 @@ def swap_process_distribution(n: int, p: float) -> Tuple[Tuple[tuple, ...], np.n
 
 @lru_cache(maxsize=16)
 def _swap_distribution(n: int, p: float) -> Tuple[Tuple[tuple, ...], np.ndarray]:
-    perms, swaps = _perm_tables(n)
+    perms, swaps = _perm_tables(n)[:2]
     current = np.zeros(len(perms))
     current[0] = 1.0  # itertools.permutations yields the identity first
     probs = (1.0 - p) * current
@@ -377,16 +384,6 @@ def _swap_distribution(n: int, p: float) -> Tuple[Tuple[tuple, ...], np.ndarray]
         tail *= p
     probs.setflags(write=False)
     return perms, probs
-
-
-def _rank_arrays(rankings) -> Tuple[np.ndarray, np.ndarray]:
-    # The rankings of 1..n as rows of entries, and their position table:
-    # ranking k puts object o at pos[k, o].
-    entries = np.array(rankings, dtype=np.int32)
-    m, n = entries.shape
-    pos = np.zeros((m, n + 1), dtype=np.int32)
-    pos[np.arange(m)[:, None], entries] = np.arange(1, n + 1)[None, :]
-    return entries, pos
 
 
 def _pair_spread(pos: np.ndarray, t1, t2, first, choice, final) -> float:
@@ -410,8 +407,8 @@ def _brute_force(n: int, pair, first: float, choice: float, final: float) -> flo
     n = _checked_ranking_size(n)
     pair = _checked_pair(n, pair)
     laws = [swap_process_distribution(n, weight)[1] for weight in (first, choice, final)]
-    parr, pos = _rank_arrays(_perm_tables(n)[0])
-    return _pair_spread(pos, parr[:, pair.i - 1], parr[:, pair.j - 1], *laws)
+    _, _, entries, pos = _perm_tables(n)
+    return _pair_spread(pos, entries[:, pair.i - 1], entries[:, pair.j - 1], *laws)
 
 
 def brute_force_expected_spread(n: int, p: float, pair) -> float:
@@ -489,21 +486,23 @@ def expected_spread_oracle(
     """Exact expected (average) spread for a design by full enumeration.
 
     All three stage outputs are independent samples from ``dist``; the sum
-    runs over every triple of rankings in its support, with the final-stage
-    positions marginalized first (an exact reordering). Designs: ``e1``
-    (fixed object pair, needs ``object_pair``), ``e2`` (pair drawn uniformly
-    per subject) and ``e3`` (every pair used equally often); for each of
-    these the result is zero for every valid distribution.
+    runs over every triple of the n! rankings, each weighted by ``dist``
+    (zero off its support), with the final-stage positions marginalized
+    first (an exact reordering). Designs: ``e1`` (fixed object pair, needs
+    ``object_pair``), ``e2`` (pair drawn uniformly per subject) and ``e3``
+    (every pair used equally often); for each of these the result is zero
+    for every valid distribution.
     """
     if design not in ("e1", "e2", "e3"):
         raise ValueError(f"oracle designs are 'e1', 'e2', 'e3'; got {design!r}")
     object_pair = _fixed_pair(design, dist.n, object_pair, "object")
-    keys, probs = dist.support()
-    parr, pos = _rank_arrays(keys)
-    m = len(keys)
+    perms, _, entries, pos = _perm_tables(dist.n)
+    # the law on every ranking, zero off its support
+    probs = np.array([dist.probabilities.get(perm, 0.0) for perm in perms])
+    m = len(perms)
     if object_pair is not None:
         compared = [(np.full(m, object_pair.first), np.full(m, object_pair.second))]
     else:
-        compared = [(parr[:, q.i - 1], parr[:, q.j - 1]) for q in all_position_pairs(dist.n)]
+        compared = [(entries[:, q.i - 1], entries[:, q.j - 1]) for q in all_position_pairs(dist.n)]
     total = math.fsum(_pair_spread(pos, t1, t2, probs, probs, probs) for t1, t2 in compared)
     return total / len(compared)

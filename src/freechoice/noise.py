@@ -273,31 +273,40 @@ def _system(n: int, p: float) -> np.ndarray:
 _factors = None
 
 
-@lru_cache(maxsize=None)
-def _lapack():
-    # LAPACK's getrf and getrs, the two routines of the gesv that
-    # np.linalg.solve runs, from the library numpy's linalg module links,
-    # and their integer type; None where the symbols are missing or a probe
-    # solve differs from np.linalg.solve in any bit.
+def _linalg_functions(*names):
+    # The named functions of the library numpy's linalg module links, under
+    # the first prefix ("scipy_" or none) that has them all, each name
+    # followed by "64_" where that library takes 64-bit integers, and its
+    # integer type; None where the library or a name is missing.
     import ctypes
 
     from numpy.linalg import _umath_linalg
 
-    ilp64 = getattr(_umath_linalg, "_ilp64", False)
-    integer = ctypes.c_int64 if ilp64 else ctypes.c_int32
+    suffix = "64_" if getattr(_umath_linalg, "_ilp64", False) else ""
     try:
         library = ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
         return None
     for prefix in ("scipy_", ""):
         try:
-            getrf, getrs = (getattr(library, f"{prefix}dget{step}_{'64_' if ilp64 else ''}")
-                            for step in ("rf", "rs"))
-            break
+            functions = [getattr(library, f"{prefix}{name}{suffix}") for name in names]
         except AttributeError:
-            pass
-    else:
+            continue
+        return functions, ctypes.c_int64 if suffix else ctypes.c_int32
+    return None
+
+
+@lru_cache(maxsize=None)
+def _lapack():
+    # LAPACK's getrf and getrs, the two routines of the gesv that
+    # np.linalg.solve runs, and their integer type; None where the symbols
+    # are missing or a probe solve differs from np.linalg.solve in any bit.
+    import ctypes
+
+    found = _linalg_functions("dgetrf_", "dgetrs_")
+    if found is None:
         return None
+    (getrf, getrs), integer = found
     size, data = ctypes.POINTER(integer), ctypes.c_void_p
     getrf.argtypes = [size, size, data, size, data, size]
     getrs.argtypes = [ctypes.c_char_p, size, size, data, size, data, data, size, size,
@@ -307,6 +316,21 @@ def _lapack():
     v = np.arange(12.0).reshape(6, 2) / 7
     probe = _solve(routines, *_factor(routines, _system(3, 0.6)), np.multiply(0.4, v, order="F"))
     return routines if np.array_equal(probe, np.linalg.solve(_system(3, 0.6), 0.4 * v)) else None
+
+
+@lru_cache(maxsize=None)
+def _blas_threads():
+    # OpenBLAS's getter and setter of its thread count, from the library of
+    # _lapack's routines but without its probe solve; None where it has none.
+    import ctypes
+
+    found = _linalg_functions("openblas_get_num_threads", "openblas_set_num_threads")
+    if found is None:
+        return None
+    (get, put), _ = found
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
 
 
 def _factor(routines, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,14 @@
 """Self-verification: closed forms, cross-validations, frozen references.
 
-Two levels. ``quick`` checks definitions against hand-worked examples,
-closed-form matrix entries, the factored engine against plain enumeration,
-structural invariants (zero-sum, reversal symmetry, the uniform limit) and
-the frozen 12-object reference table. ``full`` adds the exact-rational
-backend, full-permutation brute force for n <= 5, the lumped-chain
-distribution check, and a batch of random-distribution zero checks.
+Two levels. ``quick`` runs 10 checks: definitions against hand-worked
+examples and each other, closed-form matrix entries, the factored engine
+against plain enumeration, structural invariants (zero-sum, reversal
+symmetry, the uniform limit), the frozen 12-object reference table, the
+design oracle, the conditionals and display rounding. ``full`` adds 4: the
+exact-rational backend, full-permutation brute force for n <= 5, the
+lumped chain against the enumerated swap process, and a batch of
+random-distribution zero checks. Each check is one that some planted fault
+needs (``tests/test_verify.py`` pins the checks each fault fails).
 
 The checks recompute everything from the current code, so a corrupted
 definition (for example a flipped sign in the state-level spread) makes
@@ -29,6 +32,7 @@ from .core import Choice, PositionPair, Ranking
 from .exact import (
     RankingDistribution,
     _brute_force,
+    _perm_tables,
     _triple_sum,
     brute_force_expected_spread,
     expected_spread_conditional,
@@ -114,25 +118,6 @@ def _worst_entry(values, references, where: str):
     return [(values[k].item(), references[k].item(), f"{where}, entry {','.join(map(str, k))}")]
 
 
-def _check_spread_definition() -> str:
-    rank1 = Ranking.identity(12)
-    pair = PositionPair(7, 9)
-    # chosen improves 7 -> 5, rejected worsens 9 -> 11: spread 2 + 2 = 4
-    up = Ranking((1, 2, 3, 4, 7, 5, 6, 8, 10, 11, 9, 12))
-    # both objects swap places: chosen worsens by 2 and rejected improves by 2
-    swapped = Ranking((1, 2, 3, 4, 5, 6, 9, 8, 7, 10, 11, 12))
-    _worst_gap([
-        (core.spread(rank1, Choice(chosen=7, rejected=9), up), 4, "the improvement example"),
-        (core.spread_simplified(pair, (1, 2), (5, 11)), 4, "the state-level improvement example"),
-        (core.spread(rank1, Choice(chosen=7, rejected=9), swapped), -4, "the swap example"),
-        (core.spread_simplified(pair, (7, 9), (9, 7)), -4, "the state-level swap example"),
-        # reversal branch: choosing the worse-ranked object, nothing moves
-        (core.spread(rank1, Choice(chosen=9, rejected=7), rank1), 0, "the reversal example"),
-        (core.spread_simplified(pair, (8, 3), (7, 9)), 0, "the state-level reversal example"),
-    ])
-    return "hand-worked improvement, swap, and reversal examples agree"
-
-
 def _glue_cases(n: int, trials: int):
     # the state-level spread against the ranking-level one on random trials
     rng = np.random.default_rng(20260816)
@@ -154,32 +139,43 @@ def _glue_cases(n: int, trials: int):
 
 
 def _check_definition_glue() -> str:
+    rank1 = Ranking.identity(12)
+    pair = PositionPair(7, 9)
+    # chosen improves 7 -> 5, rejected worsens 9 -> 11: spread 2 + 2 = 4
+    up = Ranking((1, 2, 3, 4, 7, 5, 6, 8, 10, 11, 9, 12))
+    # both objects swap places: chosen worsens by 2 and rejected improves by 2
+    swapped = Ranking((1, 2, 3, 4, 5, 6, 9, 8, 7, 10, 11, 12))
     n, trials = 7, 300
-    _worst_gap(_glue_cases(n, trials))
-    return f"{trials} random trials at n={n} agree between both definitions"
+    _worst_gap(itertools.chain([
+        (core.spread(rank1, Choice(chosen=7, rejected=9), up), 4, "the improvement example"),
+        (core.spread_simplified(pair, (1, 2), (5, 11)), 4, "the state-level improvement example"),
+        (core.spread(rank1, Choice(chosen=7, rejected=9), swapped), -4, "the swap example"),
+        (core.spread_simplified(pair, (7, 9), (9, 7)), -4, "the state-level swap example"),
+        # reversal branch: choosing the worse-ranked object, nothing moves
+        (core.spread(rank1, Choice(chosen=9, rejected=7), rank1), 0, "the reversal example"),
+        (core.spread_simplified(pair, (8, 3), (7, 9)), 0, "the state-level reversal example"),
+    ], _glue_cases(n, trials)))
+    return (f"hand-worked improvement, swap, and reversal examples hold and {trials} random "
+            f"trials at n={n} agree between both definitions")
 
 
-def _check_swap_matrix() -> str:
+def _check_mix_closed_form() -> str:
     q = build_Q(12)
+    m12 = build_M(12, 0.8)
     _worst_gap([
         (q[state_row(12, 1, 2), state_row(12, 2, 1)], 1 / 11, "the swap of the tracked neighbors"),
         (q[state_row(12, 2, 3), state_row(12, 2, 3)], 8 / 11, "(2,3) staying put"),
         *_worst_entry(q.sum(axis=1), 1, "the row sums of Q"),
+        *_worst_entry(build_M(2, 0.8), [[5 / 9, 4 / 9], [4 / 9, 5 / 9]], "M at n=2, p=0.8"),
     ], 1e-12)
-    _worst_gap(_worst_entry(q, q.T, "Q against its transpose"))
+    _worst_gap([*_worst_entry(q, q.T, "Q against its transpose"),
+                (m12.min() >= 0, True, "the nonnegativity of M at n=12")])
     grid = q * 11
     _worst_gap(_worst_entry(grid, np.round(grid), "11 Q against its rounding"), 1e-9)
-    return "closed-form entries, symmetry, and row sums hold at n=12"
-
-
-def _check_mix_closed_form() -> str:
-    target = [[5 / 9, 4 / 9], [4 / 9, 5 / 9]]
-    _worst_gap(_worst_entry(build_M(2, 0.8), target, "M at n=2, p=0.8"), 1e-12)
-    m12 = build_M(12, 0.8)
-    _worst_gap([(m12.min() >= 0, True, "the nonnegativity of M at n=12")])
     _worst_gap([*_worst_entry(m12.sum(axis=0), 1, "the column sums of M at n=12"),
                 *_worst_entry(m12.sum(axis=1), 1, "the row sums of M at n=12")], 1e-10)
-    return "n=2 closed form and n=12 double stochasticity hold"
+    return ("Q's closed-form entries, symmetry, and row sums at n=12, M's n=2 closed form and "
+            "n=12 double stochasticity hold")
 
 
 def _two_weight_cases(reference):
@@ -252,12 +248,12 @@ def _check_reference_table() -> str:
 
 
 def _oracle_cases(dists):
-    # designs e1, e2 and e3 over (distribution, e1 object pair): each gives 0
+    # designs e1, e2 and e3 over (distribution, e1 object pair): each gives
+    # 0. e2 and e3 share one value, the average over every position pair.
     for dist, object_pair in dists:
-        for design in ("e1", "e2", "e3"):
-            pair = object_pair if design == "e1" else None
-            yield (expected_spread_oracle(dist, design, object_pair=pair), 0,
-                   f"design {design}, n={dist.n}")
+        yield (expected_spread_oracle(dist, "e1", object_pair=object_pair), 0,
+               f"design e1, n={dist.n}")
+        yield expected_spread_oracle(dist, "e2"), 0, f"designs e2 and e3, n={dist.n}"
 
 
 def _check_design_oracle() -> str:
@@ -317,24 +313,21 @@ def _check_brute_force() -> str:
 
 def _check_lumping() -> str:
     n, p = 4, 0.7
-    perms, probs = swap_process_distribution(n, p)
-    m = build_M(n, p)
-    lumped = np.zeros_like(m)
-    for start_row, (a, b) in enumerate(zip(*state_positions(n))):
-        for perm, prob in zip(perms, probs):
-            # objects named by their starting positions
-            lumped[start_row, state_row(n, perm.index(a) + 1, perm.index(b) + 1)] += prob
-    gap = _worst_gap(_worst_entry(lumped, m, "the tracked-pair law against M"), 1e-9)
-    return f"tracked-pair distribution matches the lumped chain at n={n} (gap {gap:.1e})"
-
-
-def _check_equivariance() -> str:
-    n, p = 5, 0.6
+    probs = swap_process_distribution(n, p)[1]
+    pos = _perm_tables(n)[3]
     m = build_M(n, p)
     a, b = state_positions(n)
-    mirror = state_row(n, n + 1 - a, n + 1 - b)
+    lumped = np.zeros_like(m)
+    # the tracked pair, named by its starting positions (a, b), takes the
+    # state of their positions in each ranking
+    np.add.at(lumped, (np.arange(len(a))[:, None], state_row(n, pos[:, a].T, pos[:, b].T)), probs)
+    gap = _worst_gap(_worst_entry(lumped, m, "the tracked-pair law against M"), 1e-9)
+    m = build_M(5, 0.6)
+    a, b = state_positions(5)
+    mirror = state_row(5, 6 - a, 6 - b)
     _worst_gap(_worst_entry(m, m[np.ix_(mirror, mirror)], "M against its board reversal"), 1e-12)
-    return "the mixture matrix commutes with board reversal at n=5"
+    return (f"tracked-pair distribution matches the lumped chain at n=4 (gap {gap:.1e}); "
+            "the mixture matrix commutes with board reversal at n=5")
 
 
 def _check_random_distributions() -> str:
@@ -345,15 +338,13 @@ def _check_random_distributions() -> str:
 
 
 _QUICK_CHECKS: List[Callable[[], str]] = [
-    _check_spread_definition, _check_definition_glue, _check_swap_matrix, _check_mix_closed_form,
-    _check_factored_vs_enumeration, _check_zero_sum, _check_reversal_symmetry,
-    _check_uniform_limit, _check_reference_table, _check_design_oracle, _check_conditional,
-    _check_display_rounding,
+    _check_definition_glue, _check_mix_closed_form, _check_factored_vs_enumeration,
+    _check_zero_sum, _check_reversal_symmetry, _check_uniform_limit, _check_reference_table,
+    _check_design_oracle, _check_conditional, _check_display_rounding,
 ]
 
 _FULL_CHECKS: List[Callable[[], str]] = [
-    _check_exact_backend, _check_brute_force, _check_lumping, _check_equivariance,
-    _check_random_distributions,
+    _check_exact_backend, _check_brute_force, _check_lumping, _check_random_distributions,
 ]
 
 

@@ -362,13 +362,12 @@ class TestVerifyCommand:
 
     def test_check_names_are_pinned(self):
         # each name is its check function's, without "_check_" and with dashes
-        full = ["spread-definition", "definition-glue", "swap-matrix", "mix-closed-form",
-                "factored-vs-enumeration", "zero-sum", "reversal-symmetry", "uniform-limit",
-                "reference-table", "design-oracle", "conditional", "display-rounding",
-                "exact-backend", "brute-force", "lumping", "equivariance",
+        full = ["definition-glue", "mix-closed-form", "factored-vs-enumeration", "zero-sum",
+                "reversal-symmetry", "uniform-limit", "reference-table", "design-oracle",
+                "conditional", "display-rounding", "exact-backend", "brute-force", "lumping",
                 "random-distributions"]
         assert [result.name for result in run_checks("full")] == full
-        assert [result.name for result in run_checks("quick")] == full[:12]
+        assert [result.name for result in run_checks("quick")] == full[:10]
 
     def test_detects_planted_sign_error(self, capsys, monkeypatch):
         original = core.spread_simplified
@@ -811,18 +810,52 @@ class TestErrors:
         assert __version__ in capsys.readouterr().out
 
 
+def _child(*args, **env):
+    # python -m freechoice in a child process that finds the package where
+    # this process found it, also when only pytest's own path setting put it
+    # there
+    package_root = str(Path(freechoice.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "freechoice", *args],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+
+
+# the threads tests set OpenBLAS's thread count to 2
+two_blas_threads = pytest.mark.skipif(
+    noise._blas_threads() is None or (os.cpu_count() or 1) < 2,
+    reason="needs OpenBLAS's thread-count functions and two cores")
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        # the child finds the package where this process found it, also when
-        # only pytest's own path setting put it there
-        package_root = str(Path(freechoice.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "freechoice", "--version"],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            check=False,
-        )
+        result = _child("--version")
         assert result.returncode == 0
         assert __version__ in result.stdout
+
+    @two_blas_threads
+    def test_float_table_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # OpenBLAS at two threads splits the dense LU differently, and the
+        # command runs at one whatever the caller's count
+        for threads in ("1", "2"):
+            output = tmp_path / f"threads{threads}.csv"
+            result = _child("table", "--n", "15", "--p", "0.8", "--output", str(output),
+                            OPENBLAS_NUM_THREADS=threads)
+            assert result.returncode == 0, result.stderr
+        assert (tmp_path / "threads1.csv").read_bytes() == (tmp_path / "threads2.csv").read_bytes()
+
+    @two_blas_threads
+    def test_caller_keeps_its_blas_threads(self, tmp_path):
+        get, put = noise._blas_threads()
+        held = get()
+        try:
+            put(2)
+            assert main(["table", "--n", "5", "--p", "0.5",
+                         "--output", str(tmp_path / "t.csv")]) == 0
+            assert get() == 2
+        finally:
+            put(held)

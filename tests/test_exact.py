@@ -325,13 +325,12 @@ def _two_weight_brute(n, pair, first, choice, final):
     exact._pair_spread, which averages the final ranking out and carries
     the truncated law's mass.
     """
-    perms = swap_process_distribution(n, first)[0]
     laws = [swap_process_distribution(n, weight)[1] for weight in (first, choice, final)]
-    parr, pos = exact_module._rank_arrays(perms)
-    t1, t2 = parr[:, pair[0] - 1], parr[:, pair[1] - 1]
+    _, _, entries, pos = exact_module._perm_tables(n)
+    t1, t2 = entries[:, pair[0] - 1], entries[:, pair[1] - 1]
     chosen = np.where(pos[:, t1].T < pos[:, t2].T, t1[:, None], t2[:, None])
     rejected = t1[:, None] + t2[:, None] - chosen
-    rows = np.arange(len(perms))[:, None]
+    rows = np.arange(len(pos))[:, None]
     stage1 = pos[rows, chosen] - pos[rows, rejected]
     spreads = stage1[:, :, None] + pos.T[rejected] - pos.T[chosen]
     return float(np.einsum("a,b,c,abc->", *laws, spreads.astype(float)))

@@ -1,4 +1,4 @@
-"""Fault matrix for ``verify``: each planted fault fails at least one check.
+"""Fault matrix for ``verify``: each planted fault fails exactly its pinned checks.
 
 Each fault is a small patch of one package function, applied by
 monkeypatching the name its caller looks up. The exact engine's caches are
@@ -235,35 +235,44 @@ def _unsigned_small_negatives(mp):
         mp.setattr(module, "round_half_away", faulty)
 
 
-# The fault matrix, one small patch of one package function each. The
-# first eight: w2 of _choice_bias scaled by 1 + 1e-7, cw2 of
+# The fault matrix, one small patch of one package function each, with the
+# checks it fails at level full; at level quick it fails their quick part.
+# The first eight: w2 of _choice_bias scaled by 1 + 1e-7, cw2 of
 # _conditional_kernel scaled by 1 + 1e-6, one gap entry + 1, the float
 # mix_apply weight scaled by 1 - 1e-6, round_half_away replaced by round,
 # spread_simplified's sign flipped on reversals, 1e-6 moved between two
 # rankings of the swap law, and the control arm's stage weights swapped.
 FAULTS = {
-    "choice-bias-w2": _scaled_w2,
-    "conditional-cw2": _scaled_cw2,
-    "gap-entry": _shifted_gap,
-    "mix-weight": _scaled_mix_weight,
-    "plain-round": _plain_round,
-    "reversal-sign": _reversal_sign,
-    "swap-law-mass": _moved_swap_mass,
-    "control-arm-weights": _control_weights_swapped,
-    "no-arm-choice-weight": _no_arm_choice_weight,
-    "negated-spread": _negated_spread,
-    "neighbor-bonus": _neighbor_bonus,
-    "flipped-cons": _flipped_cons,
-    "rotated-table": _rotated_table,
-    "stencil-entry": _scaled_stencil_entry,
-    "sector-solve": _scaled_sector_solve,
-    "conditional-g2": _scaled_g2,
-    "negated-pair-spread": _negated_pair_spread,
-    "oracle-last-pair": _oracle_drops_last_pair,
-    "uniform-limit-input": _mix_ignores_uniform_limit,
-    "swap-law-weight": _stretched_swap_law,
-    "scaled-build-m": _scaled_build_m,
-    "small-negative-sign": _unsigned_small_negatives,
+    "choice-bias-w2": (_scaled_w2, {"factored-vs-enumeration", "zero-sum", "exact-backend",
+        "brute-force"}),
+    "conditional-cw2": (_scaled_cw2, {"conditional"}),
+    "gap-entry": (_shifted_gap, {"factored-vs-enumeration", "zero-sum", "reversal-symmetry",
+        "uniform-limit", "reference-table", "conditional", "exact-backend", "brute-force"}),
+    "mix-weight": (_scaled_mix_weight, {"mix-closed-form", "uniform-limit", "conditional",
+        "brute-force", "lumping"}),
+    "plain-round": (_plain_round, {"display-rounding"}),
+    "reversal-sign": (_reversal_sign, {"definition-glue", "factored-vs-enumeration"}),
+    "swap-law-mass": (_moved_swap_mass, {"brute-force", "lumping"}),
+    "control-arm-weights": (_control_weights_swapped, {"factored-vs-enumeration", "brute-force"}),
+    "no-arm-choice-weight": (_no_arm_choice_weight, {"factored-vs-enumeration", "uniform-limit",
+        "brute-force"}),
+    "negated-spread": (_negated_spread, {"definition-glue"}),
+    "neighbor-bonus": (_neighbor_bonus, {"definition-glue", "factored-vs-enumeration"}),
+    "flipped-cons": (_flipped_cons, {"factored-vs-enumeration", "uniform-limit", "reference-table",
+        "conditional", "exact-backend", "brute-force"}),
+    "rotated-table": (_rotated_table, {"reversal-symmetry", "reference-table", "exact-backend",
+        "brute-force"}),
+    "stencil-entry": (_scaled_stencil_entry, {"mix-closed-form", "factored-vs-enumeration",
+        "zero-sum", "reversal-symmetry", "conditional", "brute-force", "lumping"}),
+    "sector-solve": (_scaled_sector_solve, {"exact-backend"}),
+    "conditional-g2": (_scaled_g2, {"conditional"}),
+    "negated-pair-spread": (_negated_pair_spread, {"brute-force"}),
+    "oracle-last-pair": (_oracle_drops_last_pair, {"design-oracle", "random-distributions"}),
+    "uniform-limit-input": (_mix_ignores_uniform_limit, {"uniform-limit"}),
+    "swap-law-weight": (_stretched_swap_law, {"brute-force", "lumping"}),
+    "scaled-build-m": (_scaled_build_m, {"mix-closed-form", "factored-vs-enumeration", "lumping"}),
+    "small-negative-sign": (_unsigned_small_negatives, {"reference-table", "display-rounding",
+        "exact-backend"}),
 }
 
 
@@ -273,13 +282,18 @@ def _clear_exact_caches():
             value.cache_clear()
 
 
-@pytest.mark.parametrize("fault", FAULTS.values(), ids=FAULTS.keys())
-def test_full_verify_catches_fault(fault):
-    _clear_exact_caches()
-    try:
-        with pytest.MonkeyPatch.context() as mp:
-            fault(mp)
-            failed = [result.name for result in verify.run_checks("full") if not result.passed]
-    finally:
+@pytest.mark.parametrize("fault, pinned", FAULTS.values(), ids=FAULTS.keys())
+def test_full_verify_catches_fault(fault, pinned):
+    # the pinned checks fail at level full, and their quick part at quick
+    results = {}
+    for level in verify.LEVELS:
         _clear_exact_caches()
-    assert failed
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                fault(mp)
+                results[level] = verify.run_checks(level)
+        finally:
+            _clear_exact_caches()
+    failed = {level: {r.name for r in checks if not r.passed} for level, checks in results.items()}
+    assert failed["full"] == pinned
+    assert failed["quick"] == pinned & {r.name for r in results["quick"]}
