@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Mapping, Tuple
@@ -436,6 +436,8 @@ class RankingDistribution:
 
     n: int
     probabilities: Mapping[tuple, float]
+    # the law on the n! rankings of _perm_tables, zero off its support
+    _law: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", _checked_ranking_size(self.n))
@@ -452,6 +454,9 @@ class RankingDistribution:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities must sum to 1, got {total}")
         object.__setattr__(self, "probabilities", cleaned)
+        law = np.array([cleaned.get(perm, 0.0) for perm in _perm_tables(self.n)[0]])
+        law.setflags(write=False)
+        object.__setattr__(self, "_law", law)
 
     @classmethod
     def uniform(cls, n: int) -> "RankingDistribution":
@@ -472,9 +477,8 @@ class RankingDistribution:
 
     def support(self) -> Tuple[Tuple[tuple, ...], np.ndarray]:
         """Rankings with positive probability, in lexicographic order."""
-        keys = sorted(self.probabilities)
-        probs = np.array([self.probabilities[k] for k in keys])
-        return tuple(keys), probs
+        keep = self._law > 0
+        return tuple(itertools.compress(_perm_tables(self.n)[0], keep)), self._law[keep]
 
 
 def expected_spread_oracle(
@@ -496,13 +500,11 @@ def expected_spread_oracle(
     if design not in ("e1", "e2", "e3"):
         raise ValueError(f"oracle designs are 'e1', 'e2', 'e3'; got {design!r}")
     object_pair = _fixed_pair(design, dist.n, object_pair, "object")
-    perms, _, entries, pos = _perm_tables(dist.n)
-    # the law on every ranking, zero off its support
-    probs = np.array([dist.probabilities.get(perm, 0.0) for perm in perms])
-    m = len(perms)
+    _, _, entries, pos = _perm_tables(dist.n)
     if object_pair is not None:
-        compared = [(np.full(m, object_pair.first), np.full(m, object_pair.second))]
+        compared = [(np.full(len(pos), object_pair.first), np.full(len(pos), object_pair.second))]
     else:
         compared = [(entries[:, q.i - 1], entries[:, q.j - 1]) for q in all_position_pairs(dist.n)]
-    total = math.fsum(_pair_spread(pos, t1, t2, probs, probs, probs) for t1, t2 in compared)
+    # all three stages draw from dist's law on the rankings of pos
+    total = math.fsum(_pair_spread(pos, t1, t2, *[dist._law] * 3) for t1, t2 in compared)
     return total / len(compared)

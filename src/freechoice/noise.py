@@ -78,6 +78,8 @@ one denominator, 4 d times the lcm of the sector determinants (d the common
 denominator of v); the exact residual x - pQx = (1 - p)v is checked on those
 integers, on the n - 1 swaps of each row, where an entry that misses it
 raises ``ArithmeticError``; and each entry becomes a ``Fraction`` only then.
+Its time grows about as n^7.4, and :func:`mix_apply` refuses it past the
+float cap, n > 64, with the same error.
 """
 
 from __future__ import annotations
@@ -215,20 +217,27 @@ _DENSE_BYTES = 256 * 2**20
 _PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
 
 
-def _square(n: int, exact: bool = False, huge: bool = False) -> np.ndarray:
-    # A zero m x m array, m = n(n - 1): the one dense allocation behind Q, M
-    # and the float system I - pQ, refused where two of them pass
-    # _DENSE_BYTES (n > 64). A float array is a private anonymous mapping,
-    # resident only where written (see the module docstring); a shared one
-    # would allocate the pages that are merely read, such as those LAPACK
-    # copies where np.linalg.solve runs. ``huge`` advises it for huge pages,
-    # for an array that is written in full.
+def _dense_size(n: int) -> int:
+    # m = n(n - 1), refused where two m x m arrays of doubles pass
+    # _DENSE_BYTES (n > 64). Both mix backends and every dense array obey it.
     m = n * (n - 1)
     if 2 * 8 * m * m > _DENSE_BYTES:
         raise CapacityError(
             f"a dense {m} x {m} system at n={n} needs {2 * 8 * m * m / 2**20:.0f} MiB; "
             f"at most {_DENSE_BYTES // 2**20} MiB (n <= 64) is supported"
         )
+    return m
+
+
+def _square(n: int, exact: bool = False, huge: bool = False) -> np.ndarray:
+    # A zero m x m array, m = n(n - 1): the one dense allocation behind Q, M
+    # and the float system I - pQ, within _dense_size's cap. A float array is
+    # a private anonymous mapping, resident only where written (see the
+    # module docstring); a shared one would allocate the pages that are
+    # merely read, such as those LAPACK copies where np.linalg.solve runs.
+    # ``huge`` advises it for huge pages, for an array that is written in
+    # full.
+    m = _dense_size(n)
     if exact:
         return np.full((m, m), Fraction(0))
     mapping = mmap.mmap(-1, 8 * m * m, **_PRIVATE)
@@ -486,6 +495,8 @@ def mix_apply(n: int, p: Weight, vectors: Sequence, exact: bool = False):
     columns are vectors. The product is obtained by solving
     (I - pQ) X = (1 - p) V directly. p = 1 is accepted as the uniform limit,
     where every output entry is the mean of the corresponding input vector.
+    Either backend raises :class:`CapacityError` for n > 64 before its
+    solve, where a dense float system would pass 256 MiB.
     """
     n = _checked_int(n, "n", 2)
     p = _checked_weight(p, "noise weight", exact=exact, allow_one=True)
@@ -500,6 +511,7 @@ def mix_apply(n: int, p: Weight, vectors: Sequence, exact: bool = False):
         return np.tile(means, (m, 1)).reshape(arr.shape)
     if p == 0:
         return arr.copy()
+    _dense_size(n)
     if exact:
         cols = arr.reshape(m, -1)
         out = np.empty_like(cols)

@@ -398,6 +398,10 @@ class TestRankingDistribution:
         assert keys == ((1, 2, 3, 4),)
         assert probs[0] == 1.0
 
+    def test_support_leaves_out_zero_probabilities(self):
+        keys, probs = RankingDistribution(2, {(1, 2): 1.0, (2, 1): 0.0}).support()
+        assert (keys, probs.tolist()) == (((1, 2),), [1.0])
+
     def test_random_is_seeded(self):
         a = RankingDistribution.random(4, np.random.default_rng(9))
         b = RankingDistribution.random(4, np.random.default_rng(9))

@@ -716,6 +716,26 @@ class TestCapacity:
         with pytest.raises(noise.CapacityError, match="264 MiB"):
             build_Q(65)
 
+    def test_rational_solve_takes_the_same_cap(self, monkeypatch):
+        # no sector matrix is built past n = 64, and n = 64 reaches the solve
+        class Solved(Exception):
+            pass
+
+        def solved(*args):
+            raise Solved
+
+        monkeypatch.setattr(noise, "_sector_lu", None)
+        calls = [
+            lambda: mix_apply(65, Fraction(1, 2), [Fraction(1)] * 4160, exact=True),
+            lambda: expected_spread_table(65, Fraction(4, 5), exact=True),
+        ]
+        for call in calls:
+            with pytest.raises(noise.CapacityError, match="n <= 64"):
+                call()
+        monkeypatch.setattr(noise, "_sector_solve", solved)
+        with pytest.raises(Solved):
+            mix_apply(64, Fraction(1, 2), [Fraction(1)] * 4032, exact=True)
+
     @pytest.mark.parametrize("exact", [False, True])
     def test_build_M_cap_counts_four_arrays(self, monkeypatch, exact):
         # build_M writes four m x m arrays in full; n = 54 (250 MiB of them)

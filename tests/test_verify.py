@@ -243,11 +243,10 @@ def _unsigned_small_negatives(mp):
 # spread_simplified's sign flipped on reversals, 1e-6 moved between two
 # rankings of the swap law, and the control arm's stage weights swapped.
 FAULTS = {
-    "choice-bias-w2": (_scaled_w2, {"factored-vs-enumeration", "zero-sum", "exact-backend",
-        "brute-force"}),
+    "choice-bias-w2": (_scaled_w2, {"factored-vs-enumeration", "exact-backend", "brute-force"}),
     "conditional-cw2": (_scaled_cw2, {"conditional"}),
-    "gap-entry": (_shifted_gap, {"factored-vs-enumeration", "zero-sum", "reversal-symmetry",
-        "uniform-limit", "reference-table", "conditional", "exact-backend", "brute-force"}),
+    "gap-entry": (_shifted_gap, {"factored-vs-enumeration", "reversal-symmetry", "uniform-limit",
+        "reference-table", "conditional", "exact-backend", "brute-force"}),
     "mix-weight": (_scaled_mix_weight, {"mix-closed-form", "uniform-limit", "conditional",
         "brute-force", "lumping"}),
     "plain-round": (_plain_round, {"display-rounding"}),
@@ -263,11 +262,11 @@ FAULTS = {
     "rotated-table": (_rotated_table, {"reversal-symmetry", "reference-table", "exact-backend",
         "brute-force"}),
     "stencil-entry": (_scaled_stencil_entry, {"mix-closed-form", "factored-vs-enumeration",
-        "zero-sum", "reversal-symmetry", "conditional", "brute-force", "lumping"}),
+        "reversal-symmetry", "conditional", "brute-force", "lumping"}),
     "sector-solve": (_scaled_sector_solve, {"exact-backend"}),
     "conditional-g2": (_scaled_g2, {"conditional"}),
     "negated-pair-spread": (_negated_pair_spread, {"brute-force"}),
-    "oracle-last-pair": (_oracle_drops_last_pair, {"design-oracle", "random-distributions"}),
+    "oracle-last-pair": (_oracle_drops_last_pair, {"design-oracle"}),
     "uniform-limit-input": (_mix_ignores_uniform_limit, {"uniform-limit"}),
     "swap-law-weight": (_stretched_swap_law, {"brute-force", "lumping"}),
     "scaled-build-m": (_scaled_build_m, {"mix-closed-form", "factored-vs-enumeration", "lumping"}),
